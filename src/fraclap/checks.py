@@ -229,10 +229,6 @@ def _spectral_checks(g, sd, rng, entries):
            "evolving twice composes like a semigroup")
 
 
-def _lambda_pow(lam, s):
-    return np.where(lam > 0, np.where(lam > 0, lam, 1.0) ** float(s), 0.0)
-
-
 def _fractional_checks(g, sd, s_list, rng, entries):
     n = g.n
     for s in s_list:
@@ -243,7 +239,7 @@ def _fractional_checks(g, sd, s_list, rng, entries):
         # asserted on the spectral power realization
         odd_path = op.sigma > 0 and op.m % 2 == 1
         mat = op.power_matrix if odd_path else op.op_matrix
-        pow_lam = _lambda_pow(sd.lambdas, s)
+        pow_lam = sd.lambda_power(s)
         resid = np.abs(mat @ sd.phis - sd.phis * pow_lam[None, :])
         worst = float(np.max(resid.max(axis=0) / (1.0 + pow_lam)))
         _entry(entries, f"{tag}eigen-relation", worst, 1e-8,

@@ -316,8 +316,9 @@ def main(argv=None):
     except NotSolved as exc:
         log.error("search failure: %s", exc)
         return EXIT_SEARCH_FAILURE
-    except NumericalError as exc:
-        log.error("numerical failure: %s", exc)
+    except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # stray floating-point and LAPACK failures share NumericalError's exit
+        log.error("numerical failure: %s: %s", type(exc).__name__, exc)
         return EXIT_NUMERICAL
     except (FraclapError, OSError, ValueError) as exc:
         log.error("%s", exc)

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 from scipy.integrate import quad
 from scipy.special import gamma
 
 from .errors import InvalidExponent, NumericalError, QuadratureError
 from .graph import ALL_PAIRS, PairwiseField, as_function, gradient_field, mu_inner
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, gram
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,13 @@ class FractionalOperator:
         the high-order composition for non-integer s > 1, the spectral
         power for integer s.
     power_matrix : ndarray
-        The spectral power Phi diag(lambda^s) Phi^{-1}. Identical to
-        op_matrix except on the odd-m composition path, where the two
-        genuinely differ and ``power_mismatch`` records the gap.
+        The spectral power Phi diag(lambda^s) Phi^{-1}, computed on first
+        access. Equal to op_matrix up to round-off except on the odd-m
+        composition path, where the two genuinely differ.
+    power_mismatch : float
+        Induced sup-norm distance between op_matrix and power_matrix,
+        computed on first access: the gap on the odd-m path, round-off
+        elsewhere.
     """
 
     sd: SpectralDecomposition
@@ -50,12 +56,22 @@ class FractionalOperator:
     m: int
     kernel: np.ndarray | None
     op_matrix: np.ndarray
-    power_matrix: np.ndarray
-    power_mismatch: float
 
     @property
     def graph(self):
         return self.sd.graph
+
+    @cached_property
+    def power_matrix(self):
+        if self.is_integer_order:
+            return self.op_matrix
+        power = self.sd.power_matrix(self.s)
+        power.setflags(write=False)
+        return power
+
+    @cached_property
+    def power_mismatch(self):
+        return float(np.max(np.abs(self.op_matrix - self.power_matrix).sum(axis=1)))
 
     @property
     def is_integer_order(self):
@@ -88,15 +104,12 @@ def split_exponent(s):
 def spectral_kernel(sd, sigma):
     """Kernel W(x, y) = -mu(x) mu(y) sum_i lambda_i^sigma phi_i(x) phi_i(y).
 
-    Symmetric and strictly positive off the diagonal on a connected graph;
-    the diagonal is zero by convention.
+    Exactly symmetric as stored (one symmetric product) and strictly
+    positive off the diagonal on a connected graph; the diagonal is zero by
+    convention.
     """
-    lam = sd.lambdas
-    pow_lam = np.where(lam > 0, lam, 1.0) ** float(sigma)
-    pow_lam = np.where(lam > 0, pow_lam, 0.0)
-    mu = sd.graph.mu
-    w = -np.outer(mu, mu) * ((sd.phis * pow_lam[None, :]) @ sd.phis.T)
-    w = 0.5 * (w + w.T)
+    w = gram(sd.graph.mu[:, None] * sd.phis, sd.lambda_power(sigma))
+    np.negative(w, out=w)
     np.fill_diagonal(w, 0.0)
     w.setflags(write=False)
     return w
@@ -108,22 +121,34 @@ def _operator_from_kernel(g, kernel):
     return (np.diag(d) - kernel) / g.mu[:, None]
 
 
+def _laplacian_sandwich(g, inner, k):
+    """L^k inner L^k with L the positive Laplacian, applied as a sparse
+    matrix: O(n^2 deg) per factor instead of a dense n^3 product."""
+    if k == 0:
+        return inner
+    lap = scipy.sparse.csr_array(g.laplacian_matrix())
+    for _ in range(k):
+        inner = lap @ (inner @ lap)
+    return inner
+
+
 def _componentwise_divergence_matrix(g, p):
     """Matrix of u -> div(P . grad u) with P applied to each global component.
 
     The gradient field of u has components f_y(x) = c(x, y)(u(x) - u(y)) with
     c = sqrt(w/(2 mu)); P acts on each component function f_y, and the
-    divergence is the negative adjoint of the gradient.
+    divergence is the negative adjoint of the gradient. c is supported on the
+    edges, so every product with it costs O(n^2 deg), and the result is
+    supported on pairs at most two hops apart.
     """
     mu = g.mu
-    c = np.sqrt(g.weights / (2.0 * mu[:, None]))
-    cct = c @ c.T
+    c = scipy.sparse.csr_array(np.sqrt(g.weights / (2.0 * mu[:, None])))
     pc = p @ c
-    own = p * cct - c * pc
-    b = (mu[:, None] * c).T @ p
-    q = (mu[:, None] * c * pc).sum(axis=0)
-    incoming = b * c.T - np.diag(q)
-    return -(mu[:, None] * own - incoming) / mu[:, None]
+    cpc = c.multiply(pc)
+    own = (c @ c.T).multiply(p) - cpc
+    b = c.T @ (mu[:, None] * p)
+    incoming = c.T.multiply(b) - scipy.sparse.diags_array(cpc.T @ mu)
+    return (incoming / mu[:, None] - own).toarray()
 
 
 def build_operator(sd, s):
@@ -135,44 +160,30 @@ def build_operator(sd, s):
       fields, -Delta^{(m-1)/2} div (-Delta)^sigma grad Delta^{(m-1)/2}.
     * integer s: repeated application, realized as the spectral power.
 
-    The spectral power is computed alongside in every case; for odd m it is a
-    genuinely different operator and the gap is recorded, not asserted away.
+    The spectral power and its gap to the assembled operator are computed on
+    first access (``power_matrix``, ``power_mismatch``); for odd m the two are
+    genuinely different operators and the gap is recorded, not asserted away.
     """
     sigma, m = split_exponent(s)
     g = sd.graph
-    power = sd.power_matrix(s)
 
     if sigma == 0.0:
-        op = power
+        op = sd.power_matrix(s)
         kernel = None
     else:
         kernel = spectral_kernel(sd, sigma)
         sig_op = _operator_from_kernel(g, kernel)
         if m == 0:
             op = sig_op
+        elif m % 2 == 0:
+            op = _laplacian_sandwich(g, sig_op, m // 2)
         else:
-            lap = g.laplacian_matrix()
-            if m % 2 == 0:
-                half = np.linalg.matrix_power(lap, m // 2)
-                op = half @ sig_op @ half
-            else:
-                half = np.linalg.matrix_power(lap, (m - 1) // 2)
-                div_sig_grad = _componentwise_divergence_matrix(g, sig_op)
-                op = -half @ div_sig_grad @ half
+            div_sig_grad = _componentwise_divergence_matrix(g, sig_op)
+            op = -_laplacian_sandwich(g, div_sig_grad, (m - 1) // 2)
 
-    mismatch = float(np.max(np.abs(op - power).sum(axis=1)))
-    op = op.copy()
     op.setflags(write=False)
-    power.setflags(write=False)
     return FractionalOperator(
-        sd=sd,
-        s=float(s),
-        sigma=sigma,
-        m=m,
-        kernel=kernel,
-        op_matrix=op,
-        power_matrix=power,
-        power_mismatch=mismatch,
+        sd=sd, s=float(s), sigma=sigma, m=m, kernel=kernel, op_matrix=op,
     )
 
 
@@ -185,11 +196,7 @@ def frac_apply(op, u, debug=False):
     u = as_function(op.graph, u)
     out = op.op_matrix @ u
     if debug and op.m == 0 and op.sigma > 0.0:
-        coeffs = op.sd.coefficients(u)
-        lam = op.sd.lambdas
-        pow_lam = np.where(lam > 0, lam, 1.0) ** op.s
-        pow_lam = np.where(lam > 0, pow_lam, 0.0)
-        alt = op.sd.synthesize(pow_lam * coeffs)
+        alt = op.sd.synthesize(op.sd.lambda_power(op.s) * op.sd.coefficients(u))
         tol = 1e-9 * (1.0 + float(np.max(np.abs(out))))
         if np.max(np.abs(out - alt)) > tol:
             raise NumericalError(

@@ -9,10 +9,11 @@ the external contract.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -52,17 +53,6 @@ class Graph:
     def volume(self):
         """Sum of all vertex measures."""
         return float(self.mu.sum())
-
-    @property
-    def edges(self):
-        """Edges as (src_index, dst_index, weight) with src < dst."""
-        out = []
-        n = self.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.weights[i, j] > 0:
-                    out.append((i, j, float(self.weights[i, j])))
-        return out
 
     def degree_matrix(self):
         return np.diag(self.weights.sum(axis=1))
@@ -117,26 +107,20 @@ def build_graph(vertices, edges):
             raise ValidationError(f"edge weight must be positive, got {w} on {src!r}-{dst!r}")
         weights[i, j] = weights[j, i] = w
 
-    _check_connected(weights, ids)
+    _check_connected(seen, ids)
     weights.setflags(write=False)
     mu.setflags(write=False)
     return Graph(ids=ids, mu=mu, weights=weights, index=index)
 
 
-def _check_connected(weights, ids):
+def _check_connected(pairs, ids):
     n = len(ids)
-    if n == 1:
-        return
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in np.nonzero(weights[x] > 0)[0]:
-            if y not in seen:
-                seen.add(int(y))
-                queue.append(int(y))
-    if len(seen) != n:
-        missing = [ids[i] for i in range(n) if i not in seen]
+    ends = np.array(list(pairs), dtype=int).reshape(-1, 2).T
+    adjacency = scipy.sparse.coo_array((np.ones(ends.shape[1]), tuple(ends)), shape=(n, n))
+    _, labels = connected_components(adjacency, directed=False)
+    unreachable = np.nonzero(labels != labels[0])[0]
+    if unreachable.size:
+        missing = [ids[i] for i in unreachable]
         raise DisconnectedError(f"graph is disconnected; unreachable: {missing}")
 
 

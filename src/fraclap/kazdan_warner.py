@@ -358,10 +358,7 @@ def poisson_meanzero_solve(op, f):
     sd = op.sd
     f = as_function(sd.graph, f)
     coeffs = sd.coefficients(f)
-    lam = sd.lambdas
-    pow_lam = np.where(lam > 0, lam, 1.0) ** op.s
-    inv = np.where(lam > 0, 1.0 / pow_lam, 0.0)
-    return sd.synthesize(coeffs * inv)
+    return sd.synthesize(coeffs * sd.lambda_power(-op.s))
 
 
 def auxiliary_phi0(p, op=None):
@@ -436,7 +433,7 @@ def solve_positive_c(p, opts=None, op=None):
         q = kappa * np.exp(v) * mu
         hess = (
             ua
-            - (c * vol) * (np.diag(q) / mass - np.outer(q, q) / mass**2)
+            - (c * vol) * (np.diag(q) / mass - np.outer(q / mass, q / mass))
             + np.outer(mu, mu)
         )
         try:

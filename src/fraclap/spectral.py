@@ -40,16 +40,30 @@ class SpectralDecomposition:
     def synthesize(self, coeffs):
         return self.phis @ np.asarray(coeffs, dtype=float)
 
+    def lambda_power(self, s):
+        """lambda_i**s per eigenpair, taken as 0 on the zero modes for every s."""
+        lam = self.lambdas
+        live = lam > 0
+        return np.where(live, np.where(live, lam, 1.0) ** float(s), 0.0)
+
     def power_matrix(self, s):
         """Dense matrix of the spectral power: Phi diag(lambda^s) Phi^{-1}.
 
-        ``lambda**s`` is taken as 0 at lambda == 0 for every s > 0.
+        ``lambda**s`` is taken as 0 at lambda == 0 for every s > 0. Assembled
+        as (Phi diag(lambda^s) Phi^T) diag(mu), the first factor by one
+        symmetric product.
         """
-        lam = self.lambdas
-        pow_lam = np.where(lam > 0, lam, 1.0) ** float(s)
-        pow_lam = np.where(lam > 0, pow_lam, 0.0)
-        phi_inv = self.phis.T * self.graph.mu[None, :]
-        return (self.phis * pow_lam[None, :]) @ phi_inv
+        power = gram(self.phis, self.lambda_power(s))
+        power *= self.graph.mu[None, :]
+        return power
+
+
+def gram(factor, weights):
+    """factor diag(weights) factor^T for nonnegative weights, as B B^T with
+    B = factor diag(sqrt(weights)): one symmetric rank-k update (half the
+    work of a general product) and exactly symmetric as stored."""
+    b = factor * np.sqrt(weights)[None, :]
+    return b @ b.T
 
 
 def decompose(g):
@@ -74,11 +88,10 @@ def decompose(g):
     phis = q / root_mu[:, None]
 
     # fix signs: first entry of each column that is clearly nonzero goes positive
-    for i in range(phis.shape[1]):
-        col = phis[:, i]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
-        if nz.size and col[nz[0]] < 0:
-            phis[:, i] = -col
+    mag = np.abs(phis)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = phis[first, np.arange(phis.shape[1])] < 0
+    phis[:, flip] = -phis[:, flip]
 
     lam.setflags(write=False)
     phis.setflags(write=False)
@@ -88,14 +101,13 @@ def decompose(g):
 def heat_kernel(sd, t):
     """Heat kernel p(t, x, y) = sum_i exp(-lambda_i t) phi_i(x) phi_i(y).
 
-    Symmetrized assembly, so p(t, x, y) == p(t, y, x) exactly as stored.
+    Assembled by one symmetric product, so p(t, x, y) == p(t, y, x) exactly
+    as stored.
     """
     t = float(t)
     if t < 0:
         raise ValueError("time t must be nonnegative")
-    decay = np.exp(-sd.lambdas * t)
-    p = (sd.phis * decay[None, :]) @ sd.phis.T
-    return 0.5 * (p + p.T)
+    return gram(sd.phis, np.exp(-sd.lambdas * t))
 
 
 def heat_apply(sd, t, u0):

@@ -36,6 +36,26 @@ def make_er20(seed=0, n=20, p=0.25):
     return build_graph(verts, edges)
 
 
+def make_random_connected(rng, n, extra_per_vertex=2):
+    """Spanning path through a random vertex order plus extra_per_vertex * n
+    distinct random edges; mu and w uniform on [0.5, 2]. Draws from rng, so a
+    caller can keep drawing from the same stream."""
+    order = rng.permutation(n).tolist()
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(order[:-1], order[1:])}
+    target = len(pairs) + extra_per_vertex * n
+    while len(pairs) < target:
+        a, b = sorted(rng.integers(0, n, size=2).tolist())
+        if a != b:
+            pairs.add((a, b))
+    verts = [(f"v{i}", float(m)) for i, m in enumerate(rng.uniform(0.5, 2.0, n))]
+    pairs = sorted(pairs)
+    edges = [
+        (f"v{a}", f"v{b}", float(w))
+        for (a, b), w in zip(pairs, rng.uniform(0.5, 2.0, len(pairs)))
+    ]
+    return build_graph(verts, edges)
+
+
 @pytest.fixture(scope="session")
 def p2():
     return make_p2()
@@ -59,3 +79,8 @@ def er20():
 @pytest.fixture(scope="session")
 def all_graphs(p2, k3, path10, er20):
     return {"p2": p2, "k3": k3, "path10": path10, "er20": er20}
+
+
+@pytest.fixture(scope="session")
+def random_connected():
+    return make_random_connected

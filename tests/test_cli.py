@@ -234,6 +234,21 @@ class TestNumericalFailureExit:
                      "--tol", "1e-300"])
         assert code == 4
 
+    @pytest.mark.parametrize("error", [
+        OverflowError("Numerical result out of range"),
+        FloatingPointError("overflow encountered"),
+        np.linalg.LinAlgError("Singular matrix"),
+    ])
+    def test_stray_arithmetic_error_exit_4(self, p2_file, capsys, monkeypatch, error):
+        def handler(args):
+            raise error
+
+        monkeypatch.setattr("fraclap.cli._cmd_spectrum", handler)
+        code, out, err = run_cli(capsys, ["spectrum", "--graph", p2_file])
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err
+
 
 class TestProcessInvocation:
     def test_module_entry_with_log_env(self, p2_file):

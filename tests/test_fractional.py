@@ -111,6 +111,74 @@ class TestBuildOperator:
             build_operator(decompose(p2), -0.5)
 
 
+def _dense_assembly(sd, s):
+    """(kernel, operator, spectral power) with every product a full dense
+    n x n product: the reference for the sparse and symmetric assembly."""
+    g = sd.graph
+    mu, lam, phis = g.mu, sd.lambdas, sd.phis
+    sigma, m = split_exponent(s)
+    power = (phis * lam_pow(lam, s)[None, :]) @ (phis.T * mu[None, :])
+    if sigma == 0.0:
+        return None, power, power
+    kernel = -np.outer(mu, mu) * ((phis * lam_pow(lam, sigma)[None, :]) @ phis.T)
+    kernel = 0.5 * (kernel + kernel.T)
+    np.fill_diagonal(kernel, 0.0)
+    p = (np.diag(kernel.sum(axis=1)) - kernel) / mu[:, None]
+    lap = g.laplacian_matrix()
+    if m == 0:
+        return kernel, p, power
+    if m % 2 == 0:
+        half = np.linalg.matrix_power(lap, m // 2)
+        return kernel, half @ p @ half, power
+    c = np.sqrt(g.weights / (2.0 * mu[:, None]))
+    pc = p @ c
+    own = p * (c @ c.T) - c * pc
+    incoming = ((mu[:, None] * c).T @ p) * c.T - np.diag((mu[:, None] * c * pc).sum(axis=0))
+    div_p_grad = -(mu[:, None] * own - incoming) / mu[:, None]
+    half = np.linalg.matrix_power(lap, (m - 1) // 2)
+    return kernel, -half @ div_p_grad @ half, power
+
+
+class TestAssemblyAtScale:
+    @pytest.fixture(scope="class")
+    def sd150(self, random_connected):
+        return decompose(random_connected(np.random.default_rng(150), 150))
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 2.5, 3.5, 4.25])
+    def test_matches_dense_formulas(self, sd150, s):
+        op = build_operator(sd150, s)
+        kernel, expected, power = _dense_assembly(sd150, s)
+        assert np.max(np.abs(op.op_matrix - expected)) <= 1e-11 * np.max(np.abs(expected))
+        assert np.max(np.abs(op.power_matrix - power)) <= 1e-11 * np.max(np.abs(power))
+        if kernel is None:
+            assert op.kernel is None
+        else:
+            assert np.max(np.abs(op.kernel - kernel)) <= 1e-12 * np.max(np.abs(kernel))
+            assert np.array_equal(op.kernel, op.kernel.T)
+            assert np.all(np.diagonal(op.kernel) == 0.0)
+
+    @pytest.mark.parametrize("s", [2.0, 2.5])
+    def test_even_orders_collapse_to_power(self, sd150, s):
+        assert build_operator(sd150, s).power_mismatch < 1e-8
+
+    def test_fourth_order_collapses_up_to_round_off(self, sd150):
+        # power_mismatch is an absolute row-sum norm; at s = 4.25 the operator
+        # norm is about 2e6 and the dense formulas leave the same 1.4e-8 gap
+        op = build_operator(sd150, 4.25)
+        assert op.power_mismatch < 1e-13 * np.max(np.abs(op.power_matrix).sum(axis=1))
+
+    @pytest.mark.parametrize("s", [1.5, 3.5])
+    def test_odd_orders_keep_their_gap(self, sd150, s):
+        assert build_operator(sd150, s).power_mismatch > 1e-3
+
+    def test_power_matrix_is_computed_once_and_read_only(self, sd150):
+        op = build_operator(sd150, 1.5)
+        assert "power_matrix" not in vars(op)
+        assert op.power_matrix is op.power_matrix
+        assert not op.power_matrix.flags.writeable
+        assert not op.op_matrix.flags.writeable
+
+
 class TestFracApply:
     def test_constants_vanish(self, all_graphs):
         for g in all_graphs.values():

@@ -57,6 +57,14 @@ class TestLoadGraph:
         with pytest.raises(DisconnectedError):
             load_graph(graph_doc([("x1", 1.0), ("x2", 1.0)], []))
 
+    def test_disconnected_lists_unreachable_ids(self):
+        doc = graph_doc(
+            [("a", 1.0), ("b", 1.0), ("c", 1.0), ("d", 1.0), ("e", 1.0)],
+            [("a", "c", 1.0), ("b", "d", 1.0), ("d", "e", 1.0)],
+        )
+        with pytest.raises(DisconnectedError, match=r"unreachable: \['b', 'd', 'e'\]"):
+            load_graph(doc)
+
     def test_vertex_order_is_document_order(self):
         g = load_graph(graph_doc([("b", 1.0), ("a", 2.0)], [("b", "a", 1.0)]))
         assert g.ids == ("b", "a")

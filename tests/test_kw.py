@@ -166,6 +166,22 @@ class TestSolvePositiveC:
             mass = integral(er20, p.kappa * np.exp(rep.solution))
             assert mass == pytest.approx(c * er20.volume, rel=1e-7)
 
+    def test_huge_constraint_mass_does_not_overflow(self, random_connected):
+        # manufactured c > 0 problem at n = 400 whose Newton polish meets a
+        # shift mass above 1e154, where squaring it as a Python float raised
+        # OverflowError
+        rng = np.random.default_rng(0)
+        g = random_connected(rng, 400)
+        op = build_operator(decompose(g), 0.5)
+        c = float(rng.uniform(0.5, 2.0))
+        u_star = rng.normal(scale=0.25, size=g.n)
+        p = problem(g, c, (op.op_matrix @ u_star + c) * np.exp(-u_star))
+        rep = kw.solve(p, op=op)
+        assert rep.method == "variational-positive-c"
+        assert kw.check_solution(p, rep.solution, op).residual_inf <= kw.SolveOptions().tol
+        mass = integral(g, p.kappa * np.exp(rep.solution))
+        assert mass == pytest.approx(c * g.volume, rel=1e-7)
+
 
 class TestSolveZeroC:
     def test_manufactured(self, p2, op_p2):

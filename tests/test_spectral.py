@@ -46,6 +46,13 @@ class TestDecompose:
                 r = laplacian_apply(g, sd.phis[:, i]) - sd.lambdas[i] * sd.phis[:, i]
                 assert np.max(np.abs(r)) <= 1e-8 * (1.0 + sd.lambdas[i])
 
+    def test_lambda_power_masks_zero_mode(self, er20):
+        sd = decompose(er20)
+        for s in (0.5, 2.0, -1.5):
+            pw = sd.lambda_power(s)
+            assert pw[0] == 0.0
+            assert np.array_equal(pw[1:], sd.lambdas[1:] ** s)
+
     def test_sign_convention(self, all_graphs):
         for g in all_graphs.values():
             sd = decompose(g)
