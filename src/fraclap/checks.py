@@ -287,7 +287,10 @@ def _fractional_checks(g, sd, s_list, rng, entries):
             _entry(entries, f"{tag}distributional-identity", worst, 1e-8,
                    "the composed operator matches its defining pairing")
             if op.m % 2 == 0:
-                _entry(entries, f"{tag}even-order-collapse", op.power_mismatch, 1e-8,
+                # round-off scales with the operator: 1e-8 up to a norm of 1e5
+                norm = float(np.max(np.abs(op.op_matrix).sum(axis=1)))
+                _entry(entries, f"{tag}even-order-collapse", op.power_mismatch,
+                       max(1e-8, 1e-13 * norm),
                        "even compositions collapse to the spectral power")
             else:
                 _info(entries, f"{tag}odd-order-power-gap", op.power_mismatch,

@@ -172,8 +172,6 @@ def _solve_options(args, residual_tol=True):
         opts.seed = args.seed
     if getattr(args, "method", None):
         opts.method = args.method
-    if getattr(args, "jobs", None):
-        opts.jobs = args.jobs
     return opts
 
 
@@ -277,8 +275,6 @@ def build_parser():
     p.add_argument("--kappa", required=True)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--cap", type=int, default=64, help="probe budget")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel Newton restarts inside each probe")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("poisson", _cmd_poisson, "mean-zero solve of (-Delta)^s u = f - mean(f)")

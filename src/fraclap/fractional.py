@@ -5,10 +5,12 @@ kernel; it acts as
 
     (-Delta)^s u(x) = (1/mu(x)) sum_{y != x} W_s(x, y) (u(x) - u(y)).
 
-For s = sigma + m with sigma in (0, 1) and integer m >= 1 the operator is the
-composition of integer-order Laplacians with the sigma-order operator, applied
-componentwise to gradient fields when m is odd. Integer orders are realized as
-repeated application, i.e. the spectral power.
+Every s > 0 is split as s = sigma + m with sigma in [0, 1) and integer m >= 0,
+and the operator is the sigma-order factor K sandwiched by the order-m map.
+With k = m // 2 and L = -Delta it is L^k K L^k for even m and
+-L^k div(K grad) L^k for odd m, where K acts componentwise on gradient fields.
+For integer s the sigma factor is the identity, so the operator is built from
+sparse Laplacian products alone and equals the spectral power up to round-off.
 """
 
 from __future__ import annotations
@@ -35,19 +37,21 @@ class FractionalOperator:
     ----------
     kernel : ndarray or None
         The nonlocal coupling kernel of the sigma-order factor (the full
-        s-kernel when m == 0); None for integer s.
+        s-kernel when m == 0); None for integer s, whose sigma factor is the
+        identity.
     op_matrix : ndarray
-        The operator actually applied: kernel assembly for s in (0, 1),
-        the high-order composition for non-integer s > 1, the spectral
-        power for integer s.
+        The operator actually applied: the sigma factor sandwiched by the
+        order-m map (kernel assembly alone for s in (0, 1), sparse Laplacian
+        products alone for integer s).
     power_matrix : ndarray
         The spectral power Phi diag(lambda^s) Phi^{-1}, computed on first
-        access. Equal to op_matrix up to round-off except on the odd-m
-        composition path, where the two genuinely differ.
+        access; for integer s it is op_matrix itself. Equal to op_matrix up
+        to round-off except for non-integer s with odd m, where the two
+        genuinely differ.
     power_mismatch : float
         Induced sup-norm distance between op_matrix and power_matrix,
-        computed on first access: the gap on the odd-m path, round-off
-        elsewhere.
+        computed on first access: the gap for non-integer s with odd m,
+        round-off elsewhere (zero for integer s).
     """
 
     sd: SpectralDecomposition
@@ -87,18 +91,15 @@ class FractionalOperator:
 
 
 def split_exponent(s):
-    """Split s > 0 into (sigma, m) with s = sigma + m, sigma in (0, 1).
+    """Split s > 0 into (sigma, m) with s = sigma + m, sigma in [0, 1).
 
-    Integer s returns sigma == 0.0, which selects repeated application.
+    Integer s returns sigma == 0.0, which selects the identity sigma factor.
     """
     s = float(s)
     if not math.isfinite(s) or s <= 0:
         raise InvalidExponent(f"exponent must be a positive real, got {s}")
     m = math.floor(s)
-    sigma = s - m
-    if sigma == 0.0:
-        return 0.0, int(m)
-    return sigma, int(m)
+    return s - m, int(m)
 
 
 def spectral_kernel(sd, sigma):
@@ -122,18 +123,23 @@ def _operator_from_kernel(g, kernel):
 
 
 def _laplacian_sandwich(g, inner, k):
-    """L^k inner L^k with L the positive Laplacian, applied as a sparse
-    matrix: O(n^2 deg) per factor instead of a dense n^3 product."""
-    if k == 0:
-        return inner
-    lap = scipy.sparse.csr_array(g.laplacian_matrix())
-    for _ in range(k):
-        inner = lap @ (inner @ lap)
-    return inner
+    """L^k inner L^k as a dense array, with L the positive Laplacian applied
+    as a sparse matrix: O(n^2 deg) per factor on a dense inner instead of a
+    dense n^3 product. A sparse inner stays sparse until the result or
+    until it fills a tenth of its entries (Laplacian powers fill in within
+    a few hops, and past that the dense product is the cheaper one)."""
+    if k:
+        lap = scipy.sparse.csr_array(g.laplacian_matrix())
+        for _ in range(k):
+            if scipy.sparse.issparse(inner) and inner.nnz > 0.1 * g.n**2:
+                inner = inner.toarray()
+            inner = lap @ (inner @ lap)
+    return inner.toarray() if scipy.sparse.issparse(inner) else inner
 
 
 def _componentwise_divergence_matrix(g, p):
-    """Matrix of u -> div(P . grad u) with P applied to each global component.
+    """Matrix of u -> div(P . grad u) with P applied to each global
+    component, dense or sparse like P.
 
     The gradient field of u has components f_y(x) = c(x, y)(u(x) - u(y)) with
     c = sqrt(w/(2 mu)); P acts on each component function f_y, and the
@@ -146,41 +152,38 @@ def _componentwise_divergence_matrix(g, p):
     pc = p @ c
     cpc = c.multiply(pc)
     own = (c @ c.T).multiply(p) - cpc
-    b = c.T @ (mu[:, None] * p)
+    b = c.T @ (scipy.sparse.diags_array(mu) @ p)
     incoming = c.T.multiply(b) - scipy.sparse.diags_array(cpc.T @ mu)
-    return (incoming / mu[:, None] - own).toarray()
+    div = incoming / mu[:, None] - own
+    return div if scipy.sparse.issparse(p) else div.toarray()
 
 
 def build_operator(sd, s):
-    """Assemble the fractional Laplacian at exponent s > 0.
+    """Assemble the fractional Laplacian at exponent s = sigma + m > 0.
 
-    * s in (0, 1): kernel assembly (rows of the nonlocal difference operator).
-    * non-integer s = sigma + m: even m composes through functions,
-      Delta^{m/2} (-Delta)^sigma Delta^{m/2}; odd m routes through gradient
-      fields, -Delta^{(m-1)/2} div (-Delta)^sigma grad Delta^{(m-1)/2}.
-    * integer s: repeated application, realized as the spectral power.
+    The sigma factor K is the kernel assembly (rows of the nonlocal
+    difference operator) for sigma in (0, 1) and a sparse identity for
+    integer s. With k = m // 2 and L = -Delta, even m composes through
+    functions, L^k K L^k, and odd m routes through gradient fields,
+    -L^k div(K grad) L^k. Integer s is thus built from sparse Laplacian
+    products and equals the spectral power up to round-off.
 
     The spectral power and its gap to the assembled operator are computed on
-    first access (``power_matrix``, ``power_mismatch``); for odd m the two are
-    genuinely different operators and the gap is recorded, not asserted away.
+    first access (``power_matrix``, ``power_mismatch``); for non-integer s
+    with odd m the two are genuinely different operators and the gap is
+    recorded, not asserted away.
     """
     sigma, m = split_exponent(s)
     g = sd.graph
-
     if sigma == 0.0:
-        op = sd.power_matrix(s)
         kernel = None
+        inner = scipy.sparse.eye_array(g.n, format="csr")
     else:
         kernel = spectral_kernel(sd, sigma)
-        sig_op = _operator_from_kernel(g, kernel)
-        if m == 0:
-            op = sig_op
-        elif m % 2 == 0:
-            op = _laplacian_sandwich(g, sig_op, m // 2)
-        else:
-            div_sig_grad = _componentwise_divergence_matrix(g, sig_op)
-            op = -_laplacian_sandwich(g, div_sig_grad, (m - 1) // 2)
-
+        inner = _operator_from_kernel(g, kernel)
+    if m % 2:
+        inner = -_componentwise_divergence_matrix(g, inner)
+    op = _laplacian_sandwich(g, inner, m // 2)
     op.setflags(write=False)
     return FractionalOperator(
         sd=sd, s=float(s), sigma=sigma, m=m, kernel=kernel, op_matrix=op,
@@ -206,10 +209,15 @@ def frac_apply(op, u, debug=False):
     return out
 
 
-def _sigma_gradient_field(g, kernel, u):
-    coeff = np.sqrt(kernel / (2.0 * g.mu[:, None]))
-    entries = coeff * (u[:, None] - u[None, :])
-    return PairwiseField(entries=entries, support=ALL_PAIRS)
+def _order_m_columns(op, u):
+    """The order-m map the sigma factor acts on, as columns: Delta^k u
+    (k = m // 2) as one column for even m, the n components of its gradient
+    field for odd m."""
+    g = op.graph
+    f = as_function(g, u)
+    for _ in range(op.m // 2):
+        f = -(g.laplacian_matrix() @ f)
+    return gradient_field(g, f).entries if op.m % 2 else f[:, None]
 
 
 def frac_gradient(op, u):
@@ -217,45 +225,22 @@ def frac_gradient(op, u):
 
     Return type depends on the regime:
 
-    * s in (0, 1): all-pairs PairwiseField sqrt(W/(2 mu)) (u(x) - u(y)).
     * integer s: the plain m-order gradient (PairwiseField for odd s,
       a vertex function for even s).
-    * non-integer s = sigma + m: the sigma-gradient of each global component
-      of the m-order gradient; a single PairwiseField for even m, a list of
-      PairwiseField (one per component, in vertex order) for odd m.
+    * s = sigma + m with sigma in (0, 1): the all-pairs sigma-gradient
+      sqrt(W/(2 mu)) (f(x) - f(y)) of each global component f of the
+      m-order gradient; a single PairwiseField for even m (m == 0 included),
+      a list of PairwiseField (one per component, in vertex order) for odd m.
     """
-    g = op.graph
-    u = as_function(g, u)
-    if op.sigma == 0.0:
-        m = op.m
-        if m % 2 == 0:
-            return _delta_power(g, u, m // 2)
-        return gradient_field(g, _delta_power(g, u, (m - 1) // 2))
-    if op.m == 0:
-        return _sigma_gradient_field(g, op.kernel, u)
-    if op.m % 2 == 0:
-        f = _delta_power(g, u, op.m // 2)
-        return _sigma_gradient_field(g, op.kernel, f)
-    base = gradient_field(g, _delta_power(g, u, (op.m - 1) // 2)).entries
-    return [
-        _sigma_gradient_field(g, op.kernel, base[:, j]) for j in range(g.n)
+    cols = _order_m_columns(op, u)
+    if op.kernel is None:
+        return PairwiseField(entries=cols) if op.m % 2 else cols[:, 0]
+    coeff = np.sqrt(op.kernel / (2.0 * op.graph.mu[:, None]))
+    fields = [
+        PairwiseField(entries=coeff * (f[:, None] - f[None, :]), support=ALL_PAIRS)
+        for f in cols.T
     ]
-
-
-def _delta_power(g, u, k):
-    lap = g.laplacian_matrix()
-    v = u
-    for _ in range(k):
-        v = -(lap @ v)
-    return v
-
-
-def _pair_inner(g, kernel, f, h):
-    # (1/(2 mu)) sum_y W(x,y) (f(x)-f(y)) (h(x)-h(y)), vectorized over x
-    row = kernel.sum(axis=1)
-    return (f * h * row + kernel @ (f * h) - f * (kernel @ h) - h * (kernel @ f)) / (
-        2.0 * g.mu
-    )
+    return fields if op.m % 2 else fields[0]
 
 
 def frac_inner(op, u, v):
@@ -264,32 +249,16 @@ def frac_inner(op, u, v):
     Integrating this against mu reproduces the energy pairing
     ``integral(v * frac_apply(op, u))`` in every exponent regime.
     """
-    g = op.graph
-    u = as_function(g, u)
-    v = as_function(g, v)
-    if op.sigma == 0.0:
-        m = op.m
-        if m % 2 == 0:
-            fu = _delta_power(g, u, m // 2)
-            fv = _delta_power(g, v, m // 2)
-            return fu * fv
-        fu = gradient_field(g, _delta_power(g, u, (m - 1) // 2)).entries
-        fv = gradient_field(g, _delta_power(g, v, (m - 1) // 2)).entries
-        return (fu * fv).sum(axis=1)
-    if op.m == 0:
-        return _pair_inner(g, op.kernel, u, v)
-    if op.m % 2 == 0:
-        fu = _delta_power(g, u, op.m // 2)
-        fv = _delta_power(g, v, op.m // 2)
-        return _pair_inner(g, op.kernel, fu, fv)
-    fu = gradient_field(g, _delta_power(g, u, (op.m - 1) // 2)).entries
-    fv = gradient_field(g, _delta_power(g, v, (op.m - 1) // 2)).entries
-    # sum over components j of the sigma-gradient inner products
+    fu = _order_m_columns(op, u)
+    fv = _order_m_columns(op, v)
     r = (fu * fv).sum(axis=1)
-    b = fu @ fv.T
-    row = op.kernel.sum(axis=1)
-    cross = (op.kernel * (b + b.T)).sum(axis=1)
-    return (r * row + op.kernel @ r - cross) / (2.0 * g.mu)
+    if op.kernel is None:
+        return r
+    # summed over the columns f, h:
+    # (1/(2 mu)) sum_y W(x,y) (f(x)-f(y)) (h(x)-h(y)), vectorized over x
+    w = op.kernel
+    cross = (fu * (w @ fv) + fv * (w @ fu)).sum(axis=1)
+    return (r * w.sum(axis=1) + w @ r - cross) / (2.0 * op.graph.mu)
 
 
 def dirichlet_energy(op, u):

@@ -12,7 +12,6 @@ estimates the negative-c solvability threshold.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +68,6 @@ class SolveOptions:
     seed: int = 0
     method: str = "auto"
     override_screen: bool = False
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -228,6 +226,13 @@ def screen(p):
 # shared numerics
 
 
+def _constraint_mass(g, kappa, u):
+    """integral(kappa e^u). Where e^u overflows the mass is infinite, or NaN
+    when kappa has both signs there; either is returned without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.dot(kappa * np.exp(u), g.mu))
+
+
 def _residual(op, kappa, c, u):
     with np.errstate(over="ignore", invalid="ignore"):
         return op.op_matrix @ u - kappa * np.exp(u) + c
@@ -307,20 +312,9 @@ def _newton_attempts(op, kappa, c, starts, opts, rng):
     for _ in range(opts.newton_restarts):
         starts.append(rng.normal(scale=1.0, size=n))
 
-    def run(u0):
-        return _damped_newton(op, kappa, c, u0, opts)
-
     total = 0
-    if opts.jobs > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-            results = list(pool.map(run, starts))
-        for u, its, ok in results:
-            total += its
-            if ok:
-                return u, total
-        return None, total
     for u0 in starts:
-        u, its, ok = run(u0)
+        u, its, ok = _damped_newton(op, kappa, c, u0, opts)
         total += its
         if ok:
             return u, total
@@ -396,12 +390,8 @@ def solve_positive_c(p, opts=None, op=None):
     ua = mu[:, None] * op.op_matrix
     ua = 0.5 * (ua + ua.T)
 
-    def shift_mass(v):
-        with np.errstate(over="ignore"):
-            return float(np.dot(kappa * np.exp(v), mu))
-
     def objective(v):
-        mass = shift_mass(v)
+        mass = _constraint_mass(g, kappa, v)
         if not np.isfinite(mass) or mass <= 0:
             return np.inf, np.zeros_like(v)
         iv = float(np.dot(v, mu))
@@ -429,7 +419,7 @@ def solve_positive_c(p, opts=None, op=None):
         ginf = float(np.max(np.abs(grad)))
         if ginf <= 1e-13 * scale:
             break
-        mass = shift_mass(v)
+        mass = _constraint_mass(g, kappa, v)
         q = kappa * np.exp(v) * mu
         hess = (
             ua
@@ -451,7 +441,7 @@ def solve_positive_c(p, opts=None, op=None):
             break
         iterations += 1
 
-    mass = shift_mass(v)
+    mass = _constraint_mass(g, kappa, v)
     if not np.isfinite(mass) or mass <= 0:
         raise NotSolved("positive-c descent left the feasible region")
     u = v + math.log(c * vol / mass)
@@ -592,11 +582,6 @@ def _meanzero_bump(g, kappa):
     z[lo] = 1.0
     z[hi] = -g.mu[lo] / g.mu[hi]
     return z
-
-
-def _constraint_mass(g, kappa, u):
-    with np.errstate(over="ignore"):
-        return float(np.dot(kappa * np.exp(u), g.mu))
 
 
 def _zero_c_feasible_start(g, kappa, bump):

@@ -99,6 +99,13 @@ class TestRunSuite:
         report = run_suite(er20, s_list=[0.5, 1.5, 2.5], seed=7)
         assert report.passed, [(e.name, e.measured) for e in report.failures]
 
+    def test_fourth_order_collapse_held_relative_to_norm(self, random_connected):
+        # the even-order-collapse gap here is round-off of about 1.5e-8
+        # against an operator norm of about 2e6
+        g = random_connected(np.random.default_rng(150), 150)
+        report = run_suite(g, s_list=[4.25])
+        assert report.passed, [(e.name, e.measured, e.tolerance) for e in report.failures]
+
     def test_entries_carry_citations(self, p2):
         report = run_suite(p2, s_list=[0.5], seed=7)
         assert all(e.citation for e in report.entries)

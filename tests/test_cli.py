@@ -209,15 +209,6 @@ class TestThresholdCmd:
         assert code == 0
         assert json.loads(out)["status"] == "threshold-is-minus-infinity"
 
-    def test_jobs_flag_deterministic(self, p2_file, tmp_path, capsys):
-        # the restart pool must not change any emitted byte
-        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
-        args = ["threshold", "--graph", p2_file, "--s", "0.5", "--kappa", kap,
-                "--tol", "1e-2", "--seed", "5"]
-        _, out1, _ = run_cli(capsys, args + ["--jobs", "1"])
-        _, out2, _ = run_cli(capsys, args + ["--jobs", "2"])
-        assert out1 == out2
-
 
 class TestCheckCmd:
     def test_passes_on_p2(self, p2_file, capsys):

@@ -144,7 +144,7 @@ class TestAssemblyAtScale:
     def sd150(self, random_connected):
         return decompose(random_connected(np.random.default_rng(150), 150))
 
-    @pytest.mark.parametrize("s", [0.5, 1.5, 2.0, 2.5, 3.5, 4.25])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.25])
     def test_matches_dense_formulas(self, sd150, s):
         op = build_operator(sd150, s)
         kernel, expected, power = _dense_assembly(sd150, s)
@@ -341,7 +341,7 @@ class TestDirichletEnergy:
 
 
 class TestIntegrationByParts:
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.5, 2.5])
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
     def test_triple_identity(self, all_graphs, s):
         rng = np.random.default_rng(17)
         for g in all_graphs.values():

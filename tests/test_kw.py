@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,15 @@ class TestSolvePositiveC:
         assert kw.check_solution(p, rep.solution, op).residual_inf <= kw.SolveOptions().tol
         mass = integral(g, p.kappa * np.exp(rep.solution))
         assert mass == pytest.approx(c * g.volume, rel=1e-7)
+
+    def test_overflowed_constraint_mass_is_silent(self, p2):
+        # e^800 overflows: one sign of kappa gives an infinite mass, both give
+        # inf - inf = NaN, and neither may warn
+        v = np.array([800.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kw._constraint_mass(p2, np.array([1.0, 2.0]), v) == np.inf
+            assert np.isnan(kw._constraint_mass(p2, np.array([1.0, -2.0]), v))
 
 
 class TestSolveZeroC:
