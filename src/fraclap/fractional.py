@@ -125,14 +125,10 @@ def _operator_from_kernel(g, kernel):
 def _laplacian_sandwich(g, inner, k):
     """L^k inner L^k as a dense array, with L the positive Laplacian applied
     as a sparse matrix: O(n^2 deg) per factor on a dense inner instead of a
-    dense n^3 product. A sparse inner stays sparse until the result or
-    until it fills a tenth of its entries (Laplacian powers fill in within
-    a few hops, and past that the dense product is the cheaper one)."""
+    dense n^3 product. A sparse inner stays sparse until the result."""
     if k:
         lap = scipy.sparse.csr_array(g.laplacian_matrix())
         for _ in range(k):
-            if scipy.sparse.issparse(inner) and inner.nnz > 0.1 * g.n**2:
-                inner = inner.toarray()
             inner = lap @ (inner @ lap)
     return inner.toarray() if scipy.sparse.issparse(inner) else inner
 
@@ -215,8 +211,9 @@ def _order_m_columns(op, u):
     field for odd m."""
     g = op.graph
     f = as_function(g, u)
+    lap = g.laplacian_matrix()
     for _ in range(op.m // 2):
-        f = -(g.laplacian_matrix() @ f)
+        f = -(lap @ f)
     return gradient_field(g, f).entries if op.m % 2 else f[:, None]
 
 
