@@ -54,9 +54,6 @@ class Graph:
         """Sum of all vertex measures."""
         return float(self.mu.sum())
 
-    def degree_matrix(self):
-        return np.diag(self.weights.sum(axis=1))
-
     def laplacian_matrix(self):
         """Matrix of the positive operator u -> -(Delta)u."""
         d = self.weights.sum(axis=1)

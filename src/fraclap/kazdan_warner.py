@@ -11,6 +11,7 @@ estimates the negative-c solvability threshold.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -57,7 +58,7 @@ class KWProblem:
 
 @dataclass
 class SolveOptions:
-    """Tolerances and caps for the solve routes; all CLI-configurable."""
+    """Tolerances and caps for the solve routes."""
 
     tol: float = 1e-8
     step_tol: float = 1e-10
@@ -306,12 +307,14 @@ def _damped_newton(op, kappa, c, u0, opts, target=None):
     return u, opts.max_iter_newton, float(np.max(np.abs(r))) <= opts.tol
 
 
-def _newton_attempts(op, kappa, c, starts, opts, rng):
-    n = op.graph.n
-    starts = list(starts)
+def _seeded_restarts(op, opts, rng):
     for _ in range(opts.newton_restarts):
-        starts.append(rng.normal(scale=1.0, size=n))
+        yield rng.normal(scale=1.0, size=op.graph.n)
 
+
+def _newton_attempts(op, kappa, c, starts, opts):
+    """Damped Newton at c from each start in turn, drawn lazily; the first
+    converged run wins. Returns (u or None, total iterations)."""
     total = 0
     for u0 in starts:
         u, its, ok = _damped_newton(op, kappa, c, u0, opts)
@@ -335,13 +338,19 @@ def resolvent_solve(g, op, phi, f):
     f = as_function(g, f)
     if np.min(phi) <= 0:
         raise ValueError("phi must be strictly positive everywhere")
+    factor = _shifted_cholesky(g, op, phi, "resolvent")
+    return scipy.linalg.cho_solve(factor, g.mu * f)
+
+
+def _shifted_cholesky(g, op, phi, system):
+    """Cholesky factor of diag(mu) ((-Delta)^s + diag(phi)), symmetrized;
+    a failed factorization raises SingularSystem naming ``system``."""
     sym = g.mu[:, None] * op.op_matrix + np.diag(g.mu * phi)
     sym = 0.5 * (sym + sym.T)
     try:
-        factor = scipy.linalg.cho_factor(sym)
+        return scipy.linalg.cho_factor(sym)
     except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"resolvent system not positive definite: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, g.mu * f)
+        raise SingularSystem(f"{system} system not positive definite: {exc}") from exc
 
 
 def poisson_meanzero_solve(op, f):
@@ -588,15 +597,17 @@ def _zero_c_feasible_start(g, kappa, bump):
     def h(t):
         return _constraint_mass(g, kappa, t * bump)
 
-    if h(0.0) == 0.0:
+    h0 = h(0.0)
+    if h0 == 0.0:
         return np.zeros(g.n)
-    # h(0) = integral(kappa) < 0 and h -> +inf along -bump
-    lo = -1.0
-    while h(lo) <= 0:
-        lo *= 2.0
-        if lo < -700:
+    # h(0) = integral(kappa); h -> +inf along -bump and -inf along +bump, so
+    # the sign change lies along -bump when h(0) < 0 and along +bump otherwise
+    end = -1.0 if h0 < 0 else 1.0
+    while end * h(end) >= 0:
+        end *= 2.0
+        if abs(end) > 700:
             raise InfeasibleStart("could not bracket a feasible starting point")
-    t_star = brentq(h, lo, 0.0, xtol=1e-14)
+    t_star = brentq(h, min(end, 0.0), max(end, 0.0), xtol=1e-14)
     return t_star * bump
 
 
@@ -665,10 +676,19 @@ def construct_upper_solution(p, opts=None, op=None):
     if p.c >= 0:
         raise ValueError("upper solutions are built for c < 0 only")
     op = _ensure_operator(p, op)
-    candidate = _affine_upper_solution(p, op)
-    if candidate is not None:
-        return candidate
-    return _continuation_solution(p, opts, op)
+    return next(_upper_solutions(p, opts, op), None)
+
+
+def _upper_solutions(p, opts, op):
+    """Upper solutions for c < 0, cheapest first, each built only when the
+    previous one has been consumed: the affine construction, then the
+    continuation point."""
+    affine = _affine_upper_solution(p, op)
+    if affine is not None:
+        yield affine
+    continued = _continuation_solution(p, opts, op)
+    if continued is not None:
+        yield continued
 
 
 def _affine_upper_solution(p, op):
@@ -704,7 +724,8 @@ def _continuation_solution(p, opts, op):
         start_c /= 2.0
     if u is None:
         rng = np.random.default_rng((opts.seed, 0xC017))
-        u, _ = _newton_attempts(op, kappa, c / 2.0, [np.zeros(g.n)], opts, rng)
+        starts = itertools.chain([np.zeros(g.n)], _seeded_restarts(op, opts, rng))
+        u, _ = _newton_attempts(op, kappa, c / 2.0, starts, opts)
         start_c = c / 2.0
         if u is None:
             return None
@@ -772,14 +793,7 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
 
     def factor_for(level):
         phi = kappa1 * np.exp(level)
-        sym = g.mu[:, None] * op.op_matrix + np.diag(g.mu * phi)
-        sym = 0.5 * (sym + sym.T)
-        try:
-            return phi, scipy.linalg.cho_factor(sym)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystem(
-                f"monotone system not positive definite: {exc}"
-            ) from exc
+        return phi, _shifted_cholesky(g, op, phi, "monotone")
 
     phi, factor = factor_for(u_plus)
     u = u_plus.copy()
@@ -833,7 +847,7 @@ def _lower_level(kappa, c, u_plus):
 
 
 def solve(p, opts=None, op=None):
-    """Solve the equation, routing on the sign of c.
+    """Solve the equation, routing on the sign of c and the method.
 
     Screening runs first; a certificate of unsolvability raises
     CertificateUnsolvable unless ``opts.override_screen`` is set. Every
@@ -850,35 +864,22 @@ def solve(p, opts=None, op=None):
     method = opts.method
     if method not in ("auto", "variational", "monotone", "newton"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "variational" and p.c < 0:
+        raise ValueError("variational route covers c >= 0 only")
+    if method == "monotone" and p.c >= 0:
+        raise ValueError("monotone route requires c < 0")
+    if method == "monotone" and p.s > 1.0:
+        raise ValueError(
+            "monotone route is unavailable for s > 1 (no order preservation)"
+        )
 
     trace = []
-    report = None
-    if method == "newton":
-        report = _newton_route(p, opts, op, trace)
-    elif method == "variational":
-        if p.c > 0:
-            report = solve_positive_c(p, opts, op)
-        elif p.c == 0:
-            report = _zero_c_route(p, opts, op)
-        else:
-            raise ValueError("variational route covers c >= 0 only")
-    elif method == "monotone":
-        if p.c >= 0:
-            raise ValueError("monotone route requires c < 0")
-        if p.s > 1.0:
-            raise ValueError(
-                "monotone route is unavailable for s > 1 (no order preservation)"
-            )
-        report = _monotone_route(p, opts, op, trace)
-        if report is None:
-            raise NotSolved("monotone route failed", trace=trace)
+    if method == "newton" or p.c < 0:
+        report = _monotone_newton_route(p, opts, op, trace)
+    elif p.c > 0:
+        report = solve_positive_c(p, opts, op)
     else:
-        if p.c > 0:
-            report = solve_positive_c(p, opts, op)
-        elif p.c == 0:
-            report = _zero_c_route(p, opts, op)
-        else:
-            report = _negative_c_route(p, opts, op, trace)
+        report = _zero_c_route(p, opts, op)
 
     recheck = check_solution(p, report.solution, op)
     if recheck.residual_inf > opts.tol:
@@ -905,71 +906,47 @@ def _zero_c_route(p, opts, op):
     return solve_zero_c(p, opts, op)
 
 
-def _monotone_route(p, opts, op, trace):
-    try:
-        upper = construct_upper_solution(p, opts, op)
-    except NotSolved:
-        upper = None
-    if upper is None:
-        trace.append("no upper solution found")
-        return None
-    return _monotone_from(p, upper, opts, op, trace)
+def _monotone_newton_route(p, opts, op, trace):
+    """The one route for c < 0, and for method "newton" at any c.
 
+    1. Where order preservation holds (c < 0, s <= 1, method not "newton"):
+       monotone iteration from each upper solution. Method "monotone" stops
+       after this step.
+    2. Damped Newton at c from the upper solutions step 1 built, then from
+       zero, then from the seeded restarts.
+    3. For c < 0, damped Newton at c from each upper solution step 1 did not
+       build. The continuation point solves the equation slightly past c, so
+       it is only ever reported once Newton has converged from it at c.
+    """
+    uppers = _upper_solutions(p, opts, op) if p.c < 0 else iter(())
+    built = []
+    if p.c < 0 and p.s <= 1.0 and opts.method != "newton":
+        for upper in uppers:
+            built.append(upper)
+            try:
+                return solve_negative_c_monotone(p, upper, opts, op)
+            except (NotSolved, NotAnUpperSolution, MonotonicityViolation) as exc:
+                trace.append(f"monotone-iteration: {exc}")
+        if not built:
+            trace.append("no upper solution found")
+        if opts.method == "monotone":
+            raise NotSolved("monotone route failed", trace=trace)
 
-def _monotone_from(p, upper, opts, op, trace):
-    try:
-        return solve_negative_c_monotone(p, upper, opts, op)
-    except (NotSolved, NotAnUpperSolution, MonotonicityViolation) as exc:
-        trace.append(f"monotone-iteration: {exc}")
-        return None
-
-
-def _negative_c_route(p, opts, op, trace):
-    """c < 0 dispatch: affine upper solution when kappa permits, one shared
-    continuation run otherwise, direct Newton as the final fallback."""
-    if p.s <= 1.0:
-        affine = _affine_upper_solution(p, op)
-        if affine is not None:
-            report = _monotone_from(p, affine, opts, op, trace)
-            if report is not None:
-                return report
-        cont = _continuation_solution(p, opts, op)
-        if cont is not None:
-            report = _monotone_from(p, cont, opts, op, trace)
-            if report is not None:
-                return report
-            polished, its, _ = _damped_newton(op, p.kappa, p.c, cont, opts)
-            return _newton_report(p, polished, its, opts, op, trace)
-        trace.append("continuation found no upper solution")
-    return _newton_route(p, opts, op, trace, allow_continuation=p.s > 1.0)
-
-
-def _newton_report(p, u, iterations, opts, op, trace):
-    residual = check_solution(p, u, op).residual_inf
-    if residual > opts.tol:
-        raise NotSolved(
-            f"newton residual {residual:.3e} exceeds tolerance", trace=trace
-        )
+    rng = np.random.default_rng((opts.seed, 0x7E57))
+    starts = itertools.chain(
+        built, [np.zeros(p.graph.n)], _seeded_restarts(op, opts, rng), uppers
+    )
+    u, iterations = _newton_attempts(op, p.kappa, p.c, starts, opts)
+    if u is None:
+        trace.append("newton-continuation: all starts failed")
+        raise NotSolved("all solution routes failed", trace=trace)
     return SolveReport(
         solution=u,
-        residual_inf=residual,
+        residual_inf=check_solution(p, u, op).residual_inf,
         method="newton-continuation",
         iterations=iterations,
         energy=None,
     )
-
-
-def _newton_route(p, opts, op, trace, allow_continuation=True):
-    rng = np.random.default_rng((opts.seed, 0x7E57))
-    starts = [np.zeros(p.graph.n)]
-    u, iterations = _newton_attempts(op, p.kappa, p.c, starts, opts, rng)
-    if u is None and p.c < 0 and allow_continuation:
-        trace.append("direct Newton failed; trying continuation")
-        u = _continuation_solution(p, opts, op)
-    if u is None:
-        trace.append("newton-continuation: all starts failed")
-        raise NotSolved("all solution routes failed", trace=trace)
-    return _newton_report(p, u, iterations, opts, op, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -980,11 +957,11 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
     """Bracket the negative-c solvability threshold by continuation and
     bisection.
 
-    Every probe at some c < 0 attempts monotone iteration (when a solution at
-    lower c is on file to serve as an upper solution) and damped Newton with
-    warm starts and seeded restarts. Success certifies everything between the
-    probe and zero; the final bracket has width <= tol or the probe cap is
-    reported.
+    Every probe at some c < 0 runs damped Newton from the solved probes,
+    nearest first, then from zero and from seeded restarts. Each probe lies
+    below every probe solved before it, so no solution on file is an upper
+    solution for it. Success certifies everything between the probe and
+    zero; the final bracket has width <= tol or the probe cap is reported.
     """
     opts = opts or SolveOptions()
     kappa = as_function(g, kappa)
@@ -1007,19 +984,10 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
 
     def attempt(c_probe, k):
         prob = KWProblem(graph=g, s=s, c=c_probe, kappa=kappa)
-        # monotone with a continuation-supplied upper solution, when available
-        below = [cv for cv in solutions if cv <= c_probe]
-        if below:
-            try:
-                rep = solve_negative_c_monotone(
-                    prob, solutions[max(below)], opts, op
-                )
-                return rep.solution
-            except (NotSolved, NotAnUpperSolution, MonotonicityViolation):
-                pass
         warm = [solutions[cv] for cv in sorted(solutions, key=lambda v: abs(v - c_probe))]
         rng = np.random.default_rng((opts.seed, k))
-        u, _ = _newton_attempts(op, kappa, c_probe, warm + [np.zeros(g.n)], opts, rng)
+        starts = itertools.chain(warm, [np.zeros(g.n)], _seeded_restarts(op, opts, rng))
+        u, _ = _newton_attempts(op, kappa, c_probe, starts, opts)
         if u is not None and check_solution(prob, u, op).residual_inf <= opts.tol:
             return u
         return None

@@ -28,6 +28,18 @@ def fn_file(tmp_path, name, values):
     return str(path)
 
 
+def graph_file(tmp_path, g):
+    rows, cols = np.nonzero(np.triu(g.weights))
+    doc = {
+        "vertices": [{"id": v, "mu": float(m)} for v, m in zip(g.ids, g.mu)],
+        "edges": [{"src": g.ids[a], "dst": g.ids[b], "w": float(g.weights[a, b])}
+                  for a, b in zip(rows, cols)],
+    }
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -171,6 +183,19 @@ class TestKwCmd:
         code, _, _ = run_cli(
             capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "-5.0",
                      "--kappa", kap, "--max-iter", "500"])
+        assert code == 3
+
+    def test_zero_c_positive_integral_exit_3(self, random_connected, tmp_path, capsys):
+        # s > 1 leaves this c = 0 problem unscreened; the solve must end in a
+        # typed failure, not a usage error
+        rng = np.random.default_rng(120)
+        g = random_connected(rng, 120)
+        kappa = rng.normal(size=g.n)
+        kappa += (1.9 - float(kappa @ g.mu)) / g.volume
+        kap = fn_file(tmp_path, "k.json", dict(zip(g.ids, kappa.tolist())))
+        code, _, _ = run_cli(
+            capsys, ["kw", "--graph", graph_file(tmp_path, g), "--s", "1.5",
+                     "--c", "0", "--kappa", kap])
         assert code == 3
 
     def test_monotone_method_flag(self, p2_file, tmp_path, capsys):

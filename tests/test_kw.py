@@ -32,6 +32,16 @@ def problem(g, c, kappa, s=0.5):
     return kw.KWProblem(graph=g, s=s, c=c, kappa=np.asarray(kappa, dtype=float))
 
 
+def assert_probes_below_earlier_successes(est):
+    # a solution at c' > c has negative slack at c, so no solution on file
+    # can serve a later probe as an upper solution
+    solved = []
+    for c, ok in est.probes:
+        assert all(c < c_solved for c_solved in solved)
+        if ok:
+            solved.append(c)
+
+
 class TestScreen:
     def test_positive_c_needs_positive_kappa(self, p2):
         v = kw.screen(problem(p2, 1.0, [-1.0, -2.0]))
@@ -136,6 +146,19 @@ class TestSolveDispatcher:
         assert rep.method == "newton-continuation"
         assert rep.residual_inf <= 1e-8
 
+    @pytest.mark.parametrize("method", ["auto", "newton"])
+    def test_continuation_point_polished_at_c(self, random_connected, method):
+        # Newton from zero and the restarts fail here; the continuation point
+        # solves the equation at c (1 + 1e-6), a residual of 8e-8 at c
+        rng = np.random.default_rng(8)
+        g = random_connected(rng, 40)
+        rng.normal(size=g.n)
+        kappa = 2.0 * rng.normal(size=g.n) - 0.5
+        p = problem(g, -0.08, kappa, s=2.5)
+        rep = kw.solve(p, kw.SolveOptions(method=method),
+                       op=build_operator(decompose(g), 2.5))
+        assert rep.residual_inf <= 1e-8
+
 
 class TestSolvePositiveC:
     def test_trivial_constant(self, p2, op_p2):
@@ -218,6 +241,17 @@ class TestSolveZeroC:
         assert kw.screen(p).status == kw.SOLVABLE
         rep = kw.solve_zero_c(p, op=op_er20)
         assert rep.residual_inf <= 1e-8
+
+    def test_positive_integral_is_not_solved(self, random_connected):
+        # for s > 1 the screen leaves c = 0 with integral(kappa) > 0 unknown;
+        # the feasible start then lies along +bump
+        rng = np.random.default_rng(120)
+        g = random_connected(rng, 120)
+        kappa = rng.normal(size=g.n)
+        p = problem(g, 0.0, kappa + (1.9 - integral(g, kappa)) / g.volume, s=1.5)
+        assert kw.screen(p).status == kw.UNKNOWN
+        with pytest.raises(NotSolved):
+            kw.solve(p, op=build_operator(decompose(g), 1.5))
 
 
 class TestResolvent:
@@ -368,6 +402,7 @@ class TestThreshold:
         assert est.attained_solution_at_threshold is not None
         p = problem(p2, est.c_high, [1.0, -3.0])
         assert kw.check_solution(p, est.attained_solution_at_threshold).residual_inf <= 1e-8
+        assert_probes_below_earlier_successes(est)
 
     def test_nonpositive_kappa_is_minus_infinity(self, p2):
         with pytest.raises(ThresholdIsMinusInfinity):
@@ -381,6 +416,7 @@ class TestThreshold:
         opts = kw.SolveOptions(max_iter_newton=120, newton_restarts=4)
         est = kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), tol=1e-3,
                                     cap=64, opts=opts)
+        assert_probes_below_earlier_successes(est)
         op = build_operator(decompose(p2), 0.5)
         for frac in (0.9, 0.5, 0.1):
             c = est.c_high * frac  # between bracket and zero: solvable
