@@ -274,7 +274,8 @@ def build_parser():
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--kappa", required=True)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--cap", type=int, default=64, help="probe budget")
+    p.add_argument("--cap", type=int, default=64,
+                   help="probe log length: walk end points and confirmations")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("poisson", _cmd_poisson, "mean-zero solve of (-Delta)^s u = f - mean(f)")

@@ -82,13 +82,6 @@ class FractionalOperator:
         """True when s is a positive integer (outside the sigma in (0,1) regime)."""
         return self.sigma == 0.0
 
-    @property
-    def sigma_matrix(self):
-        """Matrix of the sigma-order factor (the operator itself when m == 0)."""
-        if self.kernel is None:
-            raise InvalidExponent("integer-order operator has no sigma factor")
-        return _operator_from_kernel(self.graph, self.kernel)
-
 
 def split_exponent(s):
     """Split s > 0 into (sigma, m) with s = sigma + m, sigma in [0, 1).

@@ -5,8 +5,9 @@
 Sign screening certifies solvability or unsolvability where the sign of
 (c, kappa) decides it outright; the remaining cases are solved by constrained
 minimization (c >= 0), monotone iteration bracketed by upper and lower
-solutions (c < 0, s <= 1), or damped Newton continuation. A bisection driver
-estimates the negative-c solvability threshold.
+solutions (c < 0, s <= 1), or damped Newton continuation. The threshold
+driver estimates the negative-c solvability threshold with the same Newton
+continuation in c that builds the continuation upper solution.
 """
 
 from __future__ import annotations
@@ -127,10 +128,13 @@ class ResidualReport:
 class ThresholdEstimate:
     """Bracket around the negative-c solvability threshold.
 
-    c_high carries a verified solution; c_low is the highest probe where every
-    solve route failed (operational, not a mathematical certificate). When
-    cap_reached is set the probe budget ran out first: the probe log records
-    what was actually established and c_low may be an unprobed candidate.
+    c_high carries a verified solution; c_low is the confirmed probe where
+    damped Newton failed from the solution at c_high, from zero and from every
+    seeded restart (operational, not a mathematical certificate). When
+    cap_reached is set the probe log used its whole budget, which may have
+    stopped the search early: the log records what was actually established,
+    and c_low may be a c where only one continuation step failed, or the
+    unprobed candidate 2 c_high.
     """
 
     c_low: float
@@ -705,55 +709,66 @@ def _affine_upper_solution(p, op):
     b = math.log(a) - a * float(np.min(v)) + 1.0
     candidate = a * v + b
     slack = _residual(op, kappa, c, candidate)
-    if float(np.min(slack)) >= 0:
+    # an overflowed exp gives infinite slack, and an infinite monotone shift
+    if np.all(np.isfinite(slack)) and float(np.min(slack)) >= 0:
         return candidate
     return None
 
 
 def _continuation_solution(p, opts, op):
-    """Newton continuation from c/2 downward to (slightly past) c."""
-    g = p.graph
-    kappa, c = p.kappa, p.c
-    start_c = c / 2.0
-    u = None
-    for _ in range(16):
-        cand, _, ok = _damped_newton(op, kappa, start_c, np.zeros(g.n), opts)
-        if ok:
-            u = cand
-            break
-        start_c /= 2.0
-    if u is None:
-        rng = np.random.default_rng((opts.seed, 0xC017))
-        starts = itertools.chain([np.zeros(g.n)], _seeded_restarts(op, opts, rng))
-        u, _ = _newton_attempts(op, kappa, c / 2.0, starts, opts)
-        start_c = c / 2.0
-        if u is None:
-            return None
-
+    """Newton continuation from c/2 down to (slightly past) c: the last
+    solution at or below c, or None."""
+    c = p.c
+    start = _branch_start(op, p.kappa, c / 2.0, opts)
+    if start is None:
+        return None
     # overshoot c by a relative margin so the final slack is strictly positive
-    target = c * (1.0 + 1e-6)
-    cur = start_c
-    best = u if cur <= c else None
-    step = target - cur  # negative
+    c_end, u, _ = _walk(op, p.kappa, *start, c * (1.0 + 1e-6), opts, abs(c) * 1e-9)
+    return u if c_end <= c else None
+
+
+def _branch_start(op, kappa, c, opts):
+    """Where a continuation walk toward c < 0 starts: the first (c / 2^k, u)
+    that Newton from zero solves for k = 0, ..., 15, else (c, u) from the
+    seeded restarts at c; None when every start fails."""
+    zero = np.zeros(op.graph.n)
+    for k in range(16):
+        u, _, ok = _damped_newton(op, kappa, c / 2.0**k, zero, opts)
+        if ok:
+            return c / 2.0**k, u
+    rng = np.random.default_rng((opts.seed, 0xC017))
+    u, _ = _newton_attempts(op, kappa, c, _seeded_restarts(op, opts, rng), opts)
+    return None if u is None else (c, u)
+
+
+def _walk(op, kappa, c, u, target, opts, min_step):
+    """Newton continuation in c from the solution u at c down to target < c.
+
+    Each step first tries the whole remaining distance and is halved after a
+    failure. The walk stops at the target, after 12 failures in a row, after
+    200 steps, or once a halved step is below min_step: geometric stalling
+    pins a fold between the last solution and the last failure. Returns the
+    last solved (c, u) and the last failed c (None when no step failed).
+    """
+    step = target - c
+    failed = None
     failures_in_a_row = 0
     for _ in range(200):
-        if cur <= target:
+        if c <= target:
             break
-        nxt = max(cur + step, target)
+        nxt = max(c + step, target)
         cand, _, ok = _damped_newton(op, kappa, nxt, u, opts)
         if ok:
-            u, cur = cand, nxt
-            if cur <= c:
-                best = u
-            step = target - cur
+            u, c = cand, nxt
+            step = target - c
             failures_in_a_row = 0
         else:
+            failed = nxt
             step *= 0.5
             failures_in_a_row += 1
-            # geometric stalling pins a fold between cur and the target
-            if abs(step) < abs(c) * 1e-9 or failures_in_a_row >= 12:
+            if abs(step) < min_step or failures_in_a_row >= 12:
                 break
-    return best
+    return c, u, failed
 
 
 def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
@@ -954,14 +969,18 @@ def _monotone_newton_route(p, opts, op, trace):
 
 
 def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
-    """Bracket the negative-c solvability threshold by continuation and
-    bisection.
+    """Bracket the negative-c solvability threshold by Newton continuation
+    in c.
 
-    Every probe at some c < 0 runs damped Newton from the solved probes,
-    nearest first, then from zero and from seeded restarts. Each probe lies
-    below every probe solved before it, so no solution on file is an upper
-    solution for it. Success certifies everything between the probe and
-    zero; the final bracket has width <= tol or the probe cap is reported.
+    From a solution near kbar/16 the continuation walk heads down to a target
+    that doubles each time a walk reaches it. After a failure the target is
+    the last failed c, and walking goes on until the last solution and that
+    failure are at most tol apart. Only that lower end is then confirmed, by
+    damped Newton from the last solution, from zero and from seeded restarts;
+    if it solves, the walk resumes from it. A solution certifies everything
+    between its c and zero. The probe log holds each walk's end point and
+    each confirmation, every c once and in decreasing order; ``cap`` bounds
+    its length.
     """
     opts = opts or SolveOptions()
     kappa = as_function(g, kappa)
@@ -978,75 +997,33 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
         raise ValueError("tol must be positive")
 
     op = op if op is not None else build_operator(decompose(g), s)
-    solutions = {}
-    failures = set()
+    start = _branch_start(op, kappa, kint / g.volume / 16.0, opts)
+    if start is None:
+        raise NotSolved("no solvable c found near zero", trace=["threshold"])
+    c_hi, u = start
+    c_lo = None  # the last failed c below c_hi, once a walk has failed
     probes = []
-
-    def attempt(c_probe, k):
-        prob = KWProblem(graph=g, s=s, c=c_probe, kappa=kappa)
-        warm = [solutions[cv] for cv in sorted(solutions, key=lambda v: abs(v - c_probe))]
-        rng = np.random.default_rng((opts.seed, k))
-        starts = itertools.chain(warm, [np.zeros(g.n)], _seeded_restarts(op, opts, rng))
-        u, _ = _newton_attempts(op, kappa, c_probe, starts, opts)
-        if u is not None and check_solution(prob, u, op).residual_inf <= opts.tol:
-            return u
-        return None
-
-    def probe(c_probe):
-        if c_probe in solutions:
-            return True
-        if c_probe in failures:
-            return False
-        u = attempt(c_probe, len(probes))
-        probes.append((c_probe, u is not None))
-        if u is not None:
-            solutions[c_probe] = u
-        else:
-            failures.add(c_probe)
-        return u is not None
-
-    kbar = kint / g.volume
-    c_hi = kbar / 16.0  # negative, close to zero: solvable side
-    cap_reached = False
-
-    # find a success moving toward zero
-    while not probe(c_hi):
-        c_hi /= 2.0
-        if len(probes) >= cap:
-            cap_reached = True
+    while len(probes) < cap:
+        target = 2.0 * c_hi if c_lo is None else c_lo
+        c_hi, u, c_lo = _walk(op, kappa, c_hi, u, target, opts, 0.5 * tol)
+        if not probes or probes[-1][0] != c_hi:
+            probes.append((c_hi, True))
+        if c_lo is None or c_hi - c_lo > tol or len(probes) >= cap:
+            continue
+        rng = np.random.default_rng((opts.seed, len(probes)))
+        starts = itertools.chain([u, np.zeros(g.n)], _seeded_restarts(op, opts, rng))
+        confirmed, _ = _newton_attempts(op, kappa, c_lo, starts, opts)
+        probes.append((c_lo, confirmed is not None))
+        if confirmed is None:
             break
-        if c_hi > -1e-14:
-            raise NotSolved(
-                "no solvable probe found arbitrarily close to zero", trace=["threshold"]
-            )
-    if cap_reached:
-        raise NotSolved("probe cap exhausted before finding a solvable c", trace=["threshold"])
+        c_hi, u, c_lo = c_lo, confirmed, None
 
-    # find a failure moving downward
-    c_lo = 2.0 * c_hi
-    while probe(c_lo):
-        c_hi = c_lo
-        c_lo *= 2.0
-        if len(probes) >= cap:
-            cap_reached = True
-            break
-
-    # bisection
-    while not cap_reached and (c_hi - c_lo) > tol:
-        mid = 0.5 * (c_lo + c_hi)
-        if probe(mid):
-            c_hi = mid
-        else:
-            c_lo = mid
-        if len(probes) >= cap:
-            cap_reached = True
-
-    attained = solutions.get(c_hi)
+    c_low = 2.0 * c_hi if c_lo is None else c_lo
     return ThresholdEstimate(
-        c_low=float(c_lo),
+        c_low=float(c_low),
         c_high=float(c_hi),
-        width=float(c_hi - c_lo),
-        attained_solution_at_threshold=attained,
+        width=float(c_hi - c_low),
+        attained_solution_at_threshold=u,
         probes=tuple(probes),
-        cap_reached=cap_reached,
+        cap_reached=len(probes) >= cap,
     )

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from fraclap.graph import build_graph
 
@@ -84,3 +87,24 @@ def all_graphs(p2, k3, path10, er20):
 @pytest.fixture(scope="session")
 def random_connected():
     return make_random_connected
+
+
+@pytest.fixture(scope="session")
+def p2_threshold():
+    """Solvability threshold c* of P2 at s = 1/2 with kappa = (1, -3).
+
+    On P2 the operator is u -> a (u1 - u2) (1, -1) with a = 2^(-1/2). Adding
+    the two equations gives e^u2 = (x - 2c) / 3 with x = e^u1, which leaves
+    a ln(3x / (x - 2c)) = x - c. The threshold is the fold of that curve,
+    where also x (x - 2c) = -2ac, that is c = x^2 / (2 (x - a)).
+    """
+    a = 2.0 ** -0.5
+
+    def fold_c(x):
+        return x * x / (2.0 * (x - a))
+
+    def equation(x):
+        c = fold_c(x)
+        return a * math.log(3.0 * x / (x - 2.0 * c)) - x + c
+
+    return fold_c(brentq(equation, 0.05, 0.6, xtol=1e-16))  # -0.1041363464018731

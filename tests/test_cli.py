@@ -212,7 +212,7 @@ class TestKwCmd:
 
 
 class TestThresholdCmd:
-    def test_bracket(self, p2_file, tmp_path, capsys):
+    def test_bracket(self, p2_file, tmp_path, capsys, p2_threshold):
         kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
         code, out, _ = run_cli(
             capsys, ["threshold", "--graph", p2_file, "--s", "0.5",
@@ -224,7 +224,7 @@ class TestThresholdCmd:
         assert data["width"] <= 1e-3
         # the bracket must contain the analytic threshold for this instance
         # (the bracket tolerance flag must not loosen the solve residual)
-        assert data["c_low"] <= -0.104136 <= data["c_high"]
+        assert data["c_low"] <= p2_threshold <= data["c_high"]
 
     def test_minus_infinity(self, p2_file, tmp_path, capsys):
         kap = fn_file(tmp_path, "k.json", {"x1": -1.0, "x2": -2.0})

@@ -35,6 +35,8 @@ def problem(g, c, kappa, s=0.5):
 def assert_probes_below_earlier_successes(est):
     # a solution at c' > c has negative slack at c, so no solution on file
     # can serve a later probe as an upper solution
+    cs = [c for c, _ in est.probes]
+    assert len(set(cs)) == len(cs), "a c was probed twice"
     solved = []
     for c, ok in est.probes:
         assert all(c < c_solved for c_solved in solved)
@@ -157,6 +159,17 @@ class TestSolveDispatcher:
         p = problem(g, -0.08, kappa, s=2.5)
         rep = kw.solve(p, kw.SolveOptions(method=method),
                        op=build_operator(decompose(g), 2.5))
+        assert rep.residual_inf <= 1e-8
+
+    @pytest.mark.parametrize("method", ["auto", "monotone"])
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_overflowing_affine_candidate_is_skipped(self, p2, method, s):
+        # the affine candidate's exp overflows here, so its slack is +inf and
+        # it would give the monotone sweep an infinite shift
+        p = problem(p2, -0.01, [-0.1, -4.0], s=s)
+        rep = kw.solve(p, kw.SolveOptions(method=method),
+                       op=build_operator(decompose(p2), s))
+        assert rep.method == "monotone-iteration"
         assert rep.residual_inf <= 1e-8
 
 
@@ -393,13 +406,37 @@ class TestMonotoneIteration:
 
 
 class TestThreshold:
-    def test_p2_bracket(self, p2):
+    def test_p2_bracket(self, p2, p2_threshold):
         est = kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), tol=1e-3, cap=64)
         assert est.c_low < est.c_high < 0.0
         assert est.width <= 1e-3
         # analytic value from the two-vertex reduction
-        assert est.c_low <= -0.104136 <= est.c_high
+        assert est.c_low <= p2_threshold <= est.c_high
         assert est.attained_solution_at_threshold is not None
+        p = problem(p2, est.c_high, [1.0, -3.0])
+        assert kw.check_solution(p, est.attained_solution_at_threshold).residual_inf <= 1e-8
+        assert_probes_below_earlier_successes(est)
+
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    def test_bracket_at_scale(self, random_connected, s):
+        rng = np.random.default_rng(60)
+        g = random_connected(rng, 60)
+        kappa = rng.normal(size=g.n) - 0.5
+        op = build_operator(decompose(g), s)
+        est = kw.estimate_threshold(g, s, kappa, tol=1e-4, op=op)
+        assert not est.cap_reached
+        assert est.width <= 1e-4
+        probes = dict(est.probes)
+        assert probes[est.c_low] is False
+        assert probes[est.c_high] is True
+        p = problem(g, est.c_high, kappa, s=s)
+        assert kw.check_solution(p, est.attained_solution_at_threshold, op).residual_inf <= 1e-8
+        assert_probes_below_earlier_successes(est)
+
+    def test_cap_reached_returns_verified_solution(self, p2):
+        est = kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), tol=1e-3, cap=2)
+        assert est.cap_reached
+        assert len(est.probes) == 2
         p = problem(p2, est.c_high, [1.0, -3.0])
         assert kw.check_solution(p, est.attained_solution_at_threshold).residual_inf <= 1e-8
         assert_probes_below_earlier_successes(est)
