@@ -267,35 +267,33 @@ def _ensure_operator(p, op):
     return op
 
 
-def _damped_newton(op, kappa, c, u0, opts, target=None):
-    """Damped Newton on F(u) = op u - kappa e^u + c with a sum-of-squares
-    line search. Returns (u, iterations, converged_to_target)."""
+def _newton(fun, jac, u0, max_iter, target):
+    """Damped Newton on fun(u) = 0 with a sum-of-squares line search; a
+    candidate with a non-finite residual is never accepted. Returns
+    (u, iterations, final sup-norm residual)."""
     u = np.array(u0, dtype=float)
-    target = target if target is not None else max(1e-13, 1e-3 * opts.tol)
-    a_mat = op.op_matrix
-    r = _residual(op, kappa, c, u)
+    r = fun(u)
     with np.errstate(over="ignore"):
         phi = 0.5 * float(r @ r)
     stalls = 0
-    for it in range(opts.max_iter_newton):
+    for it in range(max_iter):
         rinf = float(np.max(np.abs(r)))
         if rinf <= target:
-            return u, it, True
-        with np.errstate(over="ignore"):
-            jac = a_mat - np.diag(kappa * np.exp(u))
+            return u, it, rinf
+        j = jac(u)
         try:
-            step = np.linalg.solve(jac, -r)
+            step = np.linalg.solve(j, -r)
             if not np.all(np.isfinite(step)):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            step, *_ = np.linalg.lstsq(j, -r, rcond=None)
             if not np.all(np.isfinite(step)):
-                return u, it, rinf <= opts.tol
+                return u, it, rinf
         t = 1.0
         accepted = False
         while t >= 1e-12:
             cand = u + t * step
-            rc = _residual(op, kappa, c, cand)
+            rc = fun(cand)
             if np.all(np.isfinite(rc)):
                 with np.errstate(over="ignore"):
                     phic = 0.5 * float(rc @ rc)
@@ -307,8 +305,23 @@ def _damped_newton(op, kappa, c, u0, opts, target=None):
                     break
             t *= 0.5
         if not accepted or stalls >= 3:
-            return u, it + 1, float(np.max(np.abs(r))) <= opts.tol
-    return u, opts.max_iter_newton, float(np.max(np.abs(r))) <= opts.tol
+            return u, it + 1, float(np.max(np.abs(r)))
+    return u, max_iter, float(np.max(np.abs(r)))
+
+
+def _damped_newton(op, kappa, c, u0, opts):
+    """_newton on F(u) = op u - kappa e^u + c. Returns (u, iterations,
+    converged): converged when the residual reached the Newton target or
+    is within opts.tol."""
+    def jac(u):
+        with np.errstate(over="ignore"):
+            return op.op_matrix - np.diag(kappa * np.exp(u))
+
+    target = max(1e-13, 1e-3 * opts.tol)
+    u, its, rinf = _newton(
+        lambda u: _residual(op, kappa, c, u), jac, u0, opts.max_iter_newton, target
+    )
+    return u, its, rinf <= max(target, opts.tol)
 
 
 def _seeded_restarts(op, opts, rng):
@@ -318,11 +331,19 @@ def _seeded_restarts(op, opts, rng):
 
 def _newton_attempts(op, kappa, c, starts, opts):
     """Damped Newton at c from each start in turn, drawn lazily; the first
-    converged run wins. Returns (u or None, total iterations)."""
+    converged run wins. Returns (u or None, total iterations).
+
+    At c = 0 a run drifting toward a constant -infinity drives the residual
+    to zero with kappa e^u, so a run whose kappa e^u is within opts.tol
+    everywhere has not told a solution apart from that drift and is
+    rejected."""
     total = 0
     for u0 in starts:
         u, its, ok = _damped_newton(op, kappa, c, u0, opts)
         total += its
+        if ok and c == 0:
+            with np.errstate(over="ignore"):
+                ok = float(np.max(np.abs(kappa * np.exp(u)))) > opts.tol
         if ok:
             return u, total
     return None, total
@@ -391,7 +412,8 @@ def solve_positive_c(p, opts=None, op=None):
     The constraint integral(kappa e^u) = c |V| is eliminated exactly by the
     shift u = v + log(c |V| / integral(kappa e^v)), leaving an unconstrained
     objective in v (plus a quadratic penalty pinning the free additive
-    constant). Quasi-Newton descent is followed by a Newton polish on the
+    constant). The objective is evaluated in log space, so no e^v is formed
+    unscaled. Quasi-Newton descent is followed by a Newton polish on the
     reduced gradient; the Euler-Lagrange residual is verified at the end.
     """
     opts = opts or SolveOptions()
@@ -400,64 +422,48 @@ def solve_positive_c(p, opts=None, op=None):
     op = _ensure_operator(p, op)
     g = p.graph
     kappa, c, mu, vol = p.kappa, p.c, g.mu, g.volume
+    cv = c * vol
     ua = mu[:, None] * op.op_matrix
     ua = 0.5 * (ua + ua.T)
 
+    def log_mass(v):
+        """(log integral(kappa e^v), weights kappa mu e^v / integral), or
+        None where the mass is not positive."""
+        vmax = float(np.max(v))
+        q = kappa * mu * np.exp(v - vmax)
+        total = float(np.sum(q))
+        if not total > 0:
+            return None
+        return vmax + math.log(total), q / total
+
     def objective(v):
-        mass = _constraint_mass(g, kappa, v)
-        if not np.isfinite(mass) or mass <= 0:
+        lm = log_mass(v)
+        if lm is None:
             return np.inf, np.zeros_like(v)
+        log_m, w = lm
+        av = ua @ v
         iv = float(np.dot(v, mu))
-        val = (
-            0.5 * float(v @ (ua @ v))
-            + c * (iv + vol * math.log(c * vol / mass))
-            + 0.5 * iv * iv
-        )
-        q = kappa * np.exp(v) * mu
-        grad = ua @ v + c * mu - (c * vol / mass) * q + iv * mu
-        return val, grad
+        val = 0.5 * float(v @ av) + c * (iv + vol * (math.log(cv) - log_m))
+        return val + 0.5 * iv * iv, av + (c + iv) * mu - cv * w
 
-    v0 = _positive_start(p, opts)
+    def gradient(v):
+        # infinite off the feasible set, so the polish never steps there
+        val, grad = objective(v)
+        return grad if np.isfinite(val) else np.full_like(v, np.inf)
+
+    def hessian(v):
+        w = log_mass(v)[1]
+        return ua - cv * (np.diag(w) - np.outer(w, w)) + np.outer(mu, mu)
+
     res = minimize(
-        objective, v0, jac=True, method="L-BFGS-B",
-        options={"maxiter": opts.max_iter_descent, "ftol": 1e-18, "gtol": 1e-12},
+        objective, _positive_start(p), jac=True, method="L-BFGS-B",
+        options={"maxiter": opts.max_iter_descent, "ftol": 1e-10, "gtol": 1e-4},
     )
-    v = res.x
-    iterations = int(res.nit)
-
-    # Newton polish on the reduced stationarity system
-    scale = 1.0 + abs(c) * vol
-    for _ in range(40):
-        _, grad = objective(v)
-        ginf = float(np.max(np.abs(grad)))
-        if ginf <= 1e-13 * scale:
-            break
-        mass = _constraint_mass(g, kappa, v)
-        q = kappa * np.exp(v) * mu
-        hess = (
-            ua
-            - (c * vol) * (np.diag(q) / mass - np.outer(q / mass, q / mass))
-            + np.outer(mu, mu)
-        )
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(hess, -grad, rcond=None)
-        t = 1.0
-        while t >= 1e-12:
-            cand_val, cand_grad = objective(v + t * step)
-            if np.isfinite(cand_val) and float(np.max(np.abs(cand_grad))) < ginf:
-                v = v + t * step
-                break
-            t *= 0.5
-        else:
-            break
-        iterations += 1
-
-    mass = _constraint_mass(g, kappa, v)
-    if not np.isfinite(mass) or mass <= 0:
+    if log_mass(res.x) is None:
         raise NotSolved("positive-c descent left the feasible region")
-    u = v + math.log(c * vol / mass)
+    v, extra, _ = _newton(gradient, hessian, res.x, 40, 1e-13 * (1.0 + cv))
+    iterations = int(res.nit) + extra
+    u = v + (math.log(cv) - log_mass(v)[0])
     residual = check_solution(p, u, op).residual_inf
     if residual > opts.tol:
         raise NotSolved(
@@ -474,27 +480,20 @@ def solve_positive_c(p, opts=None, op=None):
     )
 
 
-def _positive_start(p, opts):
-    """Find v with integral(kappa e^v) > 0; exists whenever max kappa > 0."""
+def _positive_start(p):
+    """Find v with integral(kappa e^v) > 0; exists whenever max kappa > 0.
+    Any spike height is safe, since the objective works in log space."""
     g = p.graph
     kappa, mu = p.kappa, g.mu
+    v = np.zeros(g.n)
     if float(np.dot(kappa, mu)) > 0:
-        return np.zeros(g.n)
+        return v
     best = int(np.argmax(kappa))
     if kappa[best] <= 0:
         raise InfeasibleStart("kappa is nowhere positive; constraint set is empty")
     rest = float(np.dot(kappa, mu)) - kappa[best] * mu[best]
-    beta = math.log((1.0 + abs(rest)) / (kappa[best] * mu[best])) + 1.0
-    if beta < 700.0:
-        v = np.zeros(g.n)
-        v[best] = beta
-        return v
-    rng = np.random.default_rng(opts.seed)
-    for _ in range(32):
-        v = rng.normal(scale=2.0, size=g.n)
-        if float(np.dot(kappa * np.exp(v), mu)) > 0:
-            return v
-    raise InfeasibleStart("no starting point with positive constraint mass found")
+    v[best] = math.log((1.0 + abs(rest)) / (kappa[best] * mu[best])) + 1.0
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +521,9 @@ def solve_zero_c(p, opts=None, op=None):
         raise InfeasibleStart("constraint set empty: kappa must change sign")
 
     bump = _meanzero_bump(g, kappa)
-    u = _zero_c_feasible_start(g, kappa, bump)
+    u = _restore_constraint(g, kappa, np.zeros(g.n), bump)
+    if u is None:
+        raise InfeasibleStart("could not bracket a feasible starting point")
     a_mat = op.op_matrix
 
     def energy(w):
@@ -595,24 +596,6 @@ def _meanzero_bump(g, kappa):
     z[lo] = 1.0
     z[hi] = -g.mu[lo] / g.mu[hi]
     return z
-
-
-def _zero_c_feasible_start(g, kappa, bump):
-    def h(t):
-        return _constraint_mass(g, kappa, t * bump)
-
-    h0 = h(0.0)
-    if h0 == 0.0:
-        return np.zeros(g.n)
-    # h(0) = integral(kappa); h -> +inf along -bump and -inf along +bump, so
-    # the sign change lies along -bump when h(0) < 0 and along +bump otherwise
-    end = -1.0 if h0 < 0 else 1.0
-    while end * h(end) >= 0:
-        end *= 2.0
-        if abs(end) > 700:
-            raise InfeasibleStart("could not bracket a feasible starting point")
-    t_star = brentq(h, min(end, 0.0), max(end, 0.0), xtol=1e-14)
-    return t_star * bump
 
 
 def _project_tangent(g, vec, kappa, u):
@@ -703,9 +686,8 @@ def _affine_upper_solution(p, op):
     if float(np.max(kappa)) > 0 or kbar >= 0:
         return None
     v = poisson_meanzero_solve(op, kappa)
-    # slack positivity needs a > c/kbar; doubling the larger of the two
-    # quotient orderings keeps a safe margin on either side
-    a = 2.0 * max(c / kbar, kbar / c)
+    # kappa <= 0 and e^(a v + b) >= a e give slack >= -a kbar + c = -c > 0
+    a = 2.0 * c / kbar
     b = math.log(a) - a * float(np.min(v)) + 1.0
     candidate = a * v + b
     slack = _residual(op, kappa, c, candidate)

@@ -87,6 +87,23 @@ class TestScreen:
             assert all(isinstance(r, str) and r for r in v.reasons)
 
 
+def positive_c_benchmark_problem(make_graph, seed, n, draw):
+    """A c > 0 input of the benchmark drawn from its seed's stream at n
+    vertices: a cli-n1000 kappa file (standard normal, c = 1; the stream
+    first draws the n = 60 threshold graph and the apply input), or the
+    first manufactured kw-solve-n400 positive_c problem."""
+    rng = np.random.default_rng(seed)
+    g = make_graph(rng, n)
+    op = build_operator(decompose(g), 0.5)
+    if draw == "manufactured":
+        c = float(rng.uniform(0.5, 2.0))
+        u_star = rng.normal(scale=0.25, size=n)
+        return problem(g, c, (op.op_matrix @ u_star + c) * np.exp(-u_star)), op
+    make_graph(rng, 60)
+    draws = rng.normal(size=(2 + int(draw[-1]), n))
+    return problem(g, 1.0, draws[-1]), op
+
+
 class TestSolveDispatcher:
     def test_constants_balance_positive(self, p2, op_p2):
         rep = kw.solve(problem(p2, 1.0, [1.0, 1.0]), op=op_p2)
@@ -162,13 +179,19 @@ class TestSolveDispatcher:
         assert rep.residual_inf <= 1e-8
 
     @pytest.mark.parametrize("method", ["auto", "monotone"])
-    @pytest.mark.parametrize("s", [0.5, 1.0])
-    def test_overflowing_affine_candidate_is_skipped(self, p2, method, s):
-        # the affine candidate's exp overflows here, so its slack is +inf and
-        # it would give the monotone sweep an infinite shift
-        p = problem(p2, -0.01, [-0.1, -4.0], s=s)
-        rep = kw.solve(p, kw.SolveOptions(method=method),
-                       op=build_operator(decompose(p2), s))
+    @pytest.mark.parametrize(
+        "s, c",
+        [(0.5, -0.01), (1.0, -0.01), (0.5, -1000.0), (1.0, -1000.0)],
+        ids=["0.5", "1.0", "0.5-c-1000", "1.0-c-1000"],
+    )
+    def test_overflowing_affine_candidate_is_skipped(self, p2, method, s, c):
+        # at c = -1000 the affine candidate's exp overflows, so its slack is
+        # +inf and it would give the monotone sweep an infinite shift; at
+        # c = -0.01 the candidate is finite and the sweep starts from it
+        p = problem(p2, c, [-0.1, -4.0], s=s)
+        op = build_operator(decompose(p2), s)
+        assert (kw._affine_upper_solution(p, op) is None) == (c == -1000.0)
+        rep = kw.solve(p, kw.SolveOptions(method=method), op=op)
         assert rep.method == "monotone-iteration"
         assert rep.residual_inf <= 1e-8
 
@@ -219,6 +242,33 @@ class TestSolvePositiveC:
         mass = integral(g, p.kappa * np.exp(rep.solution))
         assert mass == pytest.approx(c * g.volume, rel=1e-7)
 
+    @pytest.mark.parametrize("seed, n, draw", [
+        (13, 1000, "kappa_pos0"), (16, 940, "kappa_pos1"), (12, 400, "manufactured"),
+    ])
+    def test_collapsed_minimizer_is_reached(self, random_connected, seed, n, draw):
+        # benchmark inputs rebuilt at the smallest n where a descent on the
+        # unscaled mass stagnated; the minimizer lies below -700 away from a
+        # few spike vertices
+        p, op = positive_c_benchmark_problem(random_connected, seed, n, draw)
+        rep = kw.solve(p, op=op)
+        assert rep.method == "variational-positive-c"
+        assert rep.residual_inf <= kw.SolveOptions().tol
+        mass = integral(p.graph, p.kappa * np.exp(rep.solution))
+        assert mass == pytest.approx(p.c * p.graph.volume, rel=1e-7)
+
+    def test_underflowed_base_level_keeps_bookkeeping_finite(self, random_connected):
+        # c = 8 puts the base level near -798, below log(DBL_TRUE_MIN) = -745,
+        # so e^u is 0 on 195 of the 200 vertices
+        rng = np.random.default_rng(200)
+        g = random_connected(rng, 200)
+        p = problem(g, 8.0, rng.normal(size=g.n))
+        op = build_operator(decompose(g), 0.5)
+        rep = kw.solve(p, op=op)
+        assert np.min(rep.solution) < -745.0
+        defect = kw.check_solution(p, rep.solution, op).integral_defect
+        assert math.isfinite(defect) and defect <= 1e-7 * p.c * g.volume
+        assert math.isfinite(rep.energy)
+
     def test_overflowed_constraint_mass_is_silent(self, p2):
         # e^800 overflows: one sign of kappa gives an infinite mass, both give
         # inf - inf = NaN, and neither may warn
@@ -254,6 +304,16 @@ class TestSolveZeroC:
         assert kw.screen(p).status == kw.SOLVABLE
         rep = kw.solve_zero_c(p, op=op_er20)
         assert rep.residual_inf <= 1e-8
+
+    def test_newton_rejects_drift_to_minus_infinity(self, random_connected):
+        # Newton from zero drifts to the constant -27, where kappa e^u is
+        # 4.7e-12 and the residual alone cannot tell it from a solution
+        rng = np.random.default_rng(3)
+        g = random_connected(rng, 40)
+        p = problem(g, 0.0, rng.normal(size=g.n) - 0.3)
+        op = build_operator(decompose(g), 0.5)
+        newton = kw.solve(p, kw.SolveOptions(method="newton"), op=op)
+        assert np.allclose(newton.solution, kw.solve(p, op=op).solution, atol=1e-8)
 
     def test_positive_integral_is_not_solved(self, random_connected):
         # for s > 1 the screen leaves c = 0 with integral(kappa) > 0 unknown;
@@ -352,6 +412,16 @@ class TestUpperSolutions:
             up = kw.construct_upper_solution(p, op=op_er20)
             assert up is not None
             assert kw.check_solution(p, up, op_er20).slack_min >= 0.0
+
+    def test_affine_construction_feeds_monotone(self, random_connected):
+        # an affine candidate scaled by kbar / c reaches 154 here, and the
+        # monotone sweep from it uses all 10,000 sweeps
+        rng = np.random.default_rng(123)
+        g = random_connected(rng, 30)
+        p = problem(g, -0.02, -np.abs(rng.normal(size=g.n)))
+        op = build_operator(decompose(g), 0.5)
+        rep = kw.solve_negative_c_monotone(p, kw.construct_upper_solution(p, op=op), op=op)
+        assert rep.residual_inf <= 1e-8
 
     def test_exact_solution_is_upper(self, p2, op_p2):
         p = problem(p2, -1.0, [-1.0, -1.0])
