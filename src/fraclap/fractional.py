@@ -52,6 +52,12 @@ class FractionalOperator:
         Induced sup-norm distance between op_matrix and power_matrix,
         computed on first access: the gap for non-integer s with odd m,
         round-off elsewhere (zero for integer s).
+    energy_matrix : ndarray
+        The matrix 0.5 (M A + (M A)^T) of the energy pairing <u, A v>_mu,
+        with A = op_matrix and M = diag(mu), computed on first access and
+        read-only. It is exactly symmetric: the positive-c objective uses it
+        as its quadratic form, and the resolvent and monotone solves factor
+        it plus a diagonal shift by Cholesky.
     """
 
     sd: SpectralDecomposition
@@ -76,6 +82,13 @@ class FractionalOperator:
     @cached_property
     def power_mismatch(self):
         return float(np.max(np.abs(self.op_matrix - self.power_matrix).sum(axis=1)))
+
+    @cached_property
+    def energy_matrix(self):
+        form = self.graph.mu[:, None] * self.op_matrix
+        form = 0.5 * (form + form.T)
+        form.setflags(write=False)
+        return form
 
     @property
     def is_integer_order(self):

@@ -368,12 +368,15 @@ def resolvent_solve(g, op, phi, f):
 
 
 def _shifted_cholesky(g, op, phi, system):
-    """Cholesky factor of diag(mu) ((-Delta)^s + diag(phi)), symmetrized;
-    a failed factorization raises SingularSystem naming ``system``."""
-    sym = g.mu[:, None] * op.op_matrix + np.diag(g.mu * phi)
-    sym = 0.5 * (sym + sym.T)
+    """Cholesky factor of diag(mu) ((-Delta)^s + diag(phi)), symmetrized:
+    the operator's energy matrix plus diag(mu phi). A failed factorization
+    raises SingularSystem naming ``system``."""
+    # the energy matrix is exactly symmetric, so its transpose is the same
+    # matrix in the column-major layout LAPACK factors in place, uncopied
+    sym = op.energy_matrix.T.copy(order="K")
+    sym.flat[:: g.n + 1] += g.mu * phi
     try:
-        return scipy.linalg.cho_factor(sym)
+        return scipy.linalg.cho_factor(sym, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"{system} system not positive definite: {exc}") from exc
 
@@ -423,8 +426,7 @@ def solve_positive_c(p, opts=None, op=None):
     g = p.graph
     kappa, c, mu, vol = p.kappa, p.c, g.mu, g.volume
     cv = c * vol
-    ua = mu[:, None] * op.op_matrix
-    ua = 0.5 * (ua + ua.T)
+    ua = op.energy_matrix
 
     def log_mass(v):
         """(log integral(kappa e^v), weights kappa mu e^v / integral), or
@@ -757,17 +759,23 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
     """Monotone iteration from an upper solution down to a solution.
 
     Each sweep solves the shifted linear system
-    ``((-Delta)^s + phi) u_next = phi u + kappa e^u - c`` with
-    phi = max(1, -kappa) e^{u_plus}. The sequence is provably nonincreasing
-    and bounded below by a constant lower solution; both facts are asserted
-    at every step.
+    ``((-Delta)^s + phi) u_next = phi u + kappa e^u - c`` with the tightest
+    order-preserving shift phi = max(0, -kappa) e^{level}, where ``level``
+    is the iterate the current factor was built at (first u_plus). Below
+    ``level`` the right-hand side is nondecreasing in u, and for s <= 1
+    diag(mu) ((-Delta)^s + phi) is an irreducible nonsingular M-matrix
+    (phi > 0 wherever kappa < 0, and an upper solution needs some
+    kappa < 0), so each sweep preserves order. The sequence is provably
+    nonincreasing and bounded below by a constant lower solution; both
+    facts are asserted at every step.
 
     Every iterate is itself an upper solution (the one-step slack identity
-    r(u_next) = phi (u - u_next) + kappa (e^u - e^{u_next}) >= 0), so the
-    shift is recomputed from the current iterate every block of sweeps;
-    that keeps the contraction rate bounded away from one when the starting
-    upper solution sits far above the limit. Pass a list as ``trace`` to
-    record the iterates.
+    r(u_next) = phi (u - u_next) + kappa (e^u - e^{u_next}) >= 0), so any
+    earlier iterate is a valid ``level``. Once the iterate has fallen more
+    than ln 2 below ``level`` somewhere, phi there is more than twice the
+    tightest shift and the factor is rebuilt at the current iterate; an
+    oversized shift is what slows the contraction. Pass a list as
+    ``trace`` to record the iterates.
     """
     opts = opts or SolveOptions()
     if p.c >= 0:
@@ -784,15 +792,15 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
             f"upper-solution slack dips to {float(np.min(slack)):.3e}"
         )
 
-    kappa1 = np.maximum(1.0, -kappa)
+    kappa_neg = np.maximum(0.0, -kappa)
     lower = _lower_level(kappa, c, u_plus)
-    refresh_every = 200
 
-    def factor_for(level):
-        phi = kappa1 * np.exp(level)
+    def factor_at(level):
+        phi = kappa_neg * np.exp(level)
         return phi, _shifted_cholesky(g, op, phi, "monotone")
 
-    phi, factor = factor_for(u_plus)
+    level = u_plus
+    phi, factor = factor_at(level)
     u = u_plus.copy()
     if trace is not None:
         trace.append(u.copy())
@@ -827,8 +835,9 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
                     f"monotone fixed point has residual {residual:.3e} > tol",
                     trace=["monotone-iteration"],
                 )
-        if it % refresh_every == 0:
-            phi, factor = factor_for(u)
+        if float(np.max(level - u)) > math.log(2.0):
+            level = u
+            phi, factor = factor_at(level)
     raise NotSolved("monotone iteration cap reached", trace=["monotone-iteration"])
 
 

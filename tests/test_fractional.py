@@ -178,6 +178,15 @@ class TestAssemblyAtScale:
         assert not op.power_matrix.flags.writeable
         assert not op.op_matrix.flags.writeable
 
+    def test_energy_matrix_is_computed_once_and_read_only(self, sd150):
+        op = build_operator(sd150, 0.5)
+        assert "energy_matrix" not in vars(op)
+        assert op.energy_matrix is op.energy_matrix
+        assert not op.energy_matrix.flags.writeable
+        form = sd150.graph.mu[:, None] * op.op_matrix
+        assert np.array_equal(op.energy_matrix, 0.5 * (form + form.T))
+        assert np.array_equal(op.energy_matrix, op.energy_matrix.T)
+
 
 class TestFracApply:
     def test_constants_vanish(self, all_graphs):

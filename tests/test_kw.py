@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fraclap import kazdan_warner as kw
 from fraclap.errors import (
@@ -351,6 +352,23 @@ class TestResolvent:
         with pytest.raises(ValueError):
             kw.resolvent_solve(p2, op_p2, np.array([1.0, 0.0]), np.ones(2))
 
+    def test_cached_energy_matrix_matches_inline_assembly(self, er20, op_er20):
+        # factoring the cached energy matrix plus diag(mu phi) gives, bit for
+        # bit, the factor of diag(mu) (A + diag(phi)) symmetrized per call
+        def inline(phi, f):
+            sym = er20.mu[:, None] * op_er20.op_matrix + np.diag(er20.mu * phi)
+            sym = 0.5 * (sym + sym.T)
+            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(sym), er20.mu * f)
+
+        rng = np.random.default_rng(29)
+        phi = np.abs(rng.standard_normal(er20.n)) + 0.05
+        f = rng.standard_normal(er20.n)
+        assert np.array_equal(kw.resolvent_solve(er20, op_er20, phi, f), inline(phi, f))
+        kappa = -np.abs(rng.standard_normal(er20.n))
+        p = problem(er20, -0.7, kappa)
+        expected = inline(np.full(er20.n, 0.7), -kappa)
+        assert np.array_equal(kw.auxiliary_phi0(p, op_er20), expected)
+
 
 class TestPoisson:
     def test_eigenmode(self, p2, op_p2):
@@ -414,14 +432,17 @@ class TestUpperSolutions:
             assert kw.check_solution(p, up, op_er20).slack_min >= 0.0
 
     def test_affine_construction_feeds_monotone(self, random_connected):
-        # an affine candidate scaled by kbar / c reaches 154 here, and the
-        # monotone sweep from it uses all 10,000 sweeps
+        # an affine candidate scaled by kbar / c reaches 154 here and never
+        # converges within 10,000 sweeps; the 2c / kbar scaling converges,
+        # and the tight shift refreshed as the iterate falls does so in 15
+        # sweeps where a shift floored at 1 and refreshed every 200 took 151
         rng = np.random.default_rng(123)
         g = random_connected(rng, 30)
         p = problem(g, -0.02, -np.abs(rng.normal(size=g.n)))
         op = build_operator(decompose(g), 0.5)
         rep = kw.solve_negative_c_monotone(p, kw.construct_upper_solution(p, op=op), op=op)
         assert rep.residual_inf <= 1e-8
+        assert rep.iterations <= 30
 
     def test_exact_solution_is_upper(self, p2, op_p2):
         p = problem(p2, -1.0, [-1.0, -1.0])
@@ -473,6 +494,33 @@ class TestMonotoneIteration:
             assert lower_report.residual_inf <= 1e-8
             for prev, nxt in zip(trace, trace[1:]):
                 assert np.all(nxt <= prev + tol)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_tight_shift_preserves_order(self, random_connected, s):
+        # sign-changing kappa with entries |kappa| < 1, where a shift floored
+        # at 1 hid how tight max(0, -kappa) e^level is: every iterate must
+        # stay an upper solution, below the one before and above the lower
+        # solution
+        rng = np.random.default_rng(7)
+        g = random_connected(rng, 60)
+        u_star = rng.normal(scale=0.5, size=g.n)
+        op = build_operator(decompose(g), s)
+        c = -0.5
+        kappa = (op.op_matrix @ u_star + c) * np.exp(-u_star)
+        assert np.max(kappa) > 0 and np.any((kappa < 0) & (kappa > -1.0))
+        p = problem(g, c, kappa, s=s)
+        upper = kw.construct_upper_solution(p, op=op)  # the continuation point
+        trace = []
+        rep = kw.solve_negative_c_monotone(p, upper, op=op, trace=trace)
+        assert rep.residual_inf <= 1e-8
+        lower = kw._lower_level(kappa, c, upper)
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(upper))) + abs(lower))
+        slack_scale = 1.0 + float(np.max(np.abs(op.op_matrix @ upper))) + abs(c)
+        for prev, nxt in zip(trace, trace[1:]):
+            assert np.all(nxt <= prev + tol)
+        for u in trace:
+            assert kw.check_solution(p, u, op).slack_min >= -1e-10 * slack_scale
+            assert float(np.min(u)) >= lower
 
 
 class TestThreshold:
