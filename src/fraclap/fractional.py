@@ -55,8 +55,9 @@ class FractionalOperator:
     energy_matrix : ndarray
         The matrix 0.5 (M A + (M A)^T) of the energy pairing <u, A v>_mu,
         with A = op_matrix and M = diag(mu), computed on first access and
-        read-only. It is exactly symmetric: the positive-c objective uses it
-        as its quadratic form, and the resolvent and monotone solves factor
+        read-only. It is exactly symmetric: the positive-c and zero-c
+        objectives use it as their quadratic form, and the resolvent and
+        monotone solves factor
         it plus a diagonal shift by Cholesky.
     """
 

@@ -231,13 +231,6 @@ def screen(p):
 # shared numerics
 
 
-def _constraint_mass(g, kappa, u):
-    """integral(kappa e^u). Where e^u overflows the mass is infinite, or NaN
-    when kappa has both signs there; either is returned without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.dot(kappa * np.exp(u), g.mu))
-
-
 def _residual(op, kappa, c, u):
     with np.errstate(over="ignore", invalid="ignore"):
         return op.op_matrix @ u - kappa * np.exp(u) + c
@@ -507,11 +500,13 @@ def solve_zero_c(p, opts=None, op=None):
     integral(u) = 0 and integral(kappa e^u) = 0, then shift by the
     Euler-Lagrange multiplier.
 
-    Projected descent keeps the iterate exactly feasible: the step is
-    projected onto the tangent space of both constraints and a scalar
-    correction along a transversal bump direction restores the nonlinear
-    constraint after each move. The multiplier must come out positive; the
-    final answer is u0 + log(multiplier), polished by damped Newton.
+    Quasi-Newton descent, as for c > 0, minimizes F(v) = w^T S w / 2 with
+    w = _restore_constraint(v) on the constraint set and S the energy
+    matrix. Its gradient S w - (b^T S w / q^T b) q, with the bump b and
+    q = kappa mu e^{w - max w}, carries the implicit derivative of the bump
+    coefficient; mean removal drops out since S 1 = 0. The multiplier must
+    come out positive; the final answer is u0 + log(multiplier), polished
+    by damped Newton.
     """
     opts = opts or SolveOptions()
     if p.c != 0:
@@ -523,44 +518,23 @@ def solve_zero_c(p, opts=None, op=None):
         raise InfeasibleStart("constraint set empty: kappa must change sign")
 
     bump = _meanzero_bump(g, kappa)
-    u = _restore_constraint(g, kappa, np.zeros(g.n), bump)
-    if u is None:
-        raise InfeasibleStart("could not bracket a feasible starting point")
-    a_mat = op.op_matrix
+    ua = op.energy_matrix
 
-    def energy(w):
-        return 0.5 * float(np.dot(w * mu, a_mat @ w))
+    def objective(v):
+        w = _restore_constraint(g, kappa, v, bump)
+        sw = ua @ w
+        q = kappa * mu * np.exp(w - np.max(w))
+        grad = sw - (float(bump @ sw) / float(q @ bump)) * q
+        return 0.5 * float(w @ sw), grad
 
-    iterations = 0
-    step = 1.0
-    stalled = 0
-    for _ in range(opts.max_iter_descent):
-        grad = a_mat @ u  # gradient in the mu-inner product
-        direction = -_project_tangent(g, grad, kappa, u)
-        ginf = float(np.max(np.abs(direction)))
-        if ginf <= 1e-10 * (1.0 + float(np.max(np.abs(grad)))):
-            break
-        e0 = energy(u)
-        slope = float(np.dot(direction * mu, grad))
-        t = min(4.0 * step, 1.0)  # warm-started line search
-        moved = False
-        while t >= 1e-14:
-            cand = u + t * direction
-            cand = _restore_constraint(g, kappa, cand, bump)
-            if cand is not None and energy(cand) <= e0 + 1e-4 * t * slope:
-                u = cand
-                step = t
-                moved = True
-                break
-            t *= 0.5
-        iterations += 1
-        if not moved:
-            break
-        stalled = stalled + 1 if energy(u) > e0 * (1.0 - 1e-12) else 0
-        if stalled >= 5:
-            break  # the Newton polish finishes from here
+    res = minimize(
+        objective, np.zeros(g.n), jac=True, method="L-BFGS-B",
+        options={"maxiter": opts.max_iter_descent, "ftol": 1e-10, "gtol": 1e-4},
+    )
+    u = _restore_constraint(g, kappa, res.x, bump)
+    iterations = int(res.nit)
 
-    theta = energy(u)
+    theta = 0.5 * float(u @ ua @ u)
     with np.errstate(over="ignore"):
         denom = integral(g, kappa * u * np.exp(u))
     if denom == 0:
@@ -600,51 +574,26 @@ def _meanzero_bump(g, kappa):
     return z
 
 
-def _project_tangent(g, vec, kappa, u):
-    """Project vec (mu-orthogonally) onto the tangent of both constraints."""
-    mu = g.mu
-    with np.errstate(over="ignore"):
-        b = kappa * np.exp(u)
-    ones = np.ones(g.n)
-
-    def inner(a, bb):
-        return float(np.dot(a * mu, bb))
-
-    out = vec - (inner(vec, ones) / inner(ones, ones)) * ones
-    b_perp = b - (inner(b, ones) / inner(ones, ones)) * ones
-    nb = inner(b_perp, b_perp)
-    if nb > 0:
-        out = out - (inner(out, b_perp) / nb) * b_perp
-    return out
-
-
 def _restore_constraint(g, kappa, u, bump):
-    """One-dimensional correction along the bump until the e^u constraint holds.
+    """Map u onto integral(u) = 0, integral(kappa e^u) = 0: the unique
+    u + beta bump that balances the mass, then mean removal.
 
-    The bump raises u at the most negative kappa vertex, so the constraint
-    mass tends to -inf along +bump and +inf along -bump; a sign-changing
-    bracket always exists unless the required shift overflows.
+    The bump raises u at the most negative kappa vertex and lowers it at the
+    most positive one, so integral(kappa e^u) falls strictly from + to -
+    along +bump and a doubling bracket always finds the root. The root is
+    sought on the mass relative to e^{max}, which has the same sign and
+    never overflows.
     """
     def h(beta):
-        return _constraint_mass(g, kappa, u + beta * bump)
+        w = u + beta * bump
+        return float(np.dot(kappa * np.exp(w - np.max(w)), g.mu))
 
-    h0 = h(0.0)
-    if h0 == 0.0:
-        return u
-    if h0 > 0:
-        lo, hi = 0.0, 1.0
-        while h(hi) > 0:
-            hi *= 2.0
-            if hi > 500.0:
-                return None
-    else:
-        lo, hi = -1.0, 0.0
-        while h(lo) < 0:
-            lo *= 2.0
-            if lo < -500.0:
-                return None
-    beta = brentq(h, lo, hi, xtol=1e-14)
-    out = u + beta * bump
+    lo, hi = (0.0, 1.0) if h(0.0) > 0 else (-1.0, 0.0)
+    while h(hi) > 0:
+        hi *= 2.0
+    while h(lo) < 0:
+        lo *= 2.0
+    out = u + brentq(h, lo, hi, xtol=1e-14) * bump
     # mean removal is free: scaling e^u by a constant preserves a zero mass
     return out - mean(g, out)
 
@@ -786,6 +735,9 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
     u_plus = as_function(g, u_plus)
 
     slack = _residual(op, kappa, c, u_plus)
+    if not np.all(np.isfinite(slack)):
+        # an overflowed e^u would also overflow the shift built at u_plus
+        raise NotAnUpperSolution("upper-solution slack is not finite everywhere")
     slack_scale = 1.0 + float(np.max(np.abs(op.op_matrix @ u_plus))) + abs(c)
     if float(np.min(slack)) < -1e-10 * slack_scale:
         raise NotAnUpperSolution(

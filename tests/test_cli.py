@@ -198,6 +198,21 @@ class TestKwCmd:
                      "--c", "0", "--kappa", kap])
         assert code == 3
 
+    def test_zero_c_overflowing_descent_exit_0(self, random_connected, tmp_path, capsys):
+        # a certified-solvable c = 0 problem whose descent overflowed e^u at
+        # vertices of both kappa signs, which once ended in a usage error
+        rng = np.random.default_rng(18)
+        g = random_connected(rng, 20)
+        kappa = rng.normal(size=g.n) - 0.3
+        kap = fn_file(tmp_path, "k.json", dict(zip(g.ids, kappa.tolist())))
+        code, out, _ = run_cli(
+            capsys, ["kw", "--graph", graph_file(tmp_path, g), "--s", "2.5",
+                     "--c", "0", "--kappa", kap])
+        assert code == 0
+        data = json.loads(out)
+        assert data["method"] == "variational-zero-c"
+        assert data["residual_inf"] <= 1e-8
+
     def test_monotone_method_flag(self, p2_file, tmp_path, capsys):
         kap = fn_file(tmp_path, "k.json", {"x1": -1.0, "x2": -1.0})
         code, out, _ = run_cli(

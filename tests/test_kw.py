@@ -270,15 +270,6 @@ class TestSolvePositiveC:
         assert math.isfinite(defect) and defect <= 1e-7 * p.c * g.volume
         assert math.isfinite(rep.energy)
 
-    def test_overflowed_constraint_mass_is_silent(self, p2):
-        # e^800 overflows: one sign of kappa gives an infinite mass, both give
-        # inf - inf = NaN, and neither may warn
-        v = np.array([800.0, 800.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert kw._constraint_mass(p2, np.array([1.0, 2.0]), v) == np.inf
-            assert np.isnan(kw._constraint_mass(p2, np.array([1.0, -2.0]), v))
-
 
 class TestSolveZeroC:
     def test_manufactured(self, p2, op_p2):
@@ -305,6 +296,32 @@ class TestSolveZeroC:
         assert kw.screen(p).status == kw.SOLVABLE
         rep = kw.solve_zero_c(p, op=op_er20)
         assert rep.residual_inf <= 1e-8
+        assert rep.iterations <= 60
+
+    @pytest.mark.parametrize("n, seed", [(20, 18), (40, 6), (40, 17), (40, 28)])
+    def test_overflowing_descent_step_is_solved(self, random_connected, n, seed):
+        # a descent step here overflowed e^u at vertices of both kappa signs,
+        # and the constraint restoration met a NaN mass
+        rng = np.random.default_rng(seed)
+        g = random_connected(rng, n)
+        p = problem(g, 0.0, rng.normal(size=g.n) - 0.3, s=2.5)
+        assert kw.screen(p).status == kw.SOLVABLE
+        rep = kw.solve(p, op=build_operator(decompose(g), 2.5))
+        assert rep.method == "variational-zero-c"
+        assert rep.residual_inf <= 1e-8
+
+    def test_restored_constraint_is_finite_and_silent(self, p2):
+        # e^800 overflows, yet the mass relative to e^{max} stays finite:
+        # restoration returns the one mean-zero w with e^w0 = 2 e^w1
+        kappa = np.array([1.0, -2.0])
+        bump = kw._meanzero_bump(p2, kappa)
+        for u in ([800.0, 800.0], [800.0, -800.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                w = kw._restore_constraint(p2, kappa, np.array(u), bump)
+            assert np.all(np.isfinite(w))
+            assert integral(p2, w) == pytest.approx(0.0, abs=1e-9)
+            assert w[0] - w[1] == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_newton_rejects_drift_to_minus_infinity(self, random_connected):
         # Newton from zero drifts to the constant -27, where kappa e^u is
@@ -479,6 +496,14 @@ class TestMonotoneIteration:
         p = problem(p2, -2.0, [-1.0, -1.0])
         with pytest.raises(NotAnUpperSolution):
             kw.solve_negative_c_monotone(p, np.array([-5.0, -5.0]), op=op_p2)
+
+    def test_rejects_nonfinite_slack(self, p2, op_p2):
+        # kappa e^u is 0 * inf at vertex 0: the slack is NaN there
+        p = problem(p2, -1.0, [0.0, -2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAnUpperSolution):
+                kw.solve_negative_c_monotone(p, np.array([800.0, 0.0]), op=op_p2)
 
     def test_iterate_ordering(self, er20, op_er20):
         rng = np.random.default_rng(27)
