@@ -40,45 +40,80 @@ EXIT_NUMERICAL = 4
 
 
 def format_json(obj, indent=0):
-    """Serialize to JSON with floats at 17 significant digits (lossless)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    """Serialize to JSON with floats at 17 significant digits (lossless).
+
+    Non-finite floats raise NumericalError. One recursive writer appends the
+    pieces of the text to a flat list, joined once at the end. A list whose
+    items are all plain finite floats, such as a row from ``ndarray.tolist()``,
+    is formatted in one ``%.17g`` pass: the same correctly rounded conversion
+    as ``format(x, ".17g")``, so the text is the one per-float formatting
+    gives.
+    """
+    pieces = []
+    _write(pieces, obj, indent)
+    return "".join(pieces)
+
+
+def _write(out, obj, indent):
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {format_json(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (indent + 1)
+        sep = "{" + inner
+        for k, v in obj.items():
+            out.append(f"{sep}{json.dumps(str(k))}: ")
+            _write(out, v, indent + 1)
+            sep = "," + inner
+        out.append("\n" + "  " * indent + "}")
+        return
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = [f"{inner}{format_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (indent + 1)
+        close = "\n" + "  " * indent + "]"
+        # a row with a non-finite float takes the item path, which raises at
+        # the first such value in row order
+        if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
+            row = ("," + inner).join(["%.17g"] * len(obj))
+            out.append(f"[{inner}{row}{close}" % tuple(obj))
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write(out, v, indent + 1)
+            sep = "," + inner
+        out.append(close)
+        return
     if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
         x = float(obj)
         if not math.isfinite(x):
             raise NumericalError(f"refusing to serialize non-finite value {x}")
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        out.append(format(x, ".17g"))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _emit(args, payload):
-    text = format_json(payload) + "\n"
+    # formatted before the file is opened, so a refused value leaves no file;
+    # the newline is written on its own to avoid copying the whole text
+    text = format_json(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write("\n")
     else:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 def _read(path):
@@ -90,10 +125,6 @@ def _graph(args):
     return load_graph(_read(args.graph))
 
 
-def _array2d(matrix):
-    return [[float(v) for v in row] for row in matrix]
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -102,8 +133,8 @@ def _cmd_spectrum(args):
     g = _graph(args)
     sd = decompose(g)
     _emit(args, {
-        "lambdas": [float(v) for v in sd.lambdas],
-        "phis": [[float(v) for v in sd.phis[:, i]] for i in range(g.n)],
+        "lambdas": sd.lambdas.tolist(),
+        "phis": sd.phis.T.tolist(),
     })
     return EXIT_OK
 
@@ -118,7 +149,7 @@ def _cmd_kernel(args):
         kernel = kernel_w_quadrature(sd, args.s, tol=args.tol)
     else:
         kernel = build_operator(sd, args.s).kernel
-    _emit(args, _array2d(kernel))
+    _emit(args, kernel.tolist())
     return EXIT_OK
 
 

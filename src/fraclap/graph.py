@@ -161,7 +161,7 @@ def load_function(g, document):
 def function_document(g, u):
     """Serialize a vertex function to the JSON schema used by load_function."""
     u = as_function(g, u)
-    return {"values": {v: float(u[i]) for i, v in enumerate(g.ids)}}
+    return {"values": dict(zip(g.ids, u.tolist()))}
 
 
 def _parse_json(document):

@@ -97,7 +97,7 @@ class SolveReport:
         if self.solution is not None and graph is not None:
             sol = function_document(graph, self.solution)
         elif self.solution is not None:
-            sol = [float(v) for v in self.solution]
+            sol = self.solution.tolist()
         return {
             "solution": sol,
             "residual_inf": self.residual_inf,

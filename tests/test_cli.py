@@ -6,8 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclap.cli import format_json, main
+from fraclap.errors import NumericalError
+from fraclap.graph import load_graph
+from fraclap.spectral import SpectralDecomposition, decompose
 
 P2_DOC = {
     "vertices": [{"id": "x1", "mu": 1.0}, {"id": "x2", "mu": 1.0}],
@@ -40,6 +45,72 @@ def graph_file(tmp_path, g):
     return str(path)
 
 
+def reference_format_json(obj, indent=0):
+    """The per-float recursive serializer, kept as the oracle for format_json."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {reference_format_json(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{reference_format_json(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise NumericalError(f"refusing to serialize non-finite value {x}")
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e17,
+]
+plain_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+json_leaves = st.one_of(
+    plain_floats,
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(['"quoted"', "caf\u00e9", "\u2603 \\ \"", "\u00fc\n"]),
+    st.text(),
+)
+json_payloads = st.recursive(
+    st.one_of(json_leaves, st.lists(plain_floats, max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+def serialized(fn, obj, indent):
+    try:
+        return fn(obj, indent)
+    except NumericalError as exc:
+        return NumericalError, str(exc)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -57,8 +128,25 @@ class TestFormatJson:
         assert [float(v) for v in json.loads(text)] == values
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(Exception):
+        with pytest.raises(NumericalError, match="non-finite value nan"):
             format_json({"x": float("nan")})
+
+    @pytest.mark.parametrize("payload, first", [
+        ([1.0, math.nan], "nan"),
+        ([[0.5, math.inf]], "inf"),
+        ({"x": [0.0, -math.inf]}, "-inf"),
+        ([2.0, -math.inf, math.nan], "-inf"),
+    ])
+    def test_rejects_nonfinite_in_float_rows(self, payload, first):
+        # the message names the first non-finite value in row order
+        with pytest.raises(NumericalError, match=f"non-finite value {first}$"):
+            format_json(payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=json_payloads, indent=st.integers(0, 3))
+    def test_matches_per_float_reference(self, payload, indent):
+        assert serialized(format_json, payload, indent) == serialized(
+            reference_format_json, payload, indent)
 
     def test_nested_structures(self):
         text = format_json({"a": [1, 2.5], "b": {"c": None, "d": True}})
@@ -279,6 +367,41 @@ class TestNumericalFailureExit:
         assert code == 4
         assert out == ""
         assert "Traceback" not in err
+
+
+class TestSpectrumAtScale:
+    @pytest.fixture
+    def graph_path(self, random_connected, tmp_path):
+        return graph_file(tmp_path, random_connected(np.random.default_rng(5), 200))
+
+    def test_stdout_and_out_file_agree_and_round_trip(self, graph_path, tmp_path, capsys):
+        target = tmp_path / "spectrum.json"
+        code, out, _ = run_cli(capsys, ["spectrum", "--graph", graph_path])
+        assert code == 0
+        assert main(["spectrum", "--graph", graph_path, "--out", str(target)]) == 0
+        assert target.read_text(encoding="utf-8") == out
+        assert out.endswith("]\n}\n")
+        sd = decompose(load_graph(open(graph_path, encoding="utf-8").read()))
+        data = json.loads(out)
+        assert data["lambdas"] == sd.lambdas.tolist()
+        assert data["phis"] == sd.phis.T.tolist()
+
+    def test_nonfinite_deep_in_array_exit_4_without_file(
+            self, graph_path, tmp_path, capsys, monkeypatch):
+        def poisoned(g):
+            sd = decompose(g)
+            phis = sd.phis.copy()
+            phis[150, 170] = np.nan
+            return SpectralDecomposition(graph=g, lambdas=sd.lambdas, phis=phis)
+
+        monkeypatch.setattr("fraclap.cli.decompose", poisoned)
+        target = tmp_path / "spectrum.json"
+        code, out, err = run_cli(
+            capsys, ["spectrum", "--graph", graph_path, "--out", str(target)])
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err
+        assert not target.exists()
 
 
 class TestProcessInvocation:
