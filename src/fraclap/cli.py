@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
     ThresholdIsMinusInfinity,
 )
-from .fractional import build_operator, frac_apply, kernel_w_quadrature
+from .fractional import build_operator, frac_apply, kernel_w_quadrature, split_exponent
 from .graph import function_document, load_function, load_graph
 from .spectral import decompose, heat_apply
 
@@ -154,7 +154,9 @@ def _cmd_kernel(args):
 
 
 def _warn_integer_order(s):
-    if float(s) == int(s):
+    # an invalid exponent is rejected before any warning
+    sigma, _ = split_exponent(s)
+    if sigma == 0.0:
         sys.stderr.write(
             f"warning: s={s:g} is integer-order (outside the fractional sigma "
             "in (0,1) regime); using the repeated-application power\n"

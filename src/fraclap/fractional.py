@@ -38,7 +38,9 @@ class FractionalOperator:
     kernel : ndarray or None
         The nonlocal coupling kernel of the sigma-order factor (the full
         s-kernel when m == 0); None for integer s, whose sigma factor is the
-        identity.
+        identity. Read-only, and shared by every operator built on the same
+        decomposition with the same sigma (s = 0.5, 1.5 and 2.5 hold one
+        array).
     op_matrix : ndarray
         The operator actually applied: the sigma factor sandwiched by the
         order-m map (kernel assembly alone for s in (0, 1), sparse Laplacian
@@ -129,12 +131,32 @@ def _operator_from_kernel(g, kernel):
     return (np.diag(d) - kernel) / g.mu[:, None]
 
 
+def _sigma_factor(sd, sigma):
+    """The kernel of the sigma-order factor and the operator rows built
+    from it, read-only and computed once for all operators on sd with this
+    sigma.
+
+    The memo on sd holds them weakly, so each lives only while some operator
+    holds it (as its kernel, or as its op_matrix when m == 0): a sweep over
+    sigma pins no array that the operators do not.
+    """
+    memo = sd.sigma_factors
+    kernel = memo.get(("kernel", sigma))
+    if kernel is None:
+        kernel = memo[("kernel", sigma)] = spectral_kernel(sd, sigma)
+    rows = memo.get(("rows", sigma))
+    if rows is None:
+        rows = memo[("rows", sigma)] = _operator_from_kernel(sd.graph, kernel)
+        rows.setflags(write=False)
+    return kernel, rows
+
+
 def _laplacian_sandwich(g, inner, k):
     """L^k inner L^k as a dense array, with L the positive Laplacian applied
     as a sparse matrix: O(n^2 deg) per factor on a dense inner instead of a
     dense n^3 product. A sparse inner stays sparse until the result."""
     if k:
-        lap = scipy.sparse.csr_array(g.laplacian_matrix())
+        lap = g.sparse_laplacian
         for _ in range(k):
             inner = lap @ (inner @ lap)
     return inner.toarray() if scipy.sparse.issparse(inner) else inner
@@ -151,7 +173,7 @@ def _componentwise_divergence_matrix(g, p):
     supported on pairs at most two hops apart.
     """
     mu = g.mu
-    c = scipy.sparse.csr_array(np.sqrt(g.weights / (2.0 * mu[:, None])))
+    c = g.sparse_gradient_coeff
     pc = p @ c
     cpc = c.multiply(pc)
     own = (c @ c.T).multiply(p) - cpc
@@ -165,8 +187,9 @@ def build_operator(sd, s):
     """Assemble the fractional Laplacian at exponent s = sigma + m > 0.
 
     The sigma factor K is the kernel assembly (rows of the nonlocal
-    difference operator) for sigma in (0, 1) and a sparse identity for
-    integer s. With k = m // 2 and L = -Delta, even m composes through
+    difference operator) for sigma in (0, 1), shared by every operator on sd
+    with the same sigma, and a sparse identity for integer s. With
+    k = m // 2 and L = -Delta, even m composes through
     functions, L^k K L^k, and odd m routes through gradient fields,
     -L^k div(K grad) L^k. Integer s is thus built from sparse Laplacian
     products and equals the spectral power up to round-off.
@@ -182,8 +205,7 @@ def build_operator(sd, s):
         kernel = None
         inner = scipy.sparse.eye_array(g.n, format="csr")
     else:
-        kernel = spectral_kernel(sd, sigma)
-        inner = _operator_from_kernel(g, kernel)
+        kernel, inner = _sigma_factor(sd, sigma)
     if m % 2:
         inner = -_componentwise_divergence_matrix(g, inner)
     op = _laplacian_sandwich(g, inner, m // 2)
@@ -286,8 +308,8 @@ def kernel_w_quadrature(sd, s, tol=1e-8):
     s = float(s)
     if not 0.0 < s < 1.0:
         raise InvalidExponent(f"quadrature kernel needs 0 < s < 1, got {s}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     g = sd.graph
     n = g.n
     lam = sd.lambdas

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -58,6 +59,25 @@ class Graph:
         """Matrix of the positive operator u -> -(Delta)u."""
         d = self.weights.sum(axis=1)
         return (np.diag(d) - self.weights) / self.mu[:, None]
+
+    @cached_property
+    def sparse_laplacian(self):
+        """laplacian_matrix() as a CSR array, built on first access and
+        read-only."""
+        return _read_only_csr(self.laplacian_matrix())
+
+    @cached_property
+    def sparse_gradient_coeff(self):
+        """The gradient coefficients sqrt(w_xy / (2 mu_x)) as a CSR array,
+        built on first access and read-only."""
+        return _read_only_csr(_gradient_coeff(self))
+
+
+def _read_only_csr(dense):
+    a = scipy.sparse.csr_array(dense)
+    for arr in (a.data, a.indices, a.indptr):
+        arr.setflags(write=False)
+    return a
 
 
 def build_graph(vertices, edges):

@@ -812,6 +812,9 @@ def solve(p, opts=None, op=None):
     returned report carries an independently re-verified residual.
     """
     opts = opts or SolveOptions()
+    if not 0.0 < opts.tol < math.inf:
+        # a NaN tolerance would pass every residual check below
+        raise ValueError(f"tol must be finite and positive, got {opts.tol}")
     verdict = screen(p)
     if verdict.status == UNSOLVABLE and not opts.override_screen:
         raise CertificateUnsolvable(
@@ -923,8 +926,12 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
     if it solves, the walk resumes from it. A solution certifies everything
     between its c and zero. The probe log holds each walk's end point and
     each confirmation, every c once and in decreasing order; ``cap`` bounds
-    its length.
+    its length. ``tol`` must be finite and positive and ``cap`` at least 1.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not cap >= 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     opts = opts or SolveOptions()
     kappa = as_function(g, kappa)
     kint = integral(g, kappa)
@@ -936,8 +943,6 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
         raise ValueError(
             "threshold undefined: integral(kappa) >= 0 makes every c < 0 unsolvable"
         )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     op = op if op is not None else build_operator(decompose(g), s)
     start = _branch_start(op, kappa, kint / g.volume / 16.0, opts)

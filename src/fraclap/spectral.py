@@ -3,7 +3,9 @@ product, heat kernel and heat semigroup."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +33,13 @@ class SpectralDecomposition:
     @property
     def n(self):
         return self.graph.n
+
+    @cached_property
+    def sigma_factors(self):
+        """Memo of the read-only arrays ``build_operator`` derives from one
+        fractional part sigma, keyed by (name, sigma). Values are held
+        weakly: an entry lives only while some operator holds its array."""
+        return weakref.WeakValueDictionary()
 
     def coefficients(self, u):
         """Expansion coefficients <u, phi_i> in the mu-inner product."""

@@ -427,6 +427,65 @@ class TestProcessInvocation:
         assert runs[0] == runs[1]
 
 
+class TestInvalidNumericFlags:
+    """Non-finite or out-of-range numeric flags end in exit 1 with a message,
+    never in a run that skips its checks or in a raw conversion error."""
+
+    def assert_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_kw_tol_must_be_finite_and_positive(self, p2_file, tmp_path, capsys, tol):
+        # solvable: a NaN tolerance once passed every residual check, exit 0
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": 1.0})
+        self.assert_usage_error(
+            capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "1.0",
+                     "--kappa", kap, "--tol", tol],
+            "tol must be finite and positive")
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_threshold_tol_must_be_finite(self, p2_file, tmp_path, capsys, tol):
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        self.assert_usage_error(
+            capsys, ["threshold", "--graph", p2_file, "--s", "0.5",
+                     "--kappa", kap, "--tol", tol],
+            "tol must be finite and positive")
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_threshold_cap_at_least_one(self, p2_file, tmp_path, capsys, cap):
+        # c_low = 2 c_high of a zero-probe log was never probed
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        self.assert_usage_error(
+            capsys, ["threshold", "--graph", p2_file, "--s", "0.5",
+                     "--kappa", kap, "--cap", cap],
+            "cap must be at least 1")
+
+    def test_kernel_oracle_nan_tol(self, p2_file, capsys):
+        self.assert_usage_error(
+            capsys, ["kernel", "--graph", p2_file, "--s", "0.5", "--oracle",
+                     "--tol", "nan"],
+            "tol must be finite and positive")
+
+    @pytest.mark.parametrize("command", ["apply", "poisson", "kw"])
+    @pytest.mark.parametrize("s", ["inf", "nan", "0", "-1"])
+    def test_invalid_exponent_rejected_before_warning(
+            self, p2_file, tmp_path, capsys, command, s):
+        f = fn_file(tmp_path, "f.json", {"x1": 1.0, "x2": -1.0})
+        extra = (["--c", "1.0", "--kappa", f] if command == "kw"
+                 else ["--input", f])
+        code, out, err = run_cli(
+            capsys, [command, "--graph", p2_file, "--s", s, *extra])
+        assert code == 1
+        assert out == ""
+        assert "exponent must be a positive real" in err
+        assert "integer-order" not in err
+        assert "Traceback" not in err
+
+
 class TestUsageErrors:
     def test_missing_flag(self, capsys):
         assert main(["spectrum"]) == 1

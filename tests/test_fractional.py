@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -186,6 +188,61 @@ class TestAssemblyAtScale:
         form = sd150.graph.mu[:, None] * op.op_matrix
         assert np.array_equal(op.energy_matrix, 0.5 * (form + form.T))
         assert np.array_equal(op.energy_matrix, op.energy_matrix.T)
+
+
+class TestSharedSigmaFactor:
+    """Operators on one decomposition whose exponents share a fractional
+    part share one sigma-factor, and the sharing changes no bit."""
+
+    EXPONENTS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0)
+
+    @pytest.fixture(scope="class")
+    def g150(self, random_connected):
+        return random_connected(np.random.default_rng(1500), 150)
+
+    def test_same_sigma_holds_one_read_only_kernel(self, g150):
+        sd = decompose(g150)
+        ops = [build_operator(sd, s) for s in (0.5, 1.5, 2.5, 0.5)]
+        assert all(op.kernel is ops[0].kernel for op in ops)
+        assert not ops[0].kernel.flags.writeable
+        assert ops[3].op_matrix is ops[0].op_matrix
+        assert build_operator(sd, 0.25).kernel is not ops[0].kernel
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("keep", [True, False], ids=["kept", "dropped"])
+    def test_bits_match_a_fresh_decomposition(self, g150, order, keep):
+        fresh = {}
+        for s in self.EXPONENTS:
+            op = build_operator(decompose(g150), s)
+            fresh[s] = (op.op_matrix, op.kernel)
+        exponents = list(self.EXPONENTS)
+        if order == "descending":
+            exponents.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(7).shuffle(exponents)
+        sd = decompose(g150)
+        kept = []
+        for s in exponents:
+            op = build_operator(sd, s)
+            if keep:
+                kept.append(op)
+            matrix, kernel = fresh[s]
+            assert np.array_equal(op.op_matrix, matrix)
+            assert (op.kernel is None) == (kernel is None)
+            if kernel is not None:
+                assert np.array_equal(op.kernel, kernel)
+
+    def test_memo_frees_the_kernel_with_the_last_operator(self, g150):
+        sd = decompose(g150)
+        ops = [build_operator(sd, s) for s in (0.5, 1.5, 2.5)]
+        kernel = weakref.ref(ops[0].kernel)
+        del ops[0]
+        gc.collect()
+        assert kernel() is ops[0].kernel
+        del ops
+        gc.collect()
+        assert kernel() is None
+        assert len(sd.sigma_factors) == 0
 
 
 class TestFracApply:
@@ -459,6 +516,11 @@ class TestQuadratureOracle:
     def test_invalid_s(self, p2):
         with pytest.raises(InvalidExponent):
             kernel_w_quadrature(decompose(p2), 1.5, tol=1e-8)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_invalid_tol(self, p2, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            kernel_w_quadrature(decompose(p2), 0.5, tol=tol)
 
 
 class TestLimits:

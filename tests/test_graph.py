@@ -15,6 +15,7 @@ from fraclap.errors import (
 )
 from fraclap.graph import (
     PairwiseField,
+    _gradient_coeff,
     build_graph,
     divergence,
     function_document,
@@ -156,6 +157,21 @@ class TestLaplacian:
     def test_k3_indicator(self, k3):
         out = laplacian_apply(k3, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(out, [2.0, -1.0, -1.0])
+
+
+class TestCachedSparseMatrices:
+    @pytest.mark.parametrize("name,dense", [
+        ("sparse_laplacian", lambda g: g.laplacian_matrix()),
+        ("sparse_gradient_coeff", _gradient_coeff),
+    ])
+    def test_bit_identical_cached_and_read_only(self, all_graphs, name, dense):
+        for g in all_graphs.values():
+            a = getattr(g, name)
+            assert getattr(g, name) is a
+            assert np.array_equal(a.toarray(), dense(g))
+            assert a.nnz == np.count_nonzero(dense(g))
+            for arr in (a.data, a.indices, a.indptr):
+                assert not arr.flags.writeable
 
 
 class TestGradientField:

@@ -592,6 +592,19 @@ class TestThreshold:
         with pytest.raises(ValueError):
             kw.estimate_threshold(p2, 0.5, np.array([2.0, -1.0]), tol=1e-3)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
+        {"cap": 0}, {"cap": -1}, {"cap": math.nan},
+    ])
+    def test_invalid_tol_or_cap_rejected(self, p2, kwargs):
+        with pytest.raises(ValueError):
+            kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), **kwargs)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+    def test_solve_rejects_invalid_tol(self, p2, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            kw.solve(problem(p2, 1.0, [1.0, 1.0]), kw.SolveOptions(tol=tol))
+
     def test_probe_consistency(self, p2):
         opts = kw.SolveOptions(max_iter_newton=120, newton_restarts=4)
         est = kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), tol=1e-3,
