@@ -199,6 +199,8 @@ def _solve_options(args, residual_tol=True):
     if residual_tol and getattr(args, "tol", None) is not None:
         opts.tol = args.tol
     if getattr(args, "max_iter", None) is not None:
+        if args.max_iter < 1:
+            raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
         opts.max_iter_monotone = args.max_iter
         opts.max_iter_newton = max(200, args.max_iter // 50)
     if getattr(args, "seed", None) is not None:
@@ -281,7 +283,8 @@ def build_parser():
     p = add("kernel", _cmd_kernel, "dense nonlocal kernel for s in (0, 1)")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--oracle", action="store_true",
-                   help="evaluate the defining time integral by quadrature")
+                   help="evaluate the defining time integral by quadrature, "
+                        "one scalar integral per nonzero eigenvalue")
     p.add_argument("--tol", type=float, default=1e-8)
 
     p = add("apply", _cmd_apply, "apply the fractional Laplacian to a function")

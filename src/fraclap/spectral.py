@@ -3,6 +3,7 @@ product, heat kernel and heat semigroup."""
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -107,15 +108,20 @@ def decompose(g):
     return SpectralDecomposition(graph=g, lambdas=lam, phis=phis)
 
 
+def _check_time(t):
+    t = float(t)
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time t must be finite and nonnegative, got {t}")
+    return t
+
+
 def heat_kernel(sd, t):
     """Heat kernel p(t, x, y) = sum_i exp(-lambda_i t) phi_i(x) phi_i(y).
 
     Assembled by one symmetric product, so p(t, x, y) == p(t, y, x) exactly
     as stored.
     """
-    t = float(t)
-    if t < 0:
-        raise ValueError("time t must be nonnegative")
+    t = _check_time(t)
     return gram(sd.phis, np.exp(-sd.lambdas * t))
 
 
@@ -125,9 +131,7 @@ def heat_apply(sd, t, u0):
     Returns the unique bounded solution of du/dt = Delta u at time t with
     initial data u0. Constants are preserved and mass is conserved.
     """
-    t = float(t)
-    if t < 0:
-        raise ValueError("time t must be nonnegative")
+    t = _check_time(t)
     u0 = as_function(sd.graph, u0)
     if t == 0.0:
         return u0.copy()

@@ -464,6 +464,21 @@ class TestInvalidNumericFlags:
                      "--kappa", kap, "--cap", cap],
             "cap must be at least 1")
 
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_kw_max_iter_at_least_one(self, p2_file, tmp_path, capsys, max_iter):
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        self.assert_usage_error(
+            capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "-1.0",
+                     "--kappa", kap, "--method", "monotone", "--max-iter", max_iter],
+            "--max-iter must be at least 1")
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+    def test_heat_time_finite_and_nonnegative(self, p2_file, tmp_path, capsys, t):
+        u = fn_file(tmp_path, "u.json", {"x1": 1.0, "x2": -1.0})
+        self.assert_usage_error(
+            capsys, ["heat", "--graph", p2_file, "--t", t, "--input", u],
+            "time t must be finite and nonnegative")
+
     def test_kernel_oracle_nan_tol(self, p2_file, capsys):
         self.assert_usage_error(
             capsys, ["kernel", "--graph", p2_file, "--s", "0.5", "--oracle",

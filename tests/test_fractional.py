@@ -18,7 +18,7 @@ from fraclap.fractional import (
     limit_residuals,
     split_exponent,
 )
-from fraclap.graph import PairwiseField, integral, mu_inner
+from fraclap.graph import PairwiseField, build_graph, integral, mu_inner
 from fraclap.spectral import decompose
 
 SQRT2 = math.sqrt(2.0)
@@ -509,8 +509,26 @@ class TestQuadratureOracle:
         off = got[~np.eye(3, dtype=bool)]
         assert np.max(off) - np.min(off) < 1e-7
 
+    @pytest.fixture(scope="class")
+    def sd300(self, random_connected):
+        return decompose(random_connected(np.random.default_rng(300), 300))
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_matches_spectral_at_scale(self, sd300, s):
+        got = kernel_w_quadrature(sd300, s, tol=1e-8)
+        want = build_operator(sd300, s).kernel
+        assert np.max(np.abs(got - want)) < 1e-10
+        assert np.array_equal(got, got.T)
+        assert not np.any(np.diag(got))
+
+    def test_single_vertex_has_no_live_mode(self):
+        g = build_graph([("x", 1.5)], [])
+        got = kernel_w_quadrature(decompose(g), 0.5, tol=1e-8)
+        assert got.shape == (1, 1)
+        assert got[0, 0] == 0.0
+
     def test_unreachable_tolerance_raises(self, p2):
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match=r"unreached for pair \(0, 1\)"):
             kernel_w_quadrature(decompose(p2), 0.5, tol=1e-300)
 
     def test_invalid_s(self, p2):

@@ -98,8 +98,18 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             heat_kernel(decompose(p2), -0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, p2, t):
+        with pytest.raises(ValueError, match="time t must be finite and nonnegative"):
+            heat_kernel(decompose(p2), t)
+
 
 class TestHeatApply:
+    @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+    def test_bad_time_rejected(self, p2, t):
+        with pytest.raises(ValueError, match="time t must be finite and nonnegative"):
+            heat_apply(decompose(p2), t, [1.0, 0.0])
+
     def test_constants_preserved(self, k3):
         sd = decompose(k3)
         u = np.full(3, 2.5)
