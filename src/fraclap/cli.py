@@ -189,33 +189,20 @@ def _cmd_poisson(args):
     return EXIT_OK
 
 
-def _solve_options(args, residual_tol=True):
-    """Map CLI flags onto SolveOptions.
-
-    ``threshold --tol`` is the bracket width, not the residual tolerance, so
-    that command passes residual_tol=False.
-    """
-    opts = kw.SolveOptions()
-    if residual_tol and getattr(args, "tol", None) is not None:
-        opts.tol = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        if args.max_iter < 1:
-            raise ValueError(f"--max-iter must be at least 1, got {args.max_iter}")
-        opts.max_iter_monotone = args.max_iter
-        opts.max_iter_newton = max(200, args.max_iter // 50)
-    if getattr(args, "seed", None) is not None:
-        opts.seed = args.seed
-    if getattr(args, "method", None):
-        opts.method = args.method
-    return opts
+def _flag_at_least(flag, value, low):
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
 
 
 def _cmd_kw(args):
+    _flag_at_least("--max-iter", args.max_iter, 1)
+    _flag_at_least("--seed", args.seed, 0)
     g = _graph(args)
     _warn_integer_order(args.s)
     kappa = load_function(g, _read(args.kappa))
     problem = kw.KWProblem(graph=g, s=args.s, c=args.c, kappa=kappa)
-    opts = _solve_options(args)
+    opts = kw.SolveOptions(tol=args.tol, max_iter_monotone=args.max_iter,
+                           seed=args.seed, method=args.method)
     try:
         report = kw.solve(problem, opts)
     except CertificateUnsolvable as exc:
@@ -232,9 +219,11 @@ def _cmd_kw(args):
 
 
 def _cmd_threshold(args):
+    _flag_at_least("--seed", args.seed, 0)
     g = _graph(args)
     kappa = load_function(g, _read(args.kappa))
-    opts = _solve_options(args, residual_tol=False)
+    # --tol is the bracket width; the solves keep the default residual tolerance
+    opts = kw.SolveOptions(seed=args.seed)
     try:
         est = kw.estimate_threshold(g, args.s, kappa, tol=args.tol, cap=args.cap, opts=opts)
     except ThresholdIsMinusInfinity as exc:
@@ -247,6 +236,7 @@ def _cmd_threshold(args):
 
 
 def _cmd_check(args):
+    _flag_at_least("--seed", args.seed, 0)
     g = _graph(args)
     s_list = args.s if args.s else [0.5]
     report = run_suite(g, s_list=s_list, seed=args.seed)
@@ -303,7 +293,7 @@ def build_parser():
                    default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=10_000,
-                   help="monotone sweep cap (Newton caps scale from it)")
+                   help="monotone sweep cap")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("threshold", _cmd_threshold, "bracket the negative-c solvability threshold")

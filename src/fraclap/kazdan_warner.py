@@ -57,16 +57,22 @@ class KWProblem:
         object.__setattr__(self, "kappa", as_function(self.graph, self.kappa))
 
 
+_STEP_TOL = 1e-10  # a monotone step this small triggers a residual check
+_MAX_ITER_NEWTON = 200  # cap on each damped-Newton run
+_NEWTON_RESTARTS = 8  # seeded random starts after the fixed ones
+_DESCENT_OPTIONS = {"maxiter": 800, "ftol": 1e-10, "gtol": 1e-4}  # both L-BFGS-B runs
+
+
 @dataclass
 class SolveOptions:
-    """Tolerances and caps for the solve routes."""
+    """The settings a caller chooses: ``tol``, the sup-norm residual every
+    returned solution is verified to (finite, positive); ``max_iter_monotone``,
+    the monotone sweep cap; ``seed``, the nonnegative seed of the restart
+    draws; ``method``, "auto", "variational", "monotone" or "newton";
+    ``override_screen``, solve even where the screen certifies unsolvable."""
 
     tol: float = 1e-8
-    step_tol: float = 1e-10
     max_iter_monotone: int = 10_000
-    max_iter_newton: int = 200
-    max_iter_descent: int = 800
-    newton_restarts: int = 8
     seed: int = 0
     method: str = "auto"
     override_screen: bool = False
@@ -238,7 +244,7 @@ def _residual(op, kappa, c, u):
 
 def check_solution(p, u, op=None):
     """Independent residual bookkeeping for a candidate solution."""
-    op = _ensure_operator(p, op)
+    op = _ensure_operator(p.graph, p.s, op)
     u = as_function(p.graph, u)
     r = _residual(op, p.kappa, p.c, u)
     with np.errstate(over="ignore"):
@@ -252,11 +258,15 @@ def check_solution(p, u, op=None):
     )
 
 
-def _ensure_operator(p, op):
-    if op is None:
-        return build_operator(decompose(p.graph), p.s)
-    if not isinstance(op, FractionalOperator) or op.graph is not p.graph:
+def _ensure_operator(g, s, op):
+    """op once it is checked to be the operator of (-Delta)^s on g, or that
+    operator built when op is None; s None checks the graph only."""
+    if op is None and s is not None:
+        return build_operator(decompose(g), s)
+    if not isinstance(op, FractionalOperator) or op.graph is not g:
         raise ValueError("operator does not belong to the problem graph")
+    if s is not None and op.s != s:
+        raise ValueError(f"operator was built for s={op.s}, not s={s}")
     return op
 
 
@@ -312,13 +322,13 @@ def _damped_newton(op, kappa, c, u0, opts):
 
     target = max(1e-13, 1e-3 * opts.tol)
     u, its, rinf = _newton(
-        lambda u: _residual(op, kappa, c, u), jac, u0, opts.max_iter_newton, target
+        lambda u: _residual(op, kappa, c, u), jac, u0, _MAX_ITER_NEWTON, target
     )
     return u, its, rinf <= max(target, opts.tol)
 
 
-def _seeded_restarts(op, opts, rng):
-    for _ in range(opts.newton_restarts):
+def _seeded_restarts(op, rng):
+    for _ in range(_NEWTON_RESTARTS):
         yield rng.normal(scale=1.0, size=op.graph.n)
 
 
@@ -352,6 +362,7 @@ def resolvent_solve(g, op, phi, f):
     The system is symmetric positive definite in the mu-inner product, so a
     Cholesky solve applies. Order preserving: f <= g implies u_f <= u_g.
     """
+    op = _ensure_operator(g, None, op)
     phi = as_function(g, phi)
     f = as_function(g, f)
     if np.min(phi) <= 0:
@@ -393,7 +404,7 @@ def auxiliary_phi0(p, op=None):
     """
     if p.c >= 0:
         raise ValueError("auxiliary comparison function needs c < 0")
-    op = _ensure_operator(p, op)
+    op = _ensure_operator(p.graph, p.s, op)
     shift = np.full(p.graph.n, -p.c)
     return resolvent_solve(p.graph, op, shift, -p.kappa)
 
@@ -415,7 +426,7 @@ def solve_positive_c(p, opts=None, op=None):
     opts = opts or SolveOptions()
     if p.c <= 0:
         raise ValueError("positive-c route requires c > 0")
-    op = _ensure_operator(p, op)
+    op = _ensure_operator(p.graph, p.s, op)
     g = p.graph
     kappa, c, mu, vol = p.kappa, p.c, g.mu, g.volume
     cv = c * vol
@@ -451,8 +462,7 @@ def solve_positive_c(p, opts=None, op=None):
         return ua - cv * (np.diag(w) - np.outer(w, w)) + np.outer(mu, mu)
 
     res = minimize(
-        objective, _positive_start(p), jac=True, method="L-BFGS-B",
-        options={"maxiter": opts.max_iter_descent, "ftol": 1e-10, "gtol": 1e-4},
+        objective, _positive_start(p), jac=True, method="L-BFGS-B", options=_DESCENT_OPTIONS
     )
     if log_mass(res.x) is None:
         raise NotSolved("positive-c descent left the feasible region")
@@ -511,9 +521,13 @@ def solve_zero_c(p, opts=None, op=None):
     opts = opts or SolveOptions()
     if p.c != 0:
         raise ValueError("zero-c route requires c == 0")
-    op = _ensure_operator(p, op)
+    op = _ensure_operator(p.graph, p.s, op)
     g = p.graph
     kappa, mu = p.kappa, g.mu
+    if not np.any(kappa):
+        # every constant solves, and every mean-zero u meets the constraints
+        return SolveReport(solution=np.zeros(g.n), residual_inf=0.0,
+                           method="variational-zero-c", iterations=0, energy=0.0)
     if float(np.max(kappa)) <= 0 or float(np.min(kappa)) >= 0:
         raise InfeasibleStart("constraint set empty: kappa must change sign")
 
@@ -528,8 +542,7 @@ def solve_zero_c(p, opts=None, op=None):
         return 0.5 * float(w @ sw), grad
 
     res = minimize(
-        objective, np.zeros(g.n), jac=True, method="L-BFGS-B",
-        options={"maxiter": opts.max_iter_descent, "ftol": 1e-10, "gtol": 1e-4},
+        objective, np.zeros(g.n), jac=True, method="L-BFGS-B", options=_DESCENT_OPTIONS
     )
     u = _restore_constraint(g, kappa, res.x, bump)
     iterations = int(res.nit)
@@ -613,7 +626,7 @@ def construct_upper_solution(p, opts=None, op=None):
     opts = opts or SolveOptions()
     if p.c >= 0:
         raise ValueError("upper solutions are built for c < 0 only")
-    op = _ensure_operator(p, op)
+    op = _ensure_operator(p.graph, p.s, op)
     return next(_upper_solutions(p, opts, op), None)
 
 
@@ -670,7 +683,7 @@ def _branch_start(op, kappa, c, opts):
         if ok:
             return c / 2.0**k, u
     rng = np.random.default_rng((opts.seed, 0xC017))
-    u, _ = _newton_attempts(op, kappa, c, _seeded_restarts(op, opts, rng), opts)
+    u, _ = _newton_attempts(op, kappa, c, _seeded_restarts(op, rng), opts)
     return None if u is None else (c, u)
 
 
@@ -729,7 +742,7 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
     opts = opts or SolveOptions()
     if p.c >= 0:
         raise ValueError("monotone iteration requires c < 0")
-    op = _ensure_operator(p, op)
+    op = _ensure_operator(p.graph, p.s, op)
     g = p.graph
     kappa, c = p.kappa, p.c
     u_plus = as_function(g, u_plus)
@@ -772,7 +785,7 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
         u = u_next
         if trace is not None:
             trace.append(u.copy())
-        if step <= opts.step_tol:
+        if step <= _STEP_TOL:
             residual = check_solution(p, u, op).residual_inf
             if residual <= opts.tol:
                 return SolveReport(
@@ -815,12 +828,14 @@ def solve(p, opts=None, op=None):
     if not 0.0 < opts.tol < math.inf:
         # a NaN tolerance would pass every residual check below
         raise ValueError(f"tol must be finite and positive, got {opts.tol}")
+    if opts.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {opts.seed}")
     verdict = screen(p)
     if verdict.status == UNSOLVABLE and not opts.override_screen:
         raise CertificateUnsolvable(
             "; ".join(verdict.reasons), verdict=verdict
         )
-    op = _ensure_operator(p, op)
+    op = _ensure_operator(p.graph, p.s, op)
 
     method = opts.method
     if method not in ("auto", "variational", "monotone", "newton"):
@@ -840,7 +855,7 @@ def solve(p, opts=None, op=None):
     elif p.c > 0:
         report = solve_positive_c(p, opts, op)
     else:
-        report = _zero_c_route(p, opts, op)
+        report = solve_zero_c(p, opts, op)
 
     recheck = check_solution(p, report.solution, op)
     if recheck.residual_inf > opts.tol:
@@ -851,20 +866,6 @@ def solve(p, opts=None, op=None):
     report.residual_inf = recheck.residual_inf
     report.verdict = verdict
     return report
-
-
-def _zero_c_route(p, opts, op):
-    kappa = p.kappa
-    if float(np.max(np.abs(kappa))) == 0.0:
-        # every constant solves; pick zero
-        return SolveReport(
-            solution=np.zeros(p.graph.n),
-            residual_inf=0.0,
-            method="variational-zero-c",
-            iterations=0,
-            energy=0.0,
-        )
-    return solve_zero_c(p, opts, op)
 
 
 def _monotone_newton_route(p, opts, op, trace):
@@ -895,7 +896,7 @@ def _monotone_newton_route(p, opts, op, trace):
 
     rng = np.random.default_rng((opts.seed, 0x7E57))
     starts = itertools.chain(
-        built, [np.zeros(p.graph.n)], _seeded_restarts(op, opts, rng), uppers
+        built, [np.zeros(p.graph.n)], _seeded_restarts(op, rng), uppers
     )
     u, iterations = _newton_attempts(op, p.kappa, p.c, starts, opts)
     if u is None:
@@ -933,6 +934,8 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
     if not cap >= 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     opts = opts or SolveOptions()
+    if opts.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {opts.seed}")
     kappa = as_function(g, kappa)
     kint = integral(g, kappa)
     if float(np.max(kappa)) <= 0:
@@ -944,7 +947,7 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
             "threshold undefined: integral(kappa) >= 0 makes every c < 0 unsolvable"
         )
 
-    op = op if op is not None else build_operator(decompose(g), s)
+    op = _ensure_operator(g, s, op)
     start = _branch_start(op, kappa, kint / g.volume / 16.0, opts)
     if start is None:
         raise NotSolved("no solvable c found near zero", trace=["threshold"])
@@ -959,7 +962,7 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
         if c_lo is None or c_hi - c_lo > tol or len(probes) >= cap:
             continue
         rng = np.random.default_rng((opts.seed, len(probes)))
-        starts = itertools.chain([u, np.zeros(g.n)], _seeded_restarts(op, opts, rng))
+        starts = itertools.chain([u, np.zeros(g.n)], _seeded_restarts(op, rng))
         confirmed, _ = _newton_attempts(op, kappa, c_lo, starts, opts)
         probes.append((c_lo, confirmed is not None))
         if confirmed is None:

@@ -125,7 +125,7 @@ def test_criterion_06_kw_regime_correctness(all_graphs):
             operators[(id(g), s)] = build_operator(sd, s)
 
     rng = np.random.default_rng(102)
-    opts = kw.SolveOptions(max_iter_newton=150, newton_restarts=3)
+    opts = kw.SolveOptions()
     forbidden_successes = 0
     manufactured_bad = 0
     constant_bad = 0
@@ -181,9 +181,7 @@ def test_criterion_06_kw_regime_correctness(all_graphs):
                     try:
                         kw.solve(
                             p,
-                            kw.SolveOptions(override_screen=True,
-                                            max_iter_newton=60,
-                                            newton_restarts=2),
+                            kw.SolveOptions(override_screen=True),
                             op=op,
                         )
                         forbidden_successes += 1
@@ -248,7 +246,7 @@ def test_criterion_07_monotone_iteration(all_graphs):
 
 def test_criterion_08_threshold(p2):
     kappa = np.array([1.0, -3.0])
-    opts = kw.SolveOptions(max_iter_newton=150, newton_restarts=3)
+    opts = kw.SolveOptions()
     est = kw.estimate_threshold(p2, 0.5, kappa, tol=1e-3, cap=64, opts=opts)
     ok = est.c_low < est.c_high < 0 and est.width <= 1e-3
     ok &= est.attained_solution_at_threshold is not None

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraclap import kazdan_warner as kw
 from fraclap.cli import format_json, main
 from fraclap.errors import NumericalError
 from fraclap.graph import load_graph
@@ -329,6 +330,20 @@ class TestThresholdCmd:
         # (the bracket tolerance flag must not loosen the solve residual)
         assert data["c_low"] <= p2_threshold <= data["c_high"]
 
+    def test_bracket_width_is_not_the_residual_tolerance(self, p2_file, tmp_path, capsys):
+        # a wide bracket still verifies c_high to the default 1e-8 residual
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        code, out, _ = run_cli(
+            capsys, ["threshold", "--graph", p2_file, "--s", "0.5",
+                     "--kappa", kap, "--tol", "0.5"])
+        assert code == 0
+        data = json.loads(out)
+        g = load_graph(json.dumps(P2_DOC))
+        values = data["attained_solution_at_threshold"]["values"]
+        p = kw.KWProblem(graph=g, s=0.5, c=data["c_high"], kappa=np.array([1.0, -3.0]))
+        u = np.array([values[v] for v in g.ids])
+        assert kw.check_solution(p, u).residual_inf <= 1e-8
+
     def test_minus_infinity(self, p2_file, tmp_path, capsys):
         kap = fn_file(tmp_path, "k.json", {"x1": -1.0, "x2": -2.0})
         code, out, _ = run_cli(
@@ -471,6 +486,21 @@ class TestInvalidNumericFlags:
             capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "-1.0",
                      "--kappa", kap, "--method", "monotone", "--max-iter", max_iter],
             "--max-iter must be at least 1")
+
+    @pytest.mark.parametrize("command", ["kw", "threshold", "check"])
+    def test_seed_nonnegative(self, p2_file, tmp_path, capsys, command):
+        # refused before any route runs: a monotone kw solve never draws from
+        # the seed, and the other routes would fail inside numpy
+        extra = {
+            "kw": ["--s", "0.5", "--c", "-2.0", "--kappa",
+                   fn_file(tmp_path, "k.json", {"x1": -1.0, "x2": -1.0})],
+            "threshold": ["--s", "0.5", "--kappa",
+                          fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})],
+            "check": [],
+        }[command]
+        self.assert_usage_error(
+            capsys, [command, "--graph", p2_file, *extra, "--seed", "-1"],
+            "--seed must be at least 0")
 
     @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
     def test_heat_time_finite_and_nonnegative(self, p2_file, tmp_path, capsys, t):

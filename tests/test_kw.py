@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -13,7 +14,7 @@ from fraclap.errors import (
     ThresholdIsMinusInfinity,
 )
 from fraclap.fractional import build_operator, frac_apply
-from fraclap.graph import integral
+from fraclap.graph import build_graph, integral
 from fraclap.spectral import decompose
 
 SQRT2 = math.sqrt(2.0)
@@ -128,8 +129,7 @@ class TestSolveDispatcher:
             kw.solve(problem(p2, 1.0, [-1.0, -2.0]), op=op_p2)
 
     def test_override_attempts_and_fails(self, p2, op_p2):
-        opts = kw.SolveOptions(override_screen=True, max_iter_newton=60,
-                               newton_restarts=3)
+        opts = kw.SolveOptions(override_screen=True)
         with pytest.raises(NotSolved):
             kw.solve(problem(p2, 1.0, [-1.0, -2.0]), opts, op=op_p2)
 
@@ -283,6 +283,14 @@ class TestSolveZeroC:
         rep = kw.solve_zero_c(p, op=op_p2)
         assert rep.residual_inf <= 1e-8
         assert abs(integral(p2, p.kappa * np.exp(rep.solution))) <= 1e-8
+
+    def test_kappa_identically_zero(self, p2, op_p2):
+        # every constant solves and every mean-zero u meets the constraints
+        p = problem(p2, 0.0, [0.0, 0.0])
+        rep = kw.solve_zero_c(p, op=op_p2)
+        assert np.array_equal(rep.solution, np.zeros(2))
+        assert rep.residual_inf == 0.0
+        assert kw.check_solution(p, rep.solution, op_p2).residual_inf == 0.0
 
     def test_screen_rejects_zero_integral(self, p2, op_p2):
         with pytest.raises(CertificateUnsolvable):
@@ -474,7 +482,7 @@ class TestUpperSolutions:
 
     def test_continuation_below_threshold_absent(self, p2, op_p2):
         # threshold for this kappa sits near -0.104; far below nothing exists
-        opts = kw.SolveOptions(max_iter_newton=80, newton_restarts=2)
+        opts = kw.SolveOptions()
         p = problem(p2, -5.0, [1.0, -3.0])
         assert kw.construct_upper_solution(p, opts, op=op_p2) is None
 
@@ -606,7 +614,7 @@ class TestThreshold:
             kw.solve(problem(p2, 1.0, [1.0, 1.0]), kw.SolveOptions(tol=tol))
 
     def test_probe_consistency(self, p2):
-        opts = kw.SolveOptions(max_iter_newton=120, newton_restarts=4)
+        opts = kw.SolveOptions()
         est = kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), tol=1e-3,
                                     cap=64, opts=opts)
         assert_probes_below_earlier_successes(est)
@@ -648,7 +656,7 @@ class TestCheckSolution:
 class TestScreenSolveConsistency:
     def test_random_suite(self, er20, op_er20):
         rng = np.random.default_rng(30)
-        opts = kw.SolveOptions(max_iter_newton=120, newton_restarts=3)
+        opts = kw.SolveOptions()
         solvable_failures = []
         for _ in range(40):
             kappa = rng.standard_normal(er20.n)
@@ -665,3 +673,39 @@ class TestScreenSolveConsistency:
                 except NotSolved:
                     solvable_failures.append((c, kappa))
         assert not solvable_failures
+
+
+class TestSettingsAndOperatorChecks:
+    def test_solve_options_holds_only_caller_settings(self):
+        assert [f.name for f in dataclasses.fields(kw.SolveOptions)] == [
+            "tol", "max_iter_monotone", "seed", "method", "override_screen",
+        ]
+
+    def test_solve_rejects_operator_for_another_exponent(self, er20, op_er20):
+        # the s = 1.5 operator "solves" this s = 0.5 problem to 1e-14
+        p = problem(er20, 1.0, np.random.default_rng(1).normal(size=er20.n))
+        with pytest.raises(ValueError, match="built for s=1.5"):
+            kw.solve(p, op=build_operator(op_er20.sd, 1.5))
+        assert kw.solve(p, op=op_er20).residual_inf <= 1e-8
+
+    def test_threshold_rejects_mismatched_operator(self, p2, op_p2):
+        kappa = np.array([1.0, -3.0])
+        with pytest.raises(ValueError, match="built for s=1.5"):
+            kw.estimate_threshold(p2, 0.5, kappa, op=build_operator(op_p2.sd, 1.5))
+        heavy = build_graph([("x1", 1.0), ("x2", 1.0)], [("x1", "x2", 2.0)])
+        with pytest.raises(ValueError, match="does not belong"):
+            kw.estimate_threshold(p2, 0.5, kappa, op=build_operator(decompose(heavy), 0.5))
+
+    def test_resolvent_rejects_operator_of_another_graph(self, p2):
+        heavy = build_graph([("x1", 1.0), ("x2", 1.0)], [("x1", "x2", 2.0)])
+        op = build_operator(decompose(heavy), 0.5)
+        with pytest.raises(ValueError, match="does not belong"):
+            kw.resolvent_solve(p2, op, np.ones(2), np.array([1.0, -1.0]))
+
+    def test_negative_seed_rejected(self, p2):
+        opts = kw.SolveOptions(seed=-1)
+        # the monotone route draws no restarts, so only the check stops it
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            kw.solve(problem(p2, -2.0, [-1.0, -1.0]), opts)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), opts=opts)
