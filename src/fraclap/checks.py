@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kazdan_warner as kw
+from .errors import ValidationError
 from .fractional import build_operator, frac_inner, limit_residuals, spectral_kernel
 from .graph import (
     divergence,
@@ -420,8 +421,13 @@ def run_suite(g, s_list=(0.25, 0.5, 0.75), seed=7):
     """Run every invariant the package promises, on one graph, deterministically.
 
     Returns a CheckReport whose entries carry the measured defect, the
-    tolerance it was held to, and a one-line citation of the property.
+    tolerance it was held to, and a one-line citation of the property. The
+    graph needs at least 2 vertices and the seed must be a nonnegative
+    integer.
     """
+    if g.n < 2:
+        raise ValidationError(f"the invariant suite needs at least 2 vertices, got {g.n}")
+    kw.check_seed(seed)
     rng = np.random.default_rng(seed)
     sd = decompose(g)
     report = CheckReport()

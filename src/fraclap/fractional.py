@@ -198,8 +198,18 @@ def build_operator(sd, s):
     first access (``power_matrix``, ``power_mismatch``); for non-integer s
     with odd m the two are genuinely different operators and the gap is
     recorded, not asserted away.
+
+    An s for which lambda^s overflows, or underflows to 0, on some nonzero
+    eigenvalue raises InvalidExponent before any product is formed.
     """
     sigma, m = split_exponent(s)
+    with np.errstate(over="ignore", under="ignore"):
+        powers = sd.lambda_power(s)[sd.lambdas > 0]
+    if not np.all(np.isfinite(powers) & (powers > 0)):
+        raise InvalidExponent(
+            f"exponent s={s:g} is out of range on this graph: lambda^s overflows "
+            "or underflows to 0 on a nonzero eigenvalue"
+        )
     g = sd.graph
     if sigma == 0.0:
         kernel = None

@@ -98,12 +98,8 @@ class SolveReport:
     energy: float | None
     verdict: FeasibilityVerdict | None = None
 
-    def to_dict(self, graph=None):
-        sol = None
-        if self.solution is not None and graph is not None:
-            sol = function_document(graph, self.solution)
-        elif self.solution is not None:
-            sol = self.solution.tolist()
+    def to_dict(self, graph):
+        sol = None if self.solution is None else function_document(graph, self.solution)
         return {
             "solution": sol,
             "residual_inf": self.residual_inf,
@@ -120,14 +116,6 @@ class ResidualReport:
     slack_min: float
     slack_max: float
     integral_defect: float
-
-    def to_dict(self):
-        return {
-            "residual_inf": self.residual_inf,
-            "slack_min": self.slack_min,
-            "slack_max": self.slack_max,
-            "integral_defect": self.integral_defect,
-        }
 
 
 @dataclass
@@ -146,14 +134,12 @@ class ThresholdEstimate:
     c_low: float
     c_high: float
     width: float
-    attained_solution_at_threshold: np.ndarray | None
+    attained_solution_at_threshold: np.ndarray
     probes: tuple = field(default_factory=tuple)
     cap_reached: bool = False
 
-    def to_dict(self, graph=None):
-        sol = None
-        if self.attained_solution_at_threshold is not None and graph is not None:
-            sol = function_document(graph, self.attained_solution_at_threshold)
+    def to_dict(self, graph):
+        sol = function_document(graph, self.attained_solution_at_threshold)
         return {
             "c_low": self.c_low,
             "c_high": self.c_high,
@@ -256,6 +242,22 @@ def check_solution(p, u, op=None):
         slack_max=float(np.max(r)),
         integral_defect=float(defect),
     )
+
+
+def _verified(p, op, u, method, iterations, opts, energy=None):
+    """The one exit of every solve: the report of u if its re-checked residual
+    is within opts.tol, else NotSolved naming the route and the residual."""
+    residual = check_solution(p, u, op).residual_inf
+    if residual > opts.tol:
+        message = f"{method} stopped at residual {residual:.3e} > tol {opts.tol:.3e}"
+        raise NotSolved(message, trace=[method])
+    return SolveReport(u, residual, method, iterations, energy)
+
+
+def check_seed(seed):
+    """Reject a restart seed that is not a nonnegative Python or NumPy integer."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be nonnegative and an integer, got {seed!r}")
 
 
 def _ensure_operator(g, s, op):
@@ -421,7 +423,8 @@ def solve_positive_c(p, opts=None, op=None):
     objective in v (plus a quadratic penalty pinning the free additive
     constant). The objective is evaluated in log space, so no e^v is formed
     unscaled. Quasi-Newton descent is followed by a Newton polish on the
-    reduced gradient; the Euler-Lagrange residual is verified at the end.
+    reduced gradient, then, if the residual is still above tol (small c), by
+    damped Newton on the equation; the result leaves through _verified.
     """
     opts = opts or SolveOptions()
     if p.c <= 0:
@@ -469,20 +472,12 @@ def solve_positive_c(p, opts=None, op=None):
     v, extra, _ = _newton(gradient, hessian, res.x, 40, 1e-13 * (1.0 + cv))
     iterations = int(res.nit) + extra
     u = v + (math.log(cv) - log_mass(v)[0])
-    residual = check_solution(p, u, op).residual_inf
-    if residual > opts.tol:
-        raise NotSolved(
-            f"positive-c minimization stagnated at residual {residual:.3e}",
-            trace=["variational-positive-c"],
-        )
+    if check_solution(p, u, op).residual_inf > opts.tol:
+        polished, extra, ok = _damped_newton(op, kappa, c, u, opts)
+        iterations += extra
+        u = polished if ok else u
     energy = 0.5 * dirichlet_energy(op, u) + c * integral(g, u)
-    return SolveReport(
-        solution=u,
-        residual_inf=residual,
-        method="variational-positive-c",
-        iterations=iterations,
-        energy=float(energy),
-    )
+    return _verified(p, op, u, "variational-positive-c", iterations, opts, float(energy))
 
 
 def _positive_start(p):
@@ -516,7 +511,7 @@ def solve_zero_c(p, opts=None, op=None):
     q = kappa mu e^{w - max w}, carries the implicit derivative of the bump
     coefficient; mean removal drops out since S 1 = 0. The multiplier must
     come out positive; the final answer is u0 + log(multiplier), polished
-    by damped Newton.
+    by damped Newton and returned through _verified.
     """
     opts = opts or SolveOptions()
     if p.c != 0:
@@ -526,8 +521,7 @@ def solve_zero_c(p, opts=None, op=None):
     kappa, mu = p.kappa, g.mu
     if not np.any(kappa):
         # every constant solves, and every mean-zero u meets the constraints
-        return SolveReport(solution=np.zeros(g.n), residual_inf=0.0,
-                           method="variational-zero-c", iterations=0, energy=0.0)
+        return _verified(p, op, np.zeros(g.n), "variational-zero-c", 0, opts, 0.0)
     if float(np.max(kappa)) <= 0 or float(np.min(kappa)) >= 0:
         raise InfeasibleStart("constraint set empty: kappa must change sign")
 
@@ -562,19 +556,8 @@ def solve_zero_c(p, opts=None, op=None):
     polished, extra, ok = _damped_newton(op, kappa, 0.0, shifted, opts)
     iterations += extra
     candidate = polished if ok else shifted
-    residual = check_solution(p, candidate, op).residual_inf
-    if residual > opts.tol:
-        raise NotSolved(
-            f"zero-c minimization stagnated at residual {residual:.3e}",
-            trace=["variational-zero-c"],
-        )
-    return SolveReport(
-        solution=candidate,
-        residual_inf=residual,
-        method="variational-zero-c",
-        iterations=iterations,
-        energy=0.5 * dirichlet_energy(op, candidate),
-    )
+    energy = 0.5 * dirichlet_energy(op, candidate)
+    return _verified(p, op, candidate, "variational-zero-c", iterations, opts, energy)
 
 
 def _meanzero_bump(g, kappa):
@@ -736,8 +719,9 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
     earlier iterate is a valid ``level``. Once the iterate has fallen more
     than ln 2 below ``level`` somewhere, phi there is more than twice the
     tightest shift and the factor is rebuilt at the current iterate; an
-    oversized shift is what slows the contraction. Pass a list as
-    ``trace`` to record the iterates.
+    oversized shift is what slows the contraction. The first sweep with a
+    step of at most 1e-10 and a residual within tol is returned; a zero step
+    above tol raises NotSolved. Pass a list as ``trace`` to record iterates.
     """
     opts = opts or SolveOptions()
     if p.c >= 0:
@@ -786,20 +770,11 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
         if trace is not None:
             trace.append(u.copy())
         if step <= _STEP_TOL:
-            residual = check_solution(p, u, op).residual_inf
-            if residual <= opts.tol:
-                return SolveReport(
-                    solution=u,
-                    residual_inf=residual,
-                    method="monotone-iteration",
-                    iterations=it,
-                    energy=None,
-                )
-            if step == 0.0:
-                raise NotSolved(
-                    f"monotone fixed point has residual {residual:.3e} > tol",
-                    trace=["monotone-iteration"],
-                )
+            try:
+                return _verified(p, op, u, "monotone-iteration", it, opts)
+            except NotSolved:
+                if step == 0.0:  # a fixed point: further sweeps cannot help
+                    raise
         if float(np.max(level - u)) > math.log(2.0):
             level = u
             phi, factor = factor_at(level)
@@ -822,14 +797,15 @@ def solve(p, opts=None, op=None):
 
     Screening runs first; a certificate of unsolvability raises
     CertificateUnsolvable unless ``opts.override_screen`` is set. Every
-    returned report carries an independently re-verified residual.
+    route returns through _verified, and the report is re-checked by it once
+    more here, so every returned residual is within tol; a NotSolved carries
+    the trace of the routes tried.
     """
     opts = opts or SolveOptions()
     if not 0.0 < opts.tol < math.inf:
         # a NaN tolerance would pass every residual check below
         raise ValueError(f"tol must be finite and positive, got {opts.tol}")
-    if opts.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {opts.seed}")
+    check_seed(opts.seed)
     verdict = screen(p)
     if verdict.status == UNSOLVABLE and not opts.override_screen:
         raise CertificateUnsolvable(
@@ -850,20 +826,18 @@ def solve(p, opts=None, op=None):
         )
 
     trace = []
-    if method == "newton" or p.c < 0:
-        report = _monotone_newton_route(p, opts, op, trace)
-    elif p.c > 0:
-        report = solve_positive_c(p, opts, op)
-    else:
-        report = solve_zero_c(p, opts, op)
-
-    recheck = check_solution(p, report.solution, op)
-    if recheck.residual_inf > opts.tol:
-        raise NotSolved(
-            f"re-verified residual {recheck.residual_inf:.3e} exceeds tolerance",
-            trace=trace + [report.method],
-        )
-    report.residual_inf = recheck.residual_inf
+    try:
+        if method == "newton" or p.c < 0:
+            report = _monotone_newton_route(p, opts, op, trace)
+        elif p.c > 0:
+            report = solve_positive_c(p, opts, op)
+        else:
+            report = solve_zero_c(p, opts, op)
+        report = _verified(p, op, report.solution, report.method, report.iterations, opts,
+                           report.energy)
+    except NotSolved as exc:
+        exc.trace = trace + exc.trace
+        raise
     report.verdict = verdict
     return report
 
@@ -879,6 +853,8 @@ def _monotone_newton_route(p, opts, op, trace):
     3. For c < 0, damped Newton at c from each upper solution step 1 did not
        build. The continuation point solves the equation slightly past c, so
        it is only ever reported once Newton has converged from it at c.
+
+    solve attaches ``trace`` to its NotSolved; a solution leaves through _verified.
     """
     uppers = _upper_solutions(p, opts, op) if p.c < 0 else iter(())
     built = []
@@ -892,7 +868,7 @@ def _monotone_newton_route(p, opts, op, trace):
         if not built:
             trace.append("no upper solution found")
         if opts.method == "monotone":
-            raise NotSolved("monotone route failed", trace=trace)
+            raise NotSolved("monotone route failed")
 
     rng = np.random.default_rng((opts.seed, 0x7E57))
     starts = itertools.chain(
@@ -901,14 +877,8 @@ def _monotone_newton_route(p, opts, op, trace):
     u, iterations = _newton_attempts(op, p.kappa, p.c, starts, opts)
     if u is None:
         trace.append("newton-continuation: all starts failed")
-        raise NotSolved("all solution routes failed", trace=trace)
-    return SolveReport(
-        solution=u,
-        residual_inf=check_solution(p, u, op).residual_inf,
-        method="newton-continuation",
-        iterations=iterations,
-        energy=None,
-    )
+        raise NotSolved("all solution routes failed")
+    return _verified(p, op, u, "newton-continuation", iterations, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -922,20 +892,21 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
     From a solution near kbar/16 the continuation walk heads down to a target
     that doubles each time a walk reaches it. After a failure the target is
     the last failed c, and walking goes on until the last solution and that
-    failure are at most tol apart. Only that lower end is then confirmed, by
-    damped Newton from the last solution, from zero and from seeded restarts;
-    if it solves, the walk resumes from it. A solution certifies everything
-    between its c and zero. The probe log holds each walk's end point and
-    each confirmation, every c once and in decreasing order; ``cap`` bounds
-    its length. ``tol`` must be finite and positive and ``cap`` at least 1.
+    failure are at most tol apart, or until a walk moves neither end (a tol
+    below the spacing of doubles there, so width can exceed tol). Only that
+    lower end is then confirmed, by damped Newton from the last solution,
+    from zero and from seeded restarts; if it solves, the walk resumes from
+    it. A solution certifies everything between its c and zero. The probe
+    log holds each walk's end point and each confirmation, every c once and
+    in decreasing order; ``cap`` bounds its length. ``tol`` must be finite
+    and positive, ``cap`` at least 1 and the seed a nonnegative integer.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if not cap >= 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     opts = opts or SolveOptions()
-    if opts.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {opts.seed}")
+    check_seed(opts.seed)
     kappa = as_function(g, kappa)
     kint = integral(g, kappa)
     if float(np.max(kappa)) <= 0:
@@ -956,10 +927,13 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
     probes = []
     while len(probes) < cap:
         target = 2.0 * c_hi if c_lo is None else c_lo
+        before = (c_hi, c_lo)
         c_hi, u, c_lo = _walk(op, kappa, c_hi, u, target, opts, 0.5 * tol)
         if not probes or probes[-1][0] != c_hi:
             probes.append((c_hi, True))
-        if c_lo is None or c_hi - c_lo > tol or len(probes) >= cap:
+        # a walk that moves neither end is as narrow as doubles allow
+        narrowed = c_lo is not None and (c_hi - c_lo <= tol or (c_hi, c_lo) == before)
+        if not narrowed or len(probes) >= cap:
             continue
         rng = np.random.default_rng((opts.seed, len(probes)))
         starts = itertools.chain([u, np.zeros(g.n)], _seeded_restarts(op, rng))

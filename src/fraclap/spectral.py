@@ -115,14 +115,20 @@ def _check_time(t):
     return t
 
 
+def _decay(sd, t):
+    """exp(-lambda_i t) for a checked time t. A huge t overflows lambda t to
+    inf, whose exponential is the right limit 0, so that overflow is silent."""
+    with np.errstate(over="ignore"):
+        return np.exp(-sd.lambdas * t)
+
+
 def heat_kernel(sd, t):
     """Heat kernel p(t, x, y) = sum_i exp(-lambda_i t) phi_i(x) phi_i(y).
 
     Assembled by one symmetric product, so p(t, x, y) == p(t, y, x) exactly
     as stored.
     """
-    t = _check_time(t)
-    return gram(sd.phis, np.exp(-sd.lambdas * t))
+    return gram(sd.phis, _decay(sd, _check_time(t)))
 
 
 def heat_apply(sd, t, u0):
@@ -135,5 +141,4 @@ def heat_apply(sd, t, u0):
     u0 = as_function(sd.graph, u0)
     if t == 0.0:
         return u0.copy()
-    coeffs = sd.coefficients(u0) * np.exp(-sd.lambdas * t)
-    return sd.synthesize(coeffs)
+    return sd.synthesize(sd.coefficients(u0) * _decay(sd, t))

@@ -1,10 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import fraclap
 from fraclap.graph import build_graph
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fraclap.__file__)))
 
 
 def make_p2():
@@ -108,3 +115,30 @@ def p2_threshold():
         return a * math.log(3.0 * x / (x - 2.0 * c)) - x + c
 
     return fold_c(brentq(equation, 0.05, 0.6, xtol=1e-16))  # -0.1041363464018731
+
+
+def run_isolated(argv, timeout=60):
+    """Run ``python argv...`` in a fresh interpreter that imports this
+    fraclap, so a call that never returns fails by timeout instead of
+    stalling the suite. Returns (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture(scope="session")
+def isolated():
+    """run_isolated for a snippet of library code that prints one JSON
+    document: returns that document, and fails on a nonzero exit."""
+    def run(code, timeout=60):
+        code_, out, err = run_isolated(["-c", code], timeout)
+        assert code_ == 0, err
+        return json.loads(out)
+    return run
+
+
+@pytest.fixture(scope="session")
+def isolated_cli():
+    """run_isolated on ``-m fraclap.cli`` with the given arguments."""
+    return lambda args, timeout=60: run_isolated(["-m", "fraclap.cli", *args], timeout)

@@ -10,6 +10,7 @@ from fraclap.checks import (
     run_suite,
     trudinger_moser_bound,
 )
+from fraclap.errors import ValidationError
 from fraclap.fractional import build_operator
 from fraclap.graph import build_graph, integral, mu_inner
 from fraclap.spectral import decompose
@@ -114,6 +115,16 @@ class TestRunSuite:
         a = run_suite(p2, s_list=[0.5], seed=7).to_dict()
         b = run_suite(p2, s_list=[0.5], seed=7).to_dict()
         assert a == b
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_invalid_seed_rejected(self, p2, seed):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            run_suite(p2, s_list=[0.5], seed=seed)
+
+    def test_single_vertex_rejected(self):
+        g = build_graph([("x1", 1.0)], [])
+        with pytest.raises(ValidationError, match="at least 2 vertices"):
+            run_suite(g, s_list=[0.5])
 
     def test_report_dict_shape(self, p2):
         d = run_suite(p2, s_list=[0.5], seed=7).to_dict()

@@ -561,3 +561,45 @@ class TestUsageErrors:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["lambdas"][1] == pytest.approx(2.0)
+
+
+class TestOutOfRangeInputsEnd:
+    """Inputs at the edge of the double range end with a message instead of
+    running on; each command runs isolated, so a hang fails by timeout."""
+
+    @pytest.mark.parametrize("s, named", [("1e7", "s=1e+07"), ("100000", "s=100000")])
+    def test_apply_exponent_out_of_range(self, p2_file, tmp_path, isolated_cli, s, named):
+        # 2^s overflows; the message blames s, not the input function
+        u = fn_file(tmp_path, "u.json", {"x1": 1.0, "x2": -1.0})
+        code, out, err = isolated_cli(
+            ["apply", "--graph", p2_file, f"--s={s}", "--input", u])
+        assert code == 1
+        assert out == ""
+        assert named in err
+        assert "function values" not in err
+
+    def test_kw_exponent_out_of_range(self, p2_file, tmp_path, isolated_cli):
+        kap = fn_file(tmp_path, "k.json", {"x1": -1.0, "x2": -1.0})
+        code, out, err = isolated_cli(
+            ["kw", "--graph", p2_file, "--s=1e300", "--c=-1", "--kappa", kap])
+        assert code == 1
+        assert out == ""
+        assert "s=1e+300" in err
+
+    def test_threshold_tol_below_double_spacing(self, p2_file, tmp_path, isolated_cli):
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        code, out, err = isolated_cli(
+            ["threshold", "--graph", p2_file, "--s", "0.5", "--kappa", kap,
+             "--tol", "1e-17"])
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["c_low"] < data["c_high"] < 0
+        assert not data["cap_reached"]
+
+    def test_check_needs_two_vertices(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"vertices": [{"id": "a", "mu": 1.0}], "edges": []}))
+        code, out, err = run_cli(capsys, ["check", "--graph", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "at least 2 vertices" in err

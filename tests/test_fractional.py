@@ -112,6 +112,39 @@ class TestBuildOperator:
         with pytest.raises(InvalidExponent):
             build_operator(decompose(p2), -0.5)
 
+    def test_exponent_beyond_double_range_rejected(self, p2):
+        # lambda = 2 on P2: 2^1000 is a double, 2^1100 overflows
+        sd = decompose(p2)
+        assert np.all(np.isfinite(build_operator(sd, 1000).op_matrix))
+        with pytest.raises(InvalidExponent, match="s=1100"):
+            build_operator(sd, 1100)
+
+    def test_underflowing_exponent_rejected(self):
+        # lambda = 1/2 on this P2: (1/2)^1100 underflows to 0
+        g = build_graph([("x1", 4.0), ("x2", 4.0)], [("x1", "x2", 1.0)])
+        sd = decompose(g)
+        assert sd.lambdas[1] == pytest.approx(0.5)
+        with pytest.raises(InvalidExponent, match="s=1100"):
+            build_operator(sd, 1100)
+
+    def test_huge_integer_exponent_rejected_before_any_product(self, isolated):
+        # 5e6 sparse Laplacian products would never finish; run isolated so a
+        # regression fails by timeout
+        out = isolated(
+            "import json\n"
+            "from fraclap.errors import InvalidExponent\n"
+            "from fraclap.fractional import build_operator\n"
+            "from fraclap.graph import build_graph\n"
+            "from fraclap.spectral import decompose\n"
+            "g = build_graph([('x1', 1.0), ('x2', 1.0)], [('x1', 'x2', 1.0)])\n"
+            "try:\n"
+            "    build_operator(decompose(g), 1e7)\n"
+            "    print(json.dumps(None))\n"
+            "except InvalidExponent as exc:\n"
+            "    print(json.dumps(str(exc)))\n"
+        )
+        assert out is not None and "s=1e+07" in out
+
 
 def _dense_assembly(sd, s):
     """(kernel, operator, spectral power) with every product a full dense

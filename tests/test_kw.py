@@ -133,6 +133,23 @@ class TestSolveDispatcher:
         with pytest.raises(NotSolved):
             kw.solve(problem(p2, 1.0, [-1.0, -2.0]), opts, op=op_p2)
 
+    @pytest.mark.parametrize("c, kappa, method, trace", [
+        (1.0, [2.0, -1.0], "variational-positive-c", ["variational-positive-c"]),
+        (0.0, [2.0, -3.0], "variational-zero-c", ["variational-zero-c"]),
+        # monotone iteration stops at a fixed point above tol, then Newton
+        (-0.05, [1.0, -3.0], "newton-continuation", [
+            "monotone-iteration: monotone-iteration stopped at residual",
+            "newton-continuation",
+        ]),
+    ])
+    def test_stalled_route_names_route_and_residual(self, p2, op_p2, c, kappa, method,
+                                                    trace):
+        # no double reaches a residual of 1e-300 here, so every route stalls
+        with pytest.raises(NotSolved, match=f"^{method} stopped at residual .* > tol") as exc:
+            kw.solve(problem(p2, c, kappa), kw.SolveOptions(tol=1e-300), op=op_p2)
+        assert len(exc.value.trace) == len(trace)
+        assert all(got.startswith(want) for got, want in zip(exc.value.trace, trace))
+
     def test_kappa_identically_zero(self, p2, op_p2):
         rep = kw.solve(problem(p2, 0.0, [0.0, 0.0]), op=op_p2)
         assert np.allclose(rep.solution, 0.0)
@@ -198,6 +215,26 @@ class TestSolveDispatcher:
 
 
 class TestSolvePositiveC:
+    @pytest.mark.parametrize("c, tol", [(1e-5, 1e-12), (1e-7, 1e-10)])
+    def test_small_c_reaches_tight_tol(self, p2, op_p2, c, tol):
+        # the reduced polish stalls just above tol; the equation polish finishes
+        p = problem(p2, c, [1.0, -3.0])
+        assert kw.screen(p).status == kw.SOLVABLE
+        rep = kw.solve(p, kw.SolveOptions(tol=tol), op=op_p2)
+        assert rep.method == "variational-positive-c"
+        assert kw.check_solution(p, rep.solution, op_p2).residual_inf <= tol
+
+    def test_small_c_at_scale(self, random_connected):
+        # the reduced polish stops at residual 1.48 on this n=200 problem
+        rng = np.random.default_rng(5)
+        g = random_connected(rng, 200)
+        p = problem(g, 1e-7, rng.normal(size=g.n) - 0.5)
+        assert kw.screen(p).status == kw.SOLVABLE
+        op = build_operator(decompose(g), 0.5)
+        rep = kw.solve(p, op=op)
+        assert rep.method == "variational-positive-c"
+        assert kw.check_solution(p, rep.solution, op).residual_inf <= 1e-8
+
     def test_trivial_constant(self, p2, op_p2):
         rep = kw.solve_positive_c(problem(p2, 1.0, [1.0, 1.0]), op=op_p2)
         assert np.allclose(rep.solution, 0.0, atol=1e-12)
@@ -592,6 +629,27 @@ class TestThreshold:
         assert kw.check_solution(p, est.attained_solution_at_threshold).residual_inf <= 1e-8
         assert_probes_below_earlier_successes(est)
 
+    def test_tol_below_double_spacing_terminates(self, isolated, p2):
+        # at tol 1e-17 the walks end on adjacent doubles that no walk can
+        # split; a fresh interpreter turns a hang into a timeout failure
+        out = isolated(
+            "import json, numpy as np\n"
+            "from fraclap import kazdan_warner as kw\n"
+            "from fraclap.graph import build_graph\n"
+            "g = build_graph([('x1', 1.0), ('x2', 1.0)], [('x1', 'x2', 1.0)])\n"
+            "est = kw.estimate_threshold(g, 0.5, np.array([1.0, -3.0]), tol=1e-17)\n"
+            "print(json.dumps({'c_low': est.c_low, 'c_high': est.c_high,\n"
+            "    'width': est.width, 'probes': est.probes, 'cap_reached': est.cap_reached,\n"
+            "    'u': est.attained_solution_at_threshold.tolist()}))\n"
+        )
+        assert not out["cap_reached"]
+        assert 0.0 < out["width"] == out["c_high"] - out["c_low"]
+        probes = {c: ok for c, ok in out["probes"]}
+        assert probes[out["c_low"]] is False
+        assert probes[out["c_high"]] is True
+        p = problem(p2, out["c_high"], [1.0, -3.0])
+        assert kw.check_solution(p, np.array(out["u"])).residual_inf <= 1e-8
+
     def test_nonpositive_kappa_is_minus_infinity(self, p2):
         with pytest.raises(ThresholdIsMinusInfinity):
             kw.estimate_threshold(p2, 0.5, np.array([-1.0, -2.0]), tol=1e-3)
@@ -709,3 +767,19 @@ class TestSettingsAndOperatorChecks:
             kw.solve(problem(p2, -2.0, [-1.0, -1.0]), opts)
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), opts=opts)
+
+    @pytest.mark.parametrize("c, kappa, method", [
+        (-0.05, [1.0, -3.0], "newton"),  # draws seeded restarts
+        (-2.0, [-1.0, -1.0], "auto"),  # monotone iteration, no draws
+    ])
+    def test_solve_rejects_non_integer_seed(self, p2, op_p2, c, kappa, method):
+        p = problem(p2, c, kappa)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            kw.solve(p, kw.SolveOptions(seed=1.5, method=method), op=op_p2)
+        rep = kw.solve(p, kw.SolveOptions(seed=np.int64(3), method=method), op=op_p2)
+        assert rep.residual_inf <= 1e-8
+
+    def test_threshold_rejects_non_integer_seed(self, p2):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]),
+                                  opts=kw.SolveOptions(seed=1.5))

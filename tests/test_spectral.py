@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,18 @@ class TestHeatApply:
     def test_bad_time_rejected(self, p2, t):
         with pytest.raises(ValueError, match="time t must be finite and nonnegative"):
             heat_apply(decompose(p2), t, [1.0, 0.0])
+
+    def test_huge_time_reaches_the_mean_silently(self, er20):
+        # lambda t overflows to inf; exp(-inf) = 0 is the right limit
+        sd = decompose(er20)
+        u = np.random.default_rng(12).standard_normal(er20.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = heat_apply(sd, 1e308, u)
+            kernel = heat_kernel(sd, 1e308)
+        mean = float(er20.mu @ u) / er20.volume
+        assert np.allclose(out, mean, rtol=0, atol=1e-12)
+        assert np.allclose(kernel, 1.0 / er20.volume, rtol=0, atol=1e-12)
 
     def test_constants_preserved(self, k3):
         sd = decompose(k3)
