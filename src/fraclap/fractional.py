@@ -250,9 +250,8 @@ def _order_m_columns(op, u):
     field for odd m."""
     g = op.graph
     f = as_function(g, u)
-    lap = g.laplacian_matrix()
     for _ in range(op.m // 2):
-        f = -(lap @ f)
+        f = -(g.sparse_laplacian @ f)
     return gradient_field(g, f).entries if op.m % 2 else f[:, None]
 
 
@@ -374,20 +373,6 @@ class LimitReport:
     entries: tuple
     monotone_toward_one: bool
     monotone_toward_zero: bool
-
-    def to_dict(self):
-        return {
-            "entries": [
-                {
-                    "s": e.s,
-                    "to_laplacian": e.to_laplacian,
-                    "to_meanzero_identity": e.to_meanzero_identity,
-                }
-                for e in self.entries
-            ],
-            "monotone_toward_one": self.monotone_toward_one,
-            "monotone_toward_zero": self.monotone_toward_zero,
-        }
 
 
 def _induced_inf(matrix):

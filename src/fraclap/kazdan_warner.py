@@ -3,9 +3,9 @@
     (-Delta)^s u = kappa * exp(u) - c.
 
 Sign screening certifies solvability or unsolvability where the sign of
-(c, kappa) decides it outright; the remaining cases are solved by constrained
-minimization (c >= 0), monotone iteration bracketed by upper and lower
-solutions (c < 0, s <= 1), or damped Newton continuation. The threshold
+(c, kappa) decides it outright; the remaining cases run one route: constrained
+minimization (c >= 0) or monotone iteration bracketed by upper and lower
+solutions (c < 0, s <= 1), then damped Newton where that fails. The threshold
 driver estimates the negative-c solvability threshold with the same Newton
 continuation in c that builds the continuation upper solution.
 """
@@ -610,14 +610,12 @@ def construct_upper_solution(p, opts=None, op=None):
     if p.c >= 0:
         raise ValueError("upper solutions are built for c < 0 only")
     op = _ensure_operator(p.graph, p.s, op)
-    return next(_upper_solutions(p, opts, op), None)
+    return next(_upper_solutions(p, opts, op, _affine_upper_solution(p, op)), None)
 
 
-def _upper_solutions(p, opts, op):
-    """Upper solutions for c < 0, cheapest first, each built only when the
-    previous one has been consumed: the affine construction, then the
-    continuation point."""
-    affine = _affine_upper_solution(p, op)
+def _upper_solutions(p, opts, op, affine):
+    """Upper solutions for c < 0, cheapest first: ``affine`` unless None,
+    then the continuation point, built only once ``affine`` is consumed."""
     if affine is not None:
         yield affine
     continued = _continuation_solution(p, opts, op)
@@ -719,9 +717,10 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
     earlier iterate is a valid ``level``. Once the iterate has fallen more
     than ln 2 below ``level`` somewhere, phi there is more than twice the
     tightest shift and the factor is rebuilt at the current iterate; an
-    oversized shift is what slows the contraction. The first sweep with a
-    step of at most 1e-10 and a residual within tol is returned; a zero step
-    above tol raises NotSolved. Pass a list as ``trace`` to record iterates.
+    oversized shift is what slows the contraction. A sweep with a step of at
+    most 1e-10 leaves through _verified once its residual is within tol or
+    no lower than that of an earlier such sweep, since round-off then stops
+    the residual from falling. Pass a list as ``trace`` to record iterates.
     """
     opts = opts or SolveOptions()
     if p.c >= 0:
@@ -754,6 +753,7 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
     if trace is not None:
         trace.append(u.copy())
     tol_mono = 1e-12 * (1.0 + float(np.max(np.abs(u_plus))) + abs(lower))
+    floor = math.inf  # the lowest residual of a small step so far
     for it in range(1, opts.max_iter_monotone + 1):
         rhs = g.mu * (phi * u + kappa * np.exp(u) - c)
         u_next = scipy.linalg.cho_solve(factor, rhs)
@@ -770,11 +770,11 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
         if trace is not None:
             trace.append(u.copy())
         if step <= _STEP_TOL:
-            try:
+            # round-off floors the residual: stop once it no longer falls
+            residual = check_solution(p, u, op).residual_inf
+            if residual <= opts.tol or residual >= floor:
                 return _verified(p, op, u, "monotone-iteration", it, opts)
-            except NotSolved:
-                if step == 0.0:  # a fixed point: further sweeps cannot help
-                    raise
+            floor = residual
         if float(np.max(level - u)) > math.log(2.0):
             level = u
             phi, factor = factor_at(level)
@@ -789,17 +789,18 @@ def _lower_level(kappa, c, u_plus):
 
 
 # ---------------------------------------------------------------------------
-# dispatcher
+# the solve route
 
 
 def solve(p, opts=None, op=None):
-    """Solve the equation, routing on the sign of c and the method.
+    """Solve the equation by the one route, _route, for every sign of c.
 
     Screening runs first; a certificate of unsolvability raises
-    CertificateUnsolvable unless ``opts.override_screen`` is set. Every
-    route returns through _verified, and the report is re-checked by it once
-    more here, so every returned residual is within tol; a NotSolved carries
-    the trace of the routes tried.
+    CertificateUnsolvable unless ``opts.override_screen`` is set. The route
+    runs the paper's method for the sign of c, then damped Newton, unless the
+    method names one of them alone. It returns through _verified, and the
+    report is re-checked by it once more here, so every returned residual is
+    within tol; a NotSolved carries the trace of the attempts that failed.
     """
     opts = opts or SolveOptions()
     if not 0.0 < opts.tol < math.inf:
@@ -827,12 +828,7 @@ def solve(p, opts=None, op=None):
 
     trace = []
     try:
-        if method == "newton" or p.c < 0:
-            report = _monotone_newton_route(p, opts, op, trace)
-        elif p.c > 0:
-            report = solve_positive_c(p, opts, op)
-        else:
-            report = solve_zero_c(p, opts, op)
+        report = _route(p, opts, op, trace)
         report = _verified(p, op, report.solution, report.method, report.iterations, opts,
                            report.energy)
     except NotSolved as exc:
@@ -842,42 +838,45 @@ def solve(p, opts=None, op=None):
     return report
 
 
-def _monotone_newton_route(p, opts, op, trace):
-    """The one route for c < 0, and for method "newton" at any c.
+def _route(p, opts, op, trace):
+    """The one solve route, for every sign of c and every method.
 
-    1. Where order preservation holds (c < 0, s <= 1, method not "newton"):
-       monotone iteration from each upper solution. Method "monotone" stops
-       after this step.
-    2. Damped Newton at c from the upper solutions step 1 built, then from
-       zero, then from the seeded restarts.
-    3. For c < 0, damped Newton at c from each upper solution step 1 did not
-       build. The continuation point solves the equation slightly past c, so
-       it is only ever reported once Newton has converged from it at c.
+    1. Unless the method is "newton", the paper's method: minimization for
+       c >= 0; for c < 0 and s <= 1, monotone iteration from the affine
+       upper solution, then under "monotone" from the continuation point.
+    2. Unless the method is "variational" or "monotone", damped Newton at c
+       from zero, each upper solution (the continuation point solves just
+       past c) and the seeded restarts, in that order.
 
-    solve attaches ``trace`` to its NotSolved; a solution leaves through _verified.
+    Step 1's last error is raised under a method that stops after it, and
+    InfeasibleStart, a certificate, always; any other goes to ``trace``.
     """
-    uppers = _upper_solutions(p, opts, op) if p.c < 0 else iter(())
-    built = []
-    if p.c < 0 and p.s <= 1.0 and opts.method != "newton":
-        for upper in uppers:
-            built.append(upper)
-            try:
+    affine = _affine_upper_solution(p, op) if p.c < 0 else None
+    if opts.method == "monotone":
+        firsts = _upper_solutions(p, opts, op, affine)
+    else:
+        skip = opts.method == "newton" or (p.c < 0 and (p.s > 1.0 or affine is None))
+        firsts = () if skip else [affine]  # one run; affine is None for c >= 0
+    failure = None
+    for upper in firsts:
+        if failure is not None:
+            trace.append(str(failure))
+        try:
+            if p.c < 0:
                 return solve_negative_c_monotone(p, upper, opts, op)
-            except (NotSolved, NotAnUpperSolution, MonotonicityViolation) as exc:
-                trace.append(f"monotone-iteration: {exc}")
-        if not built:
-            trace.append("no upper solution found")
-        if opts.method == "monotone":
-            raise NotSolved("monotone route failed")
-
+            return (solve_positive_c if p.c > 0 else solve_zero_c)(p, opts, op)
+        except (NotSolved, NotAnUpperSolution, MonotonicityViolation) as exc:
+            failure = exc
+    if opts.method in ("variational", "monotone") or isinstance(failure, InfeasibleStart):
+        raise failure or NotSolved("no upper solution found", trace=["monotone-iteration"])
+    if failure is not None:
+        trace.append(str(failure))
     rng = np.random.default_rng((opts.seed, 0x7E57))
-    starts = itertools.chain(
-        built, [np.zeros(p.graph.n)], _seeded_restarts(op, rng), uppers
-    )
+    uppers = _upper_solutions(p, opts, op, affine) if p.c < 0 else ()
+    starts = itertools.chain([np.zeros(p.graph.n)], uppers, _seeded_restarts(op, rng))
     u, iterations = _newton_attempts(op, p.kappa, p.c, starts, opts)
     if u is None:
-        trace.append("newton-continuation: all starts failed")
-        raise NotSolved("all solution routes failed")
+        raise NotSolved("newton-continuation: all starts failed", trace=["newton-continuation"])
     return _verified(p, op, u, "newton-continuation", iterations, opts)
 
 

@@ -9,6 +9,7 @@ import scipy.linalg
 from fraclap import kazdan_warner as kw
 from fraclap.errors import (
     CertificateUnsolvable,
+    InfeasibleStart,
     NotAnUpperSolution,
     NotSolved,
     ThresholdIsMinusInfinity,
@@ -133,20 +134,24 @@ class TestSolveDispatcher:
         with pytest.raises(NotSolved):
             kw.solve(problem(p2, 1.0, [-1.0, -2.0]), opts, op=op_p2)
 
-    @pytest.mark.parametrize("c, kappa, method, trace", [
-        (1.0, [2.0, -1.0], "variational-positive-c", ["variational-positive-c"]),
-        (0.0, [2.0, -3.0], "variational-zero-c", ["variational-zero-c"]),
-        # monotone iteration stops at a fixed point above tol, then Newton
-        (-0.05, [1.0, -3.0], "newton-continuation", [
-            "monotone-iteration: monotone-iteration stopped at residual",
-            "newton-continuation",
+    @pytest.mark.parametrize("c, kappa, first, trace", [
+        # the paper's method stalls, then Newton from zero stalls
+        (1.0, [2.0, -1.0], "variational-positive-c", [
+            "variational-positive-c stopped at residual", "newton-continuation",
         ]),
+        (0.0, [2.0, -3.0], "variational-zero-c", [
+            "variational-zero-c stopped at residual", "newton-continuation",
+        ]),
+        # kappa > 0 somewhere: no affine upper solution, so Newton runs first
+        (-0.05, [1.0, -3.0], "newton-continuation", ["newton-continuation"]),
     ])
-    def test_stalled_route_names_route_and_residual(self, p2, op_p2, c, kappa, method,
+    def test_stalled_route_names_route_and_residual(self, p2, op_p2, c, kappa, first,
                                                     trace):
         # no double reaches a residual of 1e-300 here, so every route stalls
-        with pytest.raises(NotSolved, match=f"^{method} stopped at residual .* > tol") as exc:
+        match = "^newton-continuation stopped at residual .* > tol"
+        with pytest.raises(NotSolved, match=match) as exc:
             kw.solve(problem(p2, c, kappa), kw.SolveOptions(tol=1e-300), op=op_p2)
+        assert exc.value.trace[0].startswith(first)
         assert len(exc.value.trace) == len(trace)
         assert all(got.startswith(want) for got, want in zip(exc.value.trace, trace))
 
@@ -205,13 +210,54 @@ class TestSolveDispatcher:
     def test_overflowing_affine_candidate_is_skipped(self, p2, method, s, c):
         # at c = -1000 the affine candidate's exp overflows, so its slack is
         # +inf and it would give the monotone sweep an infinite shift; at
-        # c = -0.01 the candidate is finite and the sweep starts from it
+        # c = -0.01 the candidate is finite and the sweep starts from it.
+        # Without it "auto" goes to Newton, "monotone" to the continuation point
         p = problem(p2, c, [-0.1, -4.0], s=s)
         op = build_operator(decompose(p2), s)
         assert (kw._affine_upper_solution(p, op) is None) == (c == -1000.0)
         rep = kw.solve(p, kw.SolveOptions(method=method), op=op)
-        assert rep.method == "monotone-iteration"
+        newton = c == -1000.0 and method == "auto"
+        assert rep.method == ("newton-continuation" if newton else "monotone-iteration")
         assert rep.residual_inf <= 1e-8
+
+    def test_continuation_point_goes_to_newton(self, random_connected):
+        # monotone iteration from the continuation point took 817 sweeps here
+        rng = np.random.default_rng(11)
+        g = random_connected(rng, 60)
+        u_star = rng.normal(scale=0.5, size=g.n)
+        op = build_operator(decompose(g), 0.5)
+        c = -0.5
+        kappa = (op.op_matrix @ u_star + c) * np.exp(-u_star)
+        rep = kw.solve(problem(g, c, kappa), op=op)
+        assert rep.method == "newton-continuation"
+        assert rep.iterations <= 10
+        assert rep.residual_inf <= 1e-8
+
+    def test_variational_stall_is_rescued_by_newton(self, random_connected):
+        rng = np.random.default_rng(316)
+        n = int(rng.integers(10, 60))
+        g = random_connected(rng, n)
+        s = float(rng.choice([0.5, 1, 1.5, 2, 2.5]))
+        kappa = rng.normal(size=n) * rng.choice([1, 3, 10]) - rng.uniform(0, 1)
+        c = float(rng.choice([0, 1]) * 10 ** rng.uniform(-3, 1))
+        assert (n, s) == (10, 2.0) and c == pytest.approx(4.7412, abs=1e-4)
+        p = problem(g, c, kappa, s=s)
+        assert kw.screen(p).status == kw.SOLVABLE
+        op = build_operator(decompose(g), s)
+        rep = kw.solve(p, op=op)
+        assert rep.method == "newton-continuation"
+        assert rep.residual_inf <= 1e-8
+        match = "^variational-positive-c stopped at residual"
+        with pytest.raises(NotSolved, match=match) as exc:
+            kw.solve(p, kw.SolveOptions(method="variational"), op=op)
+        assert exc.value.trace == ["variational-positive-c"]
+
+    def test_infeasible_start_ends_the_route(self, p2):
+        # s > 1 leaves c = 0 unscreened; kappa > 0 empties the constraint set
+        p = problem(p2, 0.0, [1.0, 2.0], s=1.5)
+        assert kw.screen(p).status == kw.UNKNOWN
+        with pytest.raises(InfeasibleStart):
+            kw.solve(p, op=build_operator(decompose(p2), 1.5))
 
 
 class TestSolvePositiveC:
@@ -564,6 +610,16 @@ class TestMonotoneIteration:
             assert lower_report.residual_inf <= 1e-8
             for prev, nxt in zip(trace, trace[1:]):
                 assert np.all(nxt <= prev + tol)
+
+    def test_round_off_floor_stops_the_sweeps(self, p2, op_p2):
+        # tol 1e-15 is reached in 19 sweeps; no sweep reaches 1e-16
+        p = problem(p2, -2.0, [-1.0, -1.5])
+        upper = kw.construct_upper_solution(p, op=op_p2)
+        trace = []
+        with pytest.raises(NotSolved, match="^monotone-iteration stopped at residual"):
+            kw.solve_negative_c_monotone(p, upper, kw.SolveOptions(tol=1e-16), op=op_p2,
+                                         trace=trace)
+        assert len(trace) < 100
 
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_tight_shift_preserves_order(self, random_connected, s):
