@@ -58,9 +58,9 @@ class FractionalOperator:
         The matrix 0.5 (M A + (M A)^T) of the energy pairing <u, A v>_mu,
         with A = op_matrix and M = diag(mu), computed on first access and
         read-only. It is exactly symmetric: the positive-c and zero-c
-        objectives use it as their quadratic form, and the resolvent and
-        monotone solves factor
-        it plus a diagonal shift by Cholesky.
+        objectives use it as their quadratic form, and the resolvent, the
+        monotone sweeps and the damped-Newton steps at c < 0 factor it plus
+        a diagonal shift by Cholesky.
     """
 
     sd: SpectralDecomposition

@@ -233,9 +233,9 @@ def check_solution(p, u, op=None):
     op = _ensure_operator(p.graph, p.s, op)
     u = as_function(p.graph, u)
     r = _residual(op, p.kappa, p.c, u)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         ke = p.kappa * np.exp(u)
-    defect = abs(integral(p.graph, ke) - p.c * p.graph.volume)
+        defect = abs(float(np.dot(ke, p.graph.mu)) - p.c * p.graph.volume)
     return ResidualReport(
         residual_inf=float(np.max(np.abs(r))),
         slack_min=float(np.min(r)),
@@ -248,7 +248,7 @@ def _verified(p, op, u, method, iterations, opts, energy=None):
     """The one exit of every solve: the report of u if its re-checked residual
     is within opts.tol, else NotSolved naming the route and the residual."""
     residual = check_solution(p, u, op).residual_inf
-    if residual > opts.tol:
+    if not residual <= opts.tol:  # a NaN residual fails too
         message = f"{method} stopped at residual {residual:.3e} > tol {opts.tol:.3e}"
         raise NotSolved(message, trace=[method])
     return SolveReport(u, residual, method, iterations, energy)
@@ -272,12 +272,14 @@ def _ensure_operator(g, s, op):
     return op
 
 
-def _newton(fun, jac, u0, max_iter, target):
-    """Damped Newton on fun(u) = 0 with a sum-of-squares line search; a
-    candidate with a non-finite residual is never accepted. Returns
-    (u, iterations, final sup-norm residual)."""
+def _newton(fun, solve_step, u0, max_iter, target):
+    """Damped Newton on fun(u) = r = 0 by steps solve_step(u, r) and a
+    sum-of-squares line search, never accepting a non-finite residual (a start
+    with one returns (u0, 0, inf)). Returns (u, iterations, sup-norm residual)."""
     u = np.array(u0, dtype=float)
     r = fun(u)
+    if not np.all(np.isfinite(r)):
+        return u, 0, math.inf
     with np.errstate(over="ignore"):
         phi = 0.5 * float(r @ r)
     stalls = 0
@@ -285,15 +287,9 @@ def _newton(fun, jac, u0, max_iter, target):
         rinf = float(np.max(np.abs(r)))
         if rinf <= target:
             return u, it, rinf
-        j = jac(u)
-        try:
-            step = np.linalg.solve(j, -r)
-            if not np.all(np.isfinite(step)):
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(j, -r, rcond=None)
-            if not np.all(np.isfinite(step)):
-                return u, it, rinf
+        step = solve_step(u, r)
+        if step is None or not np.all(np.isfinite(step)):
+            return u, it, rinf
         t = 1.0
         accepted = False
         while t >= 1e-12:
@@ -314,17 +310,38 @@ def _newton(fun, jac, u0, max_iter, target):
     return u, max_iter, float(np.max(np.abs(r)))
 
 
+def _lu_step(j, r):
+    """-j^{-1} r by LU, or by least squares where that fails or is not finite."""
+    try:
+        step = np.linalg.solve(j, -r)
+        if np.all(np.isfinite(step)):
+            return step
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.lstsq(j, -r, rcond=None)[0]
+
+
 def _damped_newton(op, kappa, c, u0, opts):
     """_newton on F(u) = op u - kappa e^u + c. Returns (u, iterations,
     converged): converged when the residual reached the Newton target or
-    is within opts.tol."""
-    def jac(u):
-        with np.errstate(over="ignore"):
-            return op.op_matrix - np.diag(kappa * np.exp(u))
+    is within opts.tol. At c < 0 a step solves (mu J) step = -mu r by
+    _shifted_cholesky (mu J has form -integral(kappa e^u) = -c |V| > 0 on
+    constants at a solution); where that fails, and at c >= 0, by LU."""
+    g = op.graph
+
+    def solve_step(u, r):
+        ke = kappa * np.exp(u)  # finite, as the residual r is
+        if c < 0:
+            factor = _shifted_cholesky(g, op, -ke)
+            if factor is not None:
+                return scipy.linalg.cho_solve(factor, -g.mu * r)
+        j = op.op_matrix.copy()
+        j.flat[:: g.n + 1] -= ke
+        return _lu_step(j, r)
 
     target = max(1e-13, 1e-3 * opts.tol)
     u, its, rinf = _newton(
-        lambda u: _residual(op, kappa, c, u), jac, u0, _MAX_ITER_NEWTON, target
+        lambda u: _residual(op, kappa, c, u), solve_step, u0, _MAX_ITER_NEWTON, target
     )
     return u, its, rinf <= max(target, opts.tol)
 
@@ -369,22 +386,26 @@ def resolvent_solve(g, op, phi, f):
     f = as_function(g, f)
     if np.min(phi) <= 0:
         raise ValueError("phi must be strictly positive everywhere")
-    factor = _shifted_cholesky(g, op, phi, "resolvent")
+    factor = _shifted_cholesky(g, op, phi)
+    if factor is None:
+        raise SingularSystem("resolvent system not positive definite")
     return scipy.linalg.cho_solve(factor, g.mu * f)
 
 
-def _shifted_cholesky(g, op, phi, system):
+def _shifted_cholesky(g, op, phi):
     """Cholesky factor of diag(mu) ((-Delta)^s + diag(phi)), symmetrized:
-    the operator's energy matrix plus diag(mu phi). A failed factorization
-    raises SingularSystem naming ``system``."""
+    the energy matrix plus diag(mu phi), from one copy of it, or None where
+    that is not positive definite. Damped Newton at c < 0 passes
+    phi = -kappa e^u, making it mu times the Jacobian."""
     # the energy matrix is exactly symmetric, so its transpose is the same
     # matrix in the column-major layout LAPACK factors in place, uncopied
     sym = op.energy_matrix.T.copy(order="K")
-    sym.flat[:: g.n + 1] += g.mu * phi
+    with np.errstate(over="ignore"):
+        sym.flat[:: g.n + 1] += g.mu * phi
     try:
         return scipy.linalg.cho_factor(sym, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"{system} system not positive definite: {exc}") from exc
+    except (scipy.linalg.LinAlgError, ValueError):  # ValueError: an overflowed shift
+        return None
 
 
 def poisson_meanzero_solve(op, f):
@@ -460,16 +481,16 @@ def solve_positive_c(p, opts=None, op=None):
         val, grad = objective(v)
         return grad if np.isfinite(val) else np.full_like(v, np.inf)
 
-    def hessian(v):
+    def polish_step(v, r):
         w = log_mass(v)[1]
-        return ua - cv * (np.diag(w) - np.outer(w, w)) + np.outer(mu, mu)
+        return _lu_step(ua - cv * (np.diag(w) - np.outer(w, w)) + np.outer(mu, mu), r)
 
     res = minimize(
         objective, _positive_start(p), jac=True, method="L-BFGS-B", options=_DESCENT_OPTIONS
     )
     if log_mass(res.x) is None:
         raise NotSolved("positive-c descent left the feasible region")
-    v, extra, _ = _newton(gradient, hessian, res.x, 40, 1e-13 * (1.0 + cv))
+    v, extra, _ = _newton(gradient, polish_step, res.x, 40, 1e-13 * (1.0 + cv))
     iterations = int(res.nit) + extra
     u = v + (math.log(cv) - log_mass(v)[0])
     if check_solution(p, u, op).residual_inf > opts.tol:
@@ -492,7 +513,11 @@ def _positive_start(p):
     if kappa[best] <= 0:
         raise InfeasibleStart("kappa is nowhere positive; constraint set is empty")
     rest = float(np.dot(kappa, mu)) - kappa[best] * mu[best]
-    v[best] = math.log((1.0 + abs(rest)) / (kappa[best] * mu[best])) + 1.0
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = (1.0 + abs(rest)) / (kappa[best] * mu[best])
+    # a ratio overflowed by a subnormal kappa mu is taken apart in logs
+    v[best] = 1.0 + (math.log(ratio) if ratio < math.inf else
+                     math.log1p(abs(rest)) - math.log(kappa[best]) - math.log(mu[best]))
     return v
 
 
@@ -745,7 +770,10 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
 
     def factor_at(level):
         phi = kappa_neg * np.exp(level)
-        return phi, _shifted_cholesky(g, op, phi, "monotone")
+        factor = _shifted_cholesky(g, op, phi)
+        if factor is None:
+            raise SingularSystem("monotone system not positive definite")
+        return phi, factor
 
     level = u_plus
     phi, factor = factor_at(level)

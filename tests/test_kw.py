@@ -12,6 +12,7 @@ from fraclap.errors import (
     InfeasibleStart,
     NotAnUpperSolution,
     NotSolved,
+    SingularSystem,
     ThresholdIsMinusInfinity,
 )
 from fraclap.fractional import build_operator, frac_apply
@@ -340,6 +341,15 @@ class TestSolvePositiveC:
         mass = integral(p.graph, p.kappa * np.exp(rep.solution))
         assert mass == pytest.approx(p.c * p.graph.volume, rel=1e-7)
 
+    def test_subnormal_kappa_spike_is_not_solved_silently(self, p2, op_p2):
+        # (1 + |rest|) / (kappa mu) overflowed for kappa = 1e-310; the spike
+        # is now taken in logs, and the descent ends at an infinite residual
+        p = problem(p2, 1.0, [1e-310, -1.0])
+        assert math.isfinite(kw._positive_start(p)[0])
+        match = "^variational-positive-c stopped at residual inf"
+        with pytest.raises(NotSolved, match=match):
+            kw.solve(p, kw.SolveOptions(method="variational"), op=op_p2)
+
     def test_underflowed_base_level_keeps_bookkeeping_finite(self, random_connected):
         # c = 8 puts the base level near -798, below log(DBL_TRUE_MIN) = -745,
         # so e^u is 0 on 195 of the 200 vertices
@@ -476,6 +486,109 @@ class TestResolvent:
         p = problem(er20, -0.7, kappa)
         expected = inline(np.full(er20.n, 0.7), -kappa)
         assert np.array_equal(kw.auxiliary_phi0(p, op_er20), expected)
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so each call is counted; returns the counter list."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def fail_cholesky(*args, **kwargs):
+    raise scipy.linalg.LinAlgError("forced failure")
+
+
+class TestNewtonLinearAlgebra:
+    """Damped Newton at c < 0 factors mu times the Jacobian by the shifted
+    Cholesky helper; LU is the fallback there and the step for c >= 0."""
+
+    def test_negative_c_steps_use_cholesky_only(self, random_connected, monkeypatch):
+        rng = np.random.default_rng(60)
+        g = random_connected(rng, 60)
+        op = build_operator(decompose(g), 1.5)
+        p = problem(g, -1.0, -np.abs(rng.normal(size=g.n)) - 0.1, s=1.5)
+        lu = counting(monkeypatch, np.linalg, "solve")
+        chol = counting(monkeypatch, scipy.linalg, "cho_factor")
+        rep = kw.solve(p, kw.SolveOptions(method="newton"), op=op)
+        assert rep.method == "newton-continuation"
+        assert len(lu) == 0 and len(chol) > 0
+        assert kw.check_solution(p, rep.solution, op).residual_inf <= 1e-8
+
+    def test_indefinite_jacobian_falls_back_to_lu(self, p2, op_p2, monkeypatch):
+        # at u0 = (3, 0) the mu-Jacobian has diagonal entry 2^(-1/2) - e^3 < 0
+        kappa, c, u0 = np.array([1.0, -3.0]), -0.05, np.array([3.0, 0.0])
+        start = np.max(np.abs(kw._residual(op_p2, kappa, c, u0)))
+        lu = counting(monkeypatch, np.linalg, "solve")
+        u, its, ok = kw._damped_newton(op_p2, kappa, c, u0, kw.SolveOptions())
+        assert len(lu) > 0
+        assert ok and its > 0
+        assert np.max(np.abs(kw._residual(op_p2, kappa, c, u))) < 1e-8 * start
+
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    def test_cholesky_step_equals_lu_step(self, random_connected, s):
+        rng = np.random.default_rng(15)
+        g = random_connected(rng, 200)
+        op = build_operator(decompose(g), s)
+        kappa = -np.abs(rng.normal(size=g.n)) - 0.1
+        u = rng.normal(size=g.n)
+        r = kw._residual(op, kappa, -1.0, u)
+        ke = kappa * np.exp(u)
+        factor = kw._shifted_cholesky(g, op, -ke)
+        chol = scipy.linalg.cho_solve(factor, -g.mu * r)
+        lu = kw._lu_step(op.op_matrix - np.diag(ke), r)
+        assert np.max(np.abs(chol - lu)) <= 1e-12 * np.max(np.abs(lu))
+
+    def test_failed_factor_falls_back_to_lu_with_the_same_run(self, random_connected,
+                                                               monkeypatch):
+        rng = np.random.default_rng(61)
+        g = random_connected(rng, 60)
+        op = build_operator(decompose(g), 0.5)
+        kappa = -np.abs(rng.normal(size=g.n)) - 0.1
+        u0 = rng.normal(size=g.n)
+        opts = kw.SolveOptions()
+        u_chol, its_chol, ok_chol = kw._damped_newton(op, kappa, -1.0, u0, opts)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_cholesky)
+        lu = counting(monkeypatch, np.linalg, "solve")
+        u_lu, its_lu, ok_lu = kw._damped_newton(op, kappa, -1.0, u0, opts)
+        assert ok_chol and ok_lu and its_chol == its_lu == len(lu)
+        assert np.max(np.abs(u_chol - u_lu)) <= 1e-12 * (1.0 + np.max(np.abs(u_lu)))
+
+    def test_overflowed_shift_falls_back_to_lu(self, monkeypatch):
+        # the residual is finite (1e304), but mu kappa e^u overflows the shift
+        g = build_graph([("x1", 1e6), ("x2", 1.0)], [("x1", "x2", 1.0)])
+        op = build_operator(decompose(g), 0.5)
+        lu = counting(monkeypatch, np.linalg, "solve")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kw._damped_newton(op, np.array([-1.0, -1.0]), -1.0, np.array([700.0, 0.0]),
+                              kw.SolveOptions())
+        assert len(lu) > 0
+
+    def test_failed_factor_stays_typed(self, p2, op_p2, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_cholesky)
+        with pytest.raises(SingularSystem, match="^resolvent system not positive definite"):
+            kw.resolvent_solve(p2, op_p2, np.ones(2), np.ones(2))
+        p = problem(p2, -2.0, [-1.0, -1.0])
+        with pytest.raises(SingularSystem, match="^monotone system not positive definite"):
+            kw.solve_negative_c_monotone(p, np.ones(2), op=op_p2)
+
+    @pytest.mark.parametrize("u0", [[800.0, 0.0], [math.nan, 0.0]], ids=["overflow", "nan"])
+    def test_nonfinite_start_is_not_converged(self, p2, op_p2, capfd, u0):
+        # the start's residual is not finite, so no factorization may see it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, its, ok = kw._damped_newton(op_p2, np.array([1.0, -3.0]), -0.05,
+                                           np.array(u0), kw.SolveOptions())
+        assert (its, ok) == (0, False)
+        assert np.array_equal(u, u0, equal_nan=True)
+        assert capfd.readouterr().err == ""
 
 
 class TestPoisson:
@@ -750,6 +863,22 @@ class TestCheckSolution:
         noise = 1e-3 * rng.standard_normal(2)
         rep = kw.check_solution(problem(p2, 1.0, [1.0, 1.0]), noise, op_p2)
         assert 1e-5 < rep.residual_inf < 1e-2
+
+    @pytest.mark.parametrize("kappa, expected", [
+        ([1.0, -3.0], math.inf),  # kappa e^u overflows to inf at vertex 0
+        ([0.0, -3.0], math.nan),  # 0 * inf
+    ], ids=["inf", "nan"])
+    def test_overflowing_exponential_is_reported_not_raised(self, p2, op_p2, kappa,
+                                                            expected):
+        p = problem(p2, -0.05, kappa)
+        u = np.array([800.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = kw.check_solution(p, u, op_p2)
+            with pytest.raises(NotSolved, match="^newton-continuation stopped at residual"):
+                kw._verified(p, op_p2, u, "newton-continuation", 0, kw.SolveOptions())
+        assert rep.residual_inf == expected or (math.isnan(expected)
+                                                and math.isnan(rep.residual_inf))
 
     def test_integrated_identity_on_solves(self, er20, op_er20):
         rng = np.random.default_rng(29)
