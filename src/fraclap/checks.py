@@ -118,10 +118,6 @@ def _info(entries, name, measured, citation):
     )
 
 
-def _random_functions(rng, n, count):
-    return rng.standard_normal((count, n))
-
-
 def kernel_entries(op, name_prefix=""):
     """Symmetry and strict positivity of the nonlocal kernel, with witness.
 
@@ -160,7 +156,7 @@ def kernel_entries(op, name_prefix=""):
 
 def _calculus_checks(g, rng, entries):
     n = g.n
-    fns = _random_functions(rng, n, 50)
+    fns = rng.standard_normal((50, n))
     worst = max(
         abs(integral(g, laplacian_apply(g, u))) / (np.max(np.abs(u)) * g.volume)
         for u in fns
@@ -261,7 +257,7 @@ def _fractional_checks(g, sd, s_list, rng, entries):
         if op.sigma > 0 and op.m == 0:
             entries.extend(kernel_entries(op, name_prefix=tag))
 
-            draws = _random_functions(rng, n, 1000)
+            draws = rng.standard_normal((1000, n))
             images = draws @ op.op_matrix.T
             at_max = images[np.arange(len(draws)), np.argmax(draws, axis=1)]
             _entry(entries, f"{tag}maximum-principle", float(-np.min(at_max)), 0.0,
@@ -298,7 +294,7 @@ def _fractional_checks(g, sd, s_list, rng, entries):
                       "gap between the odd composition and the spectral power (reported)")
 
         energies = np.array([
-            mu_inner(g, u, op.op_matrix @ u) for u in _random_functions(rng, n, 50)
+            mu_inner(g, u, op.op_matrix @ u) for u in rng.standard_normal((50, n))
         ])
         const_energy = abs(mu_inner(g, np.ones(n), op.op_matrix @ np.ones(n)))
         _entry(entries, f"{tag}energy-positive-nonconstant", float(-np.min(energies)), 0.0,
@@ -391,7 +387,7 @@ def _embedding_checks(g, sd, s_list, rng, entries):
         mat = 0.5 * (mat + mat.T)
         c_p = poincare_constant(sd, s)
 
-        draws = _random_functions(rng, n, 10_000)
+        draws = rng.standard_normal((10_000, n))
         draws -= (draws @ g.mu / g.volume)[:, None]
         num = draws**2 @ g.mu
         den = np.einsum("ij,jk,ik->i", draws, mat, draws)

@@ -206,13 +206,8 @@ def _cmd_kw(args):
     try:
         report = kw.solve(problem, opts)
     except CertificateUnsolvable as exc:
-        report = kw.SolveReport(
-            solution=None, residual_inf=float("inf"), method="screen",
-            iterations=0, energy=None, verdict=exc.verdict,
-        )
-        payload = report.to_dict(g)
-        payload["residual_inf"] = None
-        _emit(args, payload)
+        _emit(args, {"solution": None, "residual_inf": None, "method": "screen",
+                     "iterations": 0, "energy": None, "verdict": exc.verdict.to_dict()})
         return EXIT_CERTIFICATE_UNSOLVABLE
     _emit(args, report.to_dict(g))
     return EXIT_OK
@@ -333,9 +328,6 @@ def main(argv=None):
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.handler(args)
-    except CertificateUnsolvable as exc:
-        log.error("certificate-unsolvable: %s", exc)
-        return EXIT_CERTIFICATE_UNSOLVABLE
     except NotSolved as exc:
         log.error("search failure: %s", exc)
         return EXIT_SEARCH_FAILURE

@@ -24,7 +24,7 @@ import scipy.sparse
 from scipy.integrate import quad
 from scipy.special import gamma
 
-from .errors import InvalidExponent, NumericalError, QuadratureError
+from .errors import InvalidExponent, QuadratureError
 from .graph import ALL_PAIRS, PairwiseField, as_function, gradient_field, mu_inner
 from .spectral import SpectralDecomposition, gram
 
@@ -76,7 +76,7 @@ class FractionalOperator:
 
     @cached_property
     def power_matrix(self):
-        if self.is_integer_order:
+        if self.kernel is None:  # integer s
             return self.op_matrix
         power = self.sd.power_matrix(self.s)
         power.setflags(write=False)
@@ -92,11 +92,6 @@ class FractionalOperator:
         form = 0.5 * (form + form.T)
         form.setflags(write=False)
         return form
-
-    @property
-    def is_integer_order(self):
-        """True when s is a positive integer (outside the sigma in (0,1) regime)."""
-        return self.sigma == 0.0
 
 
 def split_exponent(s):
@@ -225,23 +220,9 @@ def build_operator(sd, s):
     )
 
 
-def frac_apply(op, u, debug=False):
-    """Apply the fractional Laplacian to a vertex function.
-
-    With ``debug=True`` and s in (0, 1) the image is computed both through the
-    kernel sum and through the spectral expansion, and the two must agree.
-    """
-    u = as_function(op.graph, u)
-    out = op.op_matrix @ u
-    if debug and op.m == 0 and op.sigma > 0.0:
-        alt = op.sd.synthesize(op.sd.lambda_power(op.s) * op.sd.coefficients(u))
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(out))))
-        if np.max(np.abs(out - alt)) > tol:
-            raise NumericalError(
-                "kernel and spectral routes disagree: "
-                f"{np.max(np.abs(out - alt)):.3e} > {tol:.3e}"
-            )
-    return out
+def frac_apply(op, u):
+    """Apply the fractional Laplacian to a vertex function: op_matrix @ u."""
+    return op.op_matrix @ as_function(op.graph, u)
 
 
 def _order_m_columns(op, u):

@@ -9,7 +9,7 @@ the external contract.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +44,6 @@ class Graph:
     ids: tuple
     mu: np.ndarray
     weights: np.ndarray
-    index: dict = field(repr=False)
 
     @property
     def n(self):
@@ -127,7 +126,7 @@ def build_graph(vertices, edges):
     _check_connected(seen, ids)
     weights.setflags(write=False)
     mu.setflags(write=False)
-    return Graph(ids=ids, mu=mu, weights=weights, index=index)
+    return Graph(ids=ids, mu=mu, weights=weights)
 
 
 def _check_connected(pairs, ids):

@@ -114,7 +114,6 @@ class SolveReport:
 class ResidualReport:
     residual_inf: float
     slack_min: float
-    slack_max: float
     integral_defect: float
 
 
@@ -239,7 +238,6 @@ def check_solution(p, u, op=None):
     return ResidualReport(
         residual_inf=float(np.max(np.abs(r))),
         slack_min=float(np.min(r)),
-        slack_max=float(np.max(r)),
         integral_defect=float(defect),
     )
 
@@ -275,7 +273,9 @@ def _ensure_operator(g, s, op):
 def _newton(fun, solve_step, u0, max_iter, target):
     """Damped Newton on fun(u) = r = 0 by steps solve_step(u, r) and a
     sum-of-squares line search, never accepting a non-finite residual (a start
-    with one returns (u0, 0, inf)). Returns (u, iterations, sup-norm residual)."""
+    with one returns (u0, 0, inf)). A step that is None (a singular system)
+    or not finite ends the run where it stands. Returns (u, iterations,
+    sup-norm residual)."""
     u = np.array(u0, dtype=float)
     r = fun(u)
     if not np.all(np.isfinite(r)):
@@ -311,14 +311,11 @@ def _newton(fun, solve_step, u0, max_iter, target):
 
 
 def _lu_step(j, r):
-    """-j^{-1} r by LU, or by least squares where that fails or is not finite."""
+    """-j^{-1} r by LU, or None where j is singular."""
     try:
-        step = np.linalg.solve(j, -r)
-        if np.all(np.isfinite(step)):
-            return step
+        return np.linalg.solve(j, -r)
     except np.linalg.LinAlgError:
-        pass
-    return np.linalg.lstsq(j, -r, rcond=None)[0]
+        return None
 
 
 def _damped_newton(op, kappa, c, u0, opts):
@@ -326,7 +323,8 @@ def _damped_newton(op, kappa, c, u0, opts):
     converged): converged when the residual reached the Newton target or
     is within opts.tol. At c < 0 a step solves (mu J) step = -mu r by
     _shifted_cholesky (mu J has form -integral(kappa e^u) = -c |V| > 0 on
-    constants at a solution); where that fails, and at c >= 0, by LU."""
+    constants at a solution); where that fails, and at c >= 0, by LU. A
+    singular LU system ends the run unconverged."""
     g = op.graph
 
     def solve_step(u, r):
@@ -700,7 +698,8 @@ def _walk(op, kappa, c, u, target, opts, min_step):
     failure. The walk stops at the target, after 12 failures in a row, after
     200 steps, or once a halved step is below min_step: geometric stalling
     pins a fold between the last solution and the last failure. Returns the
-    last solved (c, u) and the last failed c (None when no step failed).
+    last solved (c, u) and the last failed c below it (None when no step
+    failed, or when the walk went on past its failures to the target).
     """
     step = target - c
     failed = None
@@ -720,7 +719,7 @@ def _walk(op, kappa, c, u, target, opts, min_step):
             failures_in_a_row += 1
             if abs(step) < min_step or failures_in_a_row >= 12:
                 break
-    return c, u, failed
+    return c, u, (failed if failed is not None and failed < c else None)
 
 
 def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
@@ -921,11 +920,12 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
     the last failed c, and walking goes on until the last solution and that
     failure are at most tol apart, or until a walk moves neither end (a tol
     below the spacing of doubles there, so width can exceed tol). Only that
-    lower end is then confirmed, by damped Newton from the last solution,
-    from zero and from seeded restarts; if it solves, the walk resumes from
-    it. A solution certifies everything between its c and zero. The probe
-    log holds each walk's end point and each confirmation, every c once and
-    in decreasing order; ``cap`` bounds its length. ``tol`` must be finite
+    lower end is then confirmed: the walk's own failed run from the last
+    solution is the first attempt, and damped Newton from zero and from
+    seeded restarts follow; if one solves, the walk resumes from it. A
+    solution certifies everything between its c and zero. The probe log
+    holds each walk's end point and each confirmation, every c once and in
+    decreasing order; ``cap`` bounds its length. ``tol`` must be finite
     and positive, ``cap`` at least 1 and the seed a nonnegative integer.
     """
     if not 0.0 < tol < math.inf:
@@ -963,7 +963,7 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
         if not narrowed or len(probes) >= cap:
             continue
         rng = np.random.default_rng((opts.seed, len(probes)))
-        starts = itertools.chain([u, np.zeros(g.n)], _seeded_restarts(op, rng))
+        starts = itertools.chain([np.zeros(g.n)], _seeded_restarts(op, rng))
         confirmed, _ = _newton_attempts(op, kappa, c_lo, starts, opts)
         probes.append((c_lo, confirmed is not None))
         if confirmed is None:

@@ -263,8 +263,15 @@ class TestKwCmd:
                      "--kappa", kap])
         assert code == 2
         data = json.loads(out)
+        assert list(data) == ["solution", "residual_inf", "method", "iterations", "energy",
+                              "verdict"]
         assert data["solution"] is None
+        assert data["residual_inf"] is None
+        assert data["method"] == "screen"
+        assert data["iterations"] == 0
+        assert data["energy"] is None
         assert data["verdict"]["status"] == "unsolvable"
+        assert data["verdict"]["reasons"]
 
     def test_search_failure_exit_3(self, p2_file, tmp_path, capsys):
         # far below the threshold for this kappa: no solution exists

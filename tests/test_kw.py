@@ -579,6 +579,17 @@ class TestNewtonLinearAlgebra:
         with pytest.raises(SingularSystem, match="^monotone system not positive definite"):
             kw.solve_negative_c_monotone(p, np.ones(2), op=op_p2)
 
+    def test_singular_step_ends_the_run(self, p2, op_p2, monkeypatch):
+        # kappa = 0 leaves the Jacobian op_matrix, singular on constants, so
+        # every run ends at its first step and every start fails
+        def no_lstsq(*args, **kwargs):
+            pytest.fail("a Newton step is a Cholesky or an LU solve")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        opts = kw.SolveOptions(override_screen=True, method="newton")
+        with pytest.raises(NotSolved, match="all starts failed"):
+            kw.solve(problem(p2, 1.0, [0.0, 0.0]), opts, op=op_p2)
+
     @pytest.mark.parametrize("u0", [[800.0, 0.0], [math.nan, 0.0]], ids=["overflow", "nan"])
     def test_nonfinite_start_is_not_converged(self, p2, op_p2, capfd, u0):
         # the start's residual is not finite, so no factorization may see it
@@ -789,6 +800,38 @@ class TestThreshold:
         p = problem(g, est.c_high, kappa, s=s)
         assert kw.check_solution(p, est.attained_solution_at_threshold, op).residual_inf <= 1e-8
         assert_probes_below_earlier_successes(est)
+
+    def test_confirmation_repeats_no_run(self, p2, monkeypatch):
+        # the walk's last failed run from the last solution is the first
+        # confirmation attempt, so no Newton run is made twice in a row
+        calls = []
+        real = kw._damped_newton
+
+        def recording(op, kappa, c, u0, opts):
+            calls.append((c, np.array(u0, dtype=float)))
+            return real(op, kappa, c, u0, opts)
+
+        monkeypatch.setattr(kw, "_damped_newton", recording)
+        est = kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), tol=1e-3)
+        for (c0, u0), (c1, u1) in zip(calls, calls[1:]):
+            assert not (c0 == c1 and np.array_equal(u0, u1))
+        assert (est.c_low, est.c_high) == (-0.10437917709350586, -0.1037139892578125)
+        assert est.probes == ((-0.1037139892578125, True), (-0.10437917709350586, False))
+        assert est.attained_solution_at_threshold.tolist() == [
+            -1.1446748609442943, -1.7415315198296102]
+
+    def test_walk_reports_no_failure_it_went_past(self, op_p2, monkeypatch):
+        # the first run fails and every later one solves: the walk halves its
+        # step, then reaches the target, so no failure lies below its end
+        outcomes = iter([False])
+
+        def scripted(op, kappa, c, u0, opts):
+            return np.array(u0, dtype=float), 1, next(outcomes, True)
+
+        monkeypatch.setattr(kw, "_damped_newton", scripted)
+        c, _, failed = kw._walk(op_p2, np.array([1.0, -3.0]), -0.01, np.zeros(2), -0.02,
+                                kw.SolveOptions(), 1e-9)
+        assert (c, failed) == (-0.02, None)
 
     def test_cap_reached_returns_verified_solution(self, p2):
         est = kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), tol=1e-3, cap=2)
