@@ -113,7 +113,10 @@ def spectral_kernel(sd, sigma):
     positive off the diagonal on a connected graph; the diagonal is zero by
     convention.
     """
-    w = gram(sd.graph.mu[:, None] * sd.phis, sd.lambda_power(sigma))
+    # gram(mu phis, lambda^sigma) with both scalings folded into one factor
+    b = sd.graph.mu[:, None] * sd.phis
+    b *= np.sqrt(sd.lambda_power(sigma))
+    w = b @ b.T
     np.negative(w, out=w)
     np.fill_diagonal(w, 0.0)
     w.setflags(write=False)
@@ -121,9 +124,12 @@ def spectral_kernel(sd, sigma):
 
 
 def _operator_from_kernel(g, kernel):
-    # rows of (-Delta)^sigma: (1/mu) (diag(rowsum) - kernel)
-    d = kernel.sum(axis=1)
-    return (np.diag(d) - kernel) / g.mu[:, None]
+    # rows of (-Delta)^sigma: (1/mu) (diag(rowsum) - kernel), written in
+    # place; 0 - kernel keeps a zero entry +0.0
+    rows = np.subtract(0.0, kernel)
+    np.fill_diagonal(rows, kernel.sum(axis=1))
+    rows /= g.mu[:, None]
+    return rows
 
 
 def _sigma_factor(sd, sigma):
@@ -163,19 +169,47 @@ def _componentwise_divergence_matrix(g, p):
 
     The gradient field of u has components f_y(x) = c(x, y)(u(x) - u(y)) with
     c = sqrt(w/(2 mu)); P acts on each component function f_y, and the
-    divergence is the negative adjoint of the gradient. c is supported on the
-    edges, so every product with it costs O(n^2 deg), and the result is
-    supported on pairs at most two hops apart.
+    divergence is the negative adjoint of the gradient. Only the entries of
+    P c and c^T (M P) on the pattern of c enter (M = diag(mu)), and the
+    result is supported on pairs at most two hops apart. For a dense P those
+    entries are gathered from P, so the cost is O(nnz deg) plus writing the
+    dense result; a sparse P stays sparse.
     """
     mu = g.mu
     c = g.sparse_gradient_coeff
-    pc = p @ c
-    cpc = c.multiply(pc)
+    if scipy.sparse.issparse(p):
+        cpc = c.multiply(p @ c)
+        cb = c.T.multiply(c.T @ (scipy.sparse.diags_array(mu) @ p))
+    else:
+        cpc, cb = _products_on_pattern(c, p, mu)
     own = (c @ c.T).multiply(p) - cpc
-    b = c.T @ (scipy.sparse.diags_array(mu) @ p)
-    incoming = c.T.multiply(b) - scipy.sparse.diags_array(cpc.T @ mu)
+    incoming = cb - scipy.sparse.diags_array(cpc.T @ mu)
     div = incoming / mu[:, None] - own
     return div if scipy.sparse.issparse(p) else div.toarray()
+
+
+def _products_on_pattern(c, p, mu):
+    """c * (P c) and c^T * (c^T (M P)), elementwise on the patterns of c and
+    c^T, for a dense P: the parts of the two products the divergence reads.
+
+    For each stored (x, y) of c, the sums run over the stored z of column y
+    in ascending order, added forward from zero as the sparse-dense product
+    adds them, and keep its parenthesization c (M P), so every entry is the
+    one the full products hold there.
+    """
+    coo = c.tocoo()
+    x, y = coo.coords
+    col = c.tocsc()  # column y: the stored z ascending, with values c[z, y]
+    count = np.diff(col.indptr)[y]
+    entry = np.repeat(np.arange(c.nnz), count)  # the (x, y) each term adds to
+    first = np.cumsum(count) - count  # the first term of each entry
+    k = np.arange(entry.size) - np.repeat(first - col.indptr[y], count)
+    z, czy, xs = col.indices[k], col.data[k], x[entry]
+    pc = np.bincount(entry, weights=czy * p[xs, z], minlength=c.nnz)
+    b = np.bincount(entry, weights=czy * (mu[z] * p[z, xs]), minlength=c.nnz)
+    cpc = scipy.sparse.coo_array((coo.data * pc, (x, y)), shape=c.shape)
+    cb = scipy.sparse.coo_array((coo.data * b, (y, x)), shape=c.shape)
+    return cpc, cb
 
 
 def build_operator(sd, s):
@@ -212,7 +246,8 @@ def build_operator(sd, s):
     else:
         kernel, inner = _sigma_factor(sd, sigma)
     if m % 2:
-        inner = -_componentwise_divergence_matrix(g, inner)
+        inner = _componentwise_divergence_matrix(g, inner)
+        inner *= -1.0  # in place: the dense zeros off the pattern become -0.0
     op = _laplacian_sandwich(g, inner, m // 2)
     op.setflags(write=False)
     return FractionalOperator(

@@ -60,20 +60,37 @@ class Graph:
         return (np.diag(d) - self.weights) / self.mu[:, None]
 
     @cached_property
+    def edge_pattern(self):
+        """The edge pattern from one scan of ``weights``, computed on first
+        access: row and column indices of the nonzero weights in row-major
+        order, the weights there, and the weighted degrees
+        ``weights.sum(axis=1)``."""
+        rows, cols = np.nonzero(self.weights)
+        return rows, cols, self.weights[rows, cols], self.weights.sum(axis=1)
+
+    @cached_property
     def sparse_laplacian(self):
-        """laplacian_matrix() as a CSR array, built on first access and
-        read-only."""
-        return _read_only_csr(self.laplacian_matrix())
+        """laplacian_matrix() as a CSR array, entry for entry, built on the
+        edge pattern on first access and read-only."""
+        rows, cols, w, d = self.edge_pattern
+        diag = np.arange(self.n)
+        return _read_only_csr(
+            np.concatenate(((0.0 - w) / self.mu[rows], d / self.mu)),
+            np.concatenate((rows, diag)), np.concatenate((cols, diag)), self.n,
+        )
 
     @cached_property
     def sparse_gradient_coeff(self):
         """The gradient coefficients sqrt(w_xy / (2 mu_x)) as a CSR array,
-        built on first access and read-only."""
-        return _read_only_csr(_gradient_coeff(self))
+        built on the edge pattern on first access and read-only."""
+        rows, cols, w, _ = self.edge_pattern
+        return _read_only_csr(np.sqrt(w / (2.0 * self.mu[rows])), rows, cols, self.n)
 
 
-def _read_only_csr(dense):
-    a = scipy.sparse.csr_array(dense)
+def _read_only_csr(data, rows, cols, n):
+    # canonical CSR (sorted indices) without the entries that rounded to zero
+    a = scipy.sparse.csr_array((data, (rows, cols)), shape=(n, n))
+    a.eliminate_zeros()
     for arr in (a.data, a.indices, a.indptr):
         arr.setflags(write=False)
     return a

@@ -84,24 +84,30 @@ def decompose(g):
     eigenfunctions are phi_i = U^{-1/2} q_i. Sign convention: the first
     non-negligible entry of each eigenfunction is positive. Degenerate
     eigenspaces come back as an arbitrary mu-orthonormal basis.
+
+    S is written only on the diagonal and the edges, each entry as the mean
+    of its two one-sided scalings so that it is exactly symmetric; apart
+    from S and the returned phis, every step is O(n) or O(edges).
     """
-    d = g.weights.sum(axis=1)
+    rows, cols, w, d = g.edge_pattern
     root_mu = np.sqrt(g.mu)
-    sym = (np.diag(d) - g.weights) / root_mu[:, None] / root_mu[None, :]
-    sym = 0.5 * (sym + sym.T)
+    sym = np.zeros((g.n, g.n))
+    sym[rows, cols] = 0.5 * ((0.0 - w) / root_mu[rows] / root_mu[cols]
+                             + (0.0 - w) / root_mu[cols] / root_mu[rows])
+    np.fill_diagonal(sym, d / root_mu / root_mu)
     try:
-        lam, q = np.linalg.eigh(sym)
+        lam, phis = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
+    del sym  # freed before the sign fix allocates its n x n temporary
 
     lam = np.where(lam < ZERO_EIGENVALUE_REL * max(1.0, float(lam[-1])), 0.0, lam)
-    phis = q / root_mu[:, None]
+    phis /= root_mu[:, None]
 
     # fix signs: first entry of each column that is clearly nonzero goes positive
     mag = np.abs(phis)
     first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-    flip = phis[first, np.arange(phis.shape[1])] < 0
-    phis[:, flip] = -phis[:, flip]
+    phis *= np.where(phis[first, np.arange(g.n)] < 0, -1.0, 1.0)
 
     lam.setflags(write=False)
     phis.setflags(write=False)

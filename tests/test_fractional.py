@@ -4,11 +4,14 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.integrate import quad
 from scipy.special import gamma
 
 from fraclap.errors import InvalidExponent, QuadratureError
 from fraclap.fractional import (
+    _componentwise_divergence_matrix,
+    _sigma_factor,
     build_operator,
     dirichlet_energy,
     frac_apply,
@@ -18,7 +21,7 @@ from fraclap.fractional import (
     limit_residuals,
     split_exponent,
 )
-from fraclap.graph import PairwiseField, build_graph, integral, mu_inner
+from fraclap.graph import PairwiseField, _gradient_coeff, build_graph, integral, mu_inner
 from fraclap.spectral import decompose
 
 SQRT2 = math.sqrt(2.0)
@@ -275,6 +278,98 @@ class TestSharedSigmaFactor:
         gc.collect()
         assert kernel() is None
         assert len(sd.sigma_factors) == 0
+
+
+def _full_product_divergence(g, p):
+    """div(P . grad) with P c and c^T (M P) formed as whole products and c,
+    L converted from their dense matrices: the reference for the
+    edge-pattern assembly, which must give the same bits."""
+    mu = g.mu
+    c = scipy.sparse.csr_array(_gradient_coeff(g))
+    pc = p @ c
+    cpc = c.multiply(pc)
+    own = (c @ c.T).multiply(p) - cpc
+    b = c.T @ (scipy.sparse.diags_array(mu) @ p)
+    incoming = c.T.multiply(b) - scipy.sparse.diags_array(cpc.T @ mu)
+    div = incoming / mu[:, None] - own
+    return div if scipy.sparse.issparse(p) else div.toarray()
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestOddOrderBits:
+    """The odd-order factor gathers only the entries of P c and c^T (M P)
+    on the pattern of c, and changes no bit, signed zeros included."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self, er20, random_connected):
+        return {
+            "er20": er20,
+            "n300": random_connected(np.random.default_rng(300), 300),
+            "path60": random_connected(np.random.default_rng(60), 60, extra_per_vertex=0),
+        }
+
+    @pytest.mark.parametrize("sigma", [0.25, 0.5])
+    def test_gathered_divergence_matches_full_products(self, graphs, sigma):
+        for name in ("er20", "n300"):
+            g = graphs[name]
+            sd = decompose(g)
+            _, rows = _sigma_factor(sd, sigma)
+            expected = _full_product_divergence(g, rows)
+            assert _same_bits(_componentwise_divergence_matrix(g, rows), expected)
+            assert _same_bits(build_operator(sd, 1.0 + sigma).op_matrix, -expected)
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_integer_odd_orders_unchanged(self, graphs, m):
+        for g in graphs.values():
+            lap = scipy.sparse.csr_array(g.laplacian_matrix())
+            inner = -_full_product_divergence(g, scipy.sparse.eye_array(g.n, format="csr"))
+            for _ in range(m // 2):
+                inner = lap @ (inner @ lap)
+            assert _same_bits(build_operator(decompose(g), float(m)).op_matrix,
+                              inner.toarray())
+
+    @pytest.mark.parametrize("s", [1.5, 3.5])
+    def test_zero_beyond_its_hops(self, graphs, s):
+        # -div(P grad) couples pairs at most two hops apart, and each of the
+        # m // 2 Laplacian factors on either side adds one hop
+        hops = split_exponent(s)[1] + 1
+        beyond = 0
+        for g in graphs.values():
+            near = np.eye(g.n) + (g.weights > 0)
+            reach = np.linalg.matrix_power(near, hops) > 0
+            beyond += np.count_nonzero(~reach)
+            assert np.all(build_operator(decompose(g), s).op_matrix[~reach] == 0.0)
+        assert beyond > 0
+
+
+class TestScale:
+    """Every exponent regime on one graph at the README's scale, n = 1000."""
+
+    @pytest.fixture(scope="class")
+    def sd1000(self, random_connected):
+        return decompose(random_connected(np.random.default_rng(1000), 1000))
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, 2.5])
+    def test_eigen_relation(self, sd1000, s):
+        op = build_operator(sd1000, s)
+        scale = sd1000.lambdas[-1] ** s
+        for i in (1, sd1000.n // 2, sd1000.n - 1):
+            phi = sd1000.phis[:, i]
+            r = op.op_matrix @ phi - sd1000.lambdas[i] ** s * phi
+            assert np.max(np.abs(r)) <= 1e-10 * scale * np.max(np.abs(phi))
+
+    def test_odd_order_self_adjoint_positive_semidefinite(self, sd1000):
+        g = sd1000.graph
+        a = build_operator(sd1000, 1.5).op_matrix
+        scale = np.max(np.abs(a).sum(axis=1))
+        form = g.mu[:, None] * a
+        assert np.max(np.abs(form - form.T)) <= 1e-12 * scale * np.max(g.mu)
+        assert np.max(np.abs(a.sum(axis=1))) <= 1e-12 * scale
+        u = np.random.default_rng(1).standard_normal(g.n)
+        assert mu_inner(g, u, a @ u) >= 0.0
 
 
 class TestFracApply:

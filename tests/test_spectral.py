@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fraclap.graph import build_graph, laplacian_apply, mu_inner
-from fraclap.spectral import decompose, heat_apply, heat_kernel
+from fraclap.spectral import ZERO_EIGENVALUE_REL, decompose, heat_apply, heat_kernel
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -61,6 +61,37 @@ class TestDecompose:
                 col = sd.phis[:, i]
                 nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
                 assert col[nz[0]] > 0
+
+
+def _dense_decompose(g):
+    """decompose with every intermediate a dense n x n array: the reference
+    for the edge-pattern assembly, which must give the same bits."""
+    d = g.weights.sum(axis=1)
+    root_mu = np.sqrt(g.mu)
+    sym = (np.diag(d) - g.weights) / root_mu[:, None] / root_mu[None, :]
+    sym = 0.5 * (sym + sym.T)
+    lam, q = np.linalg.eigh(sym)
+    lam = np.where(lam < ZERO_EIGENVALUE_REL * max(1.0, float(lam[-1])), 0.0, lam)
+    phis = q / root_mu[:, None]
+    mag = np.abs(phis)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = phis[first, np.arange(phis.shape[1])] < 0
+    phis[:, flip] = -phis[:, flip]
+    return lam, phis
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestDecomposeBits:
+    def test_matches_dense_assembly(self, all_graphs, random_connected):
+        graphs = [*all_graphs.values(), random_connected(np.random.default_rng(300), 300)]
+        for g in graphs:
+            sd = decompose(g)
+            lam, phis = _dense_decompose(g)
+            assert _same_bits(sd.lambdas, lam)
+            assert _same_bits(sd.phis, phis)
 
 
 class TestHeatKernel:
