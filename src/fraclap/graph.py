@@ -64,16 +64,23 @@ class Graph:
         """The edge pattern from one scan of ``weights``, computed on first
         access: row and column indices of the nonzero weights in row-major
         order, the weights there, and the weighted degrees
-        ``weights.sum(axis=1)``."""
-        rows, cols = np.nonzero(self.weights)
-        return rows, cols, self.weights[rows, cols], self.weights.sum(axis=1)
+        ``weights.sum(axis=1)``, all read-only.
+
+        The indices are int32, the index type scipy gives a matrix of this
+        size, so the sparse matrices built from them keep int32 indices.
+        """
+        rows, cols = (i.astype(np.int32) for i in np.nonzero(self.weights))
+        pattern = rows, cols, self.weights[rows, cols], self.weights.sum(axis=1)
+        for arr in pattern:
+            arr.setflags(write=False)
+        return pattern
 
     @cached_property
     def sparse_laplacian(self):
         """laplacian_matrix() as a CSR array, entry for entry, built on the
         edge pattern on first access and read-only."""
         rows, cols, w, d = self.edge_pattern
-        diag = np.arange(self.n)
+        diag = np.arange(self.n, dtype=np.int32)
         return _read_only_csr(
             np.concatenate(((0.0 - w) / self.mu[rows], d / self.mu)),
             np.concatenate((rows, diag)), np.concatenate((cols, diag)), self.n,

@@ -66,6 +66,17 @@ def make_random_connected(rng, n, extra_per_vertex=2):
     return build_graph(verts, edges)
 
 
+def make_complete(rng, n):
+    """The complete graph on n vertices, mu and w uniform on [0.5, 2]."""
+    verts = [(f"v{i}", float(m)) for i, m in enumerate(rng.uniform(0.5, 2.0, n))]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = [
+        (f"v{a}", f"v{b}", float(w))
+        for (a, b), w in zip(pairs, rng.uniform(0.5, 2.0, len(pairs)))
+    ]
+    return build_graph(verts, edges)
+
+
 @pytest.fixture(scope="session")
 def p2():
     return make_p2()
@@ -94,6 +105,11 @@ def all_graphs(p2, k3, path10, er20):
 @pytest.fixture(scope="session")
 def random_connected():
     return make_random_connected
+
+
+@pytest.fixture(scope="session")
+def complete():
+    return make_complete
 
 
 @pytest.fixture(scope="session")

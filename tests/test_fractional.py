@@ -11,6 +11,8 @@ from scipy.special import gamma
 from fraclap.errors import InvalidExponent, QuadratureError
 from fraclap.fractional import (
     _componentwise_divergence_matrix,
+    _gathering_pays,
+    _products_on_pattern,
     _sigma_factor,
     build_operator,
     dirichlet_energy,
@@ -300,20 +302,40 @@ def _same_bits(a, b):
 
 
 class TestOddOrderBits:
-    """The odd-order factor gathers only the entries of P c and c^T (M P)
-    on the pattern of c, and changes no bit, signed zeros included."""
+    """The odd-order factor, whether it gathers the entries of P c and
+    c^T (M P) on the pattern of c or forms the whole products, gives the
+    bits of the whole products, signed zeros included."""
 
     @pytest.fixture(scope="class")
-    def graphs(self, er20, random_connected):
+    def graphs(self, er20, random_connected, complete):
         return {
             "er20": er20,
             "n300": random_connected(np.random.default_rng(300), 300),
             "path60": random_connected(np.random.default_rng(60), 60, extra_per_vertex=0),
+            "k30": complete(np.random.default_rng(30), 30),
         }
 
+    def test_route_follows_degree(self, graphs):
+        # the full products on the complete graph and the small ones, the
+        # gathers on the sparse graph large enough for them to pay
+        routes = {name: _gathering_pays(g.sparse_gradient_coeff) for name, g in graphs.items()}
+        assert routes == {"er20": False, "n300": True, "path60": False, "k30": False}
+
+    def test_gathered_products_match_full_products(self, graphs, random_connected):
+        # every graph here is split into several blocks of n^2 / 16 terms,
+        # down to one entry per block on the complete graph
+        graphs = dict(graphs, n500=random_connected(np.random.default_rng(500), 500, 5))
+        for g in graphs.values():
+            c, mu = g.sparse_gradient_coeff, g.mu
+            p = np.random.default_rng(g.n).standard_normal((g.n, g.n))
+            cpc, cb = _products_on_pattern(c, p, mu)
+            assert _same_bits(cpc.toarray(), c.multiply(p @ c).toarray())
+            b = c.T @ (scipy.sparse.diags_array(mu) @ p)
+            assert _same_bits(cb.toarray(), c.T.multiply(b).toarray())
+
     @pytest.mark.parametrize("sigma", [0.25, 0.5])
-    def test_gathered_divergence_matches_full_products(self, graphs, sigma):
-        for name in ("er20", "n300"):
+    def test_divergence_matches_full_products(self, graphs, sigma):
+        for name in ("er20", "n300", "k30"):
             g = graphs[name]
             sd = decompose(g)
             _, rows = _sigma_factor(sd, sigma)

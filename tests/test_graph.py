@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -170,8 +171,15 @@ class TestCachedSparseMatrices:
             assert getattr(g, name) is a
             assert np.array_equal(a.toarray(), dense(g))
             assert a.nnz == np.count_nonzero(dense(g))
+            # the index type the conversion of the dense matrix picks
+            ref = scipy.sparse.csr_array(dense(g))
+            assert (a.indices.dtype, a.indptr.dtype) == (ref.indices.dtype, ref.indptr.dtype)
             for arr in (a.data, a.indices, a.indptr):
                 assert not arr.flags.writeable
+
+    def test_edge_pattern_read_only(self, er20):
+        for arr in er20.edge_pattern:
+            assert not arr.flags.writeable
 
 
 class TestGradientField:
