@@ -9,8 +9,8 @@ Every s > 0 is split as s = sigma + m with sigma in [0, 1) and integer m >= 0,
 and the operator is the sigma-order factor K sandwiched by the order-m map.
 With k = m // 2 and L = -Delta it is L^k K L^k for even m and
 -L^k div(K grad) L^k for odd m, where K acts componentwise on gradient fields.
-For integer s the sigma factor is the identity, so the operator is built from
-sparse Laplacian products alone and equals the spectral power up to round-off.
+For integer s the operator is the Laplacian power L^m, built from sparse
+Laplacian products alone, and equals the spectral power up to round-off.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class FractionalOperator:
 def split_exponent(s):
     """Split s > 0 into (sigma, m) with s = sigma + m, sigma in [0, 1).
 
-    Integer s returns sigma == 0.0, which selects the identity sigma factor.
+    Integer s returns sigma == 0.0; its operator is the Laplacian power L^m.
     """
     s = float(s)
     if not math.isfinite(s) or s <= 0:
@@ -129,24 +129,21 @@ def _operator_from_kernel(g, kernel):
     return rows
 
 
-def _sigma_factor(sd, sigma):
-    """The kernel of the sigma-order factor and the operator rows built
-    from it, read-only and computed once for all operators on sd with this
-    sigma.
+def _sigma_factor(sd, name, sigma, build):
+    """The read-only array ``name`` ("kernel", or the operator "rows") of the
+    sigma-order factor, built by build() once for all operators on sd with
+    this sigma.
 
-    The memo on sd holds them weakly, so each lives only while some operator
+    The memo on sd holds it weakly, so it lives only while some operator
     holds it (as its kernel, or as its op_matrix when m == 0): a sweep over
     sigma pins no array that the operators do not.
     """
     memo = sd.sigma_factors
-    kernel = memo.get(("kernel", sigma))
-    if kernel is None:
-        kernel = memo[("kernel", sigma)] = spectral_kernel(sd, sigma)
-    rows = memo.get(("rows", sigma))
-    if rows is None:
-        rows = memo[("rows", sigma)] = _operator_from_kernel(sd.graph, kernel)
-        rows.setflags(write=False)
-    return kernel, rows
+    value = memo.get((name, sigma))
+    if value is None:
+        value = memo[(name, sigma)] = build()
+        value.setflags(write=False)
+    return value
 
 
 def _laplacian_sandwich(g, inner, k):
@@ -160,90 +157,46 @@ def _laplacian_sandwich(g, inner, k):
     return inner.toarray() if scipy.sparse.issparse(inner) else inner
 
 
-def _componentwise_divergence_matrix(g, p):
-    """Matrix of u -> div(P . grad u) with P applied to each global
-    component, dense or sparse like P.
+def _odd_order_factor(g, kernel):
+    """The positive odd-order factor A = -div(P grad) as a dense array, with
+    P the sigma-order factor of the kernel K applied to each global component.
 
     The gradient field of u has components f_y(x) = c(x, y)(u(x) - u(y)) with
-    c = sqrt(w/(2 mu)); P acts on each component function f_y, and the
-    divergence is the negative adjoint of the gradient. Only the entries of
-    P c and c^T (M P) on the pattern of c enter (M = diag(mu)), and the
-    result is supported on pairs at most two hops apart.
+    c = sqrt(w/(2 mu)), and the divergence is the negative adjoint of the
+    gradient. P is mu-self-adjoint: M P = S = diag(r) - K with r = K 1 and
+    M = diag(mu). So the energy form of A is symmetric,
 
-    The two full products cost about 2 n nnz(c) multiply-adds. For a dense P
-    on a graph of low degree it is cheaper to gather just the entries on the
-    pattern, sum_y deg(y)^2 terms (O(nnz deg)); on dense or hub-heavy graphs
-    the full products are cheaper. Both routes give the same bits, and the
-    degrees choose between them.
+        M A = S o (c c^T) - Q - Q^T + diag(1^T Q),    Q = c o (S c),
+
+    with o the entrywise product, and A couples pairs at most two hops apart.
+    S c = r o c - K c is the one product with c, O(n nnz(c)), formed as
+    (c^T K)^T on the C-ordered symmetric K, and is read on the pattern of c.
     """
-    mu = g.mu
     c = g.sparse_gradient_coeff
-    if scipy.sparse.issparse(p) or not _gathering_pays(c):
-        cpc = c.multiply(p @ c)
-        cb = c.T.multiply(c.T @ (scipy.sparse.diags_array(mu) @ p))
-    else:
-        cpc, cb = _products_on_pattern(c, p, mu)
-    own = (c @ c.T).multiply(p) - cpc
-    incoming = cb - scipy.sparse.diags_array(cpc.T @ mu)
-    div = incoming / mu[:, None] - own
-    return div if scipy.sparse.issparse(p) else div.toarray()
-
-
-def _gathering_pays(c):
-    # c has the symmetric edge pattern, so its row counts are the degrees.
-    # Measured at n = 1000 on two cores, a gathered term costs about 60 ns
-    # and the two full products about 2 ns per unit of n nnz(c), so gather
-    # while there are at most n nnz(c) / 32 terms.
-    deg = np.diff(c.indptr).astype(np.int64)
-    return 32 * np.dot(deg, deg) <= c.shape[0] * c.nnz
-
-
-def _products_on_pattern(c, p, mu):
-    """c * (P c) and c^T * (c^T (M P)), elementwise on the patterns of c and
-    c^T, for a dense P: the parts of the two products the divergence reads.
-
-    For each stored (x, y) of c, the sums run over the stored z of column y
-    in ascending order, added forward from zero as the sparse-dense product
-    adds them, and keep its parenthesization c (M P), so every entry is the
-    one the full products hold there. The terms are taken in blocks of whole
-    entries, at most about n^2 / 16 terms each, so their arrays stay below
-    half an n x n array whatever the degrees.
-    """
-    coo = c.tocoo()
-    x, y = coo.coords
-    col = c.tocsc()  # column y: the stored z ascending, with values c[z, y]
-    count = np.diff(col.indptr)[y]
-    end = np.cumsum(count)  # one past the last term of each entry
-    budget = max(c.shape[0] ** 2 // 16, 1)
-    pc, b = np.empty(c.nnz), np.empty(c.nnz)
-    lo = 0
-    while lo < c.nnz:
-        # the entries from lo whose terms fit the budget, at least one
-        hi = int(np.searchsorted(end, end[lo] - count[lo] + budget, side="right"))
-        hi = max(hi, lo + 1)
-        cnt = count[lo:hi]
-        entry = np.repeat(np.arange(hi - lo), cnt)  # the (x, y) each term adds to
-        first = np.cumsum(cnt) - cnt  # the first term of each entry
-        k = np.arange(entry.size) + np.repeat(col.indptr[y[lo:hi]] - first, cnt)
-        z, czy, xs = col.indices[k], col.data[k], x[lo:hi][entry]
-        pc[lo:hi] = np.bincount(entry, weights=czy * p[xs, z], minlength=hi - lo)
-        b[lo:hi] = np.bincount(entry, weights=czy * (mu[z] * p[z, xs]), minlength=hi - lo)
-        lo = hi
-    cpc = scipy.sparse.coo_array((coo.data * pc, (x, y)), shape=c.shape)
-    cb = scipy.sparse.coo_array((coo.data * b, (y, x)), shape=c.shape)
-    return cpc, cb
+    r = kernel.sum(axis=1)
+    edges = c.tocoo()
+    x, y = edges.coords
+    q = edges.data * (r[x] * edges.data - (c.T @ kernel)[y, x])
+    cc = (c @ c.T).tocoo()
+    form = np.zeros(c.shape)
+    form[cc.coords] = cc.data * -kernel[cc.coords]  # -(K o c c^T); K has a zero diagonal
+    form[x, y] -= q
+    form[y, x] -= q
+    form[np.diag_indices(g.n)] += r * cc.diagonal() + np.bincount(y, q, minlength=g.n)
+    form /= g.mu[:, None]
+    return form
 
 
 def build_operator(sd, s):
     """Assemble the fractional Laplacian at exponent s = sigma + m > 0.
 
-    The sigma factor K is the kernel assembly (rows of the nonlocal
-    difference operator) for sigma in (0, 1), shared by every operator on sd
-    with the same sigma, and a sparse identity for integer s. With
-    k = m // 2 and L = -Delta, even m composes through
-    functions, L^k K L^k, and odd m routes through gradient fields,
-    -L^k div(K grad) L^k. Integer s is thus built from sparse Laplacian
-    products and equals the spectral power up to round-off.
+    With k = m // 2 and L = -Delta, even m composes through functions,
+    L^k K L^k, and odd m routes through gradient fields, -L^k div(K grad) L^k.
+    For sigma in (0, 1) the sigma factor K is the kernel assembly (rows of
+    the nonlocal difference operator), and the kernel is shared by every
+    operator on sd with the same sigma; odd m reads the kernel alone. Integer
+    s is the Laplacian power L^m, built from sparse Laplacian products, and
+    equals the spectral power up to round-off.
 
     The spectral power and its gap to the assembled operator are computed on
     first access (``power_matrix``, ``power_mismatch``); for non-integer s
@@ -264,12 +217,13 @@ def build_operator(sd, s):
     g = sd.graph
     if sigma == 0.0:
         kernel = None
-        inner = scipy.sparse.eye_array(g.n, format="csr")
+        inner = g.sparse_laplacian if m % 2 else scipy.sparse.eye_array(g.n, format="csr")
     else:
-        kernel, inner = _sigma_factor(sd, sigma)
-    if m % 2:
-        inner = _componentwise_divergence_matrix(g, inner)
-        inner *= -1.0  # in place: the dense zeros off the pattern become -0.0
+        kernel = _sigma_factor(sd, "kernel", sigma, lambda: spectral_kernel(sd, sigma))
+        if m % 2:
+            inner = _odd_order_factor(g, kernel)
+        else:
+            inner = _sigma_factor(sd, "rows", sigma, lambda: _operator_from_kernel(g, kernel))
     op = _laplacian_sandwich(g, inner, m // 2)
     op.setflags(write=False)
     return FractionalOperator(

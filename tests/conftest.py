@@ -77,6 +77,13 @@ def make_complete(rng, n):
     return build_graph(verts, edges)
 
 
+def make_star(rng, n):
+    """The star on n vertices with hub v0, mu and w uniform on [0.5, 2]."""
+    verts = [(f"v{i}", float(m)) for i, m in enumerate(rng.uniform(0.5, 2.0, n))]
+    edges = [("v0", f"v{i}", float(w)) for i, w in enumerate(rng.uniform(0.5, 2.0, n - 1), 1)]
+    return build_graph(verts, edges)
+
+
 @pytest.fixture(scope="session")
 def p2():
     return make_p2()
@@ -110,6 +117,11 @@ def random_connected():
 @pytest.fixture(scope="session")
 def complete():
     return make_complete
+
+
+@pytest.fixture(scope="session")
+def star():
+    return make_star
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,7 @@ from scipy.special import gamma
 
 from fraclap.errors import InvalidExponent, QuadratureError
 from fraclap.fractional import (
-    _componentwise_divergence_matrix,
-    _gathering_pays,
-    _products_on_pattern,
-    _sigma_factor,
+    _odd_order_factor,
     build_operator,
     dirichlet_energy,
     frac_apply,
@@ -178,15 +175,33 @@ def _dense_assembly(sd, s):
     return kernel, -half @ div_p_grad @ half, power
 
 
+# every order on the sparse n = 150 graph, and the odd and integer orders on a
+# hub-heavy and a dense graph, whose degrees are far from the sparse graph's
+DENSE_FORMULA_CASES = [
+    pytest.param("n150", s, id=str(s)) for s in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.25)
+] + [
+    pytest.param(name, s, id=f"{name}-{s}") for name in ("star", "k30") for s in (1.0, 1.5, 3.5)
+]
+
+
 class TestAssemblyAtScale:
     @pytest.fixture(scope="class")
     def sd150(self, random_connected):
         return decompose(random_connected(np.random.default_rng(150), 150))
 
-    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.25])
-    def test_matches_dense_formulas(self, sd150, s):
-        op = build_operator(sd150, s)
-        kernel, expected, power = _dense_assembly(sd150, s)
+    @pytest.fixture(scope="class")
+    def decompositions(self, sd150, star, complete):
+        return {
+            "n150": sd150,
+            "star": decompose(star(np.random.default_rng(150), 150)),
+            "k30": decompose(complete(np.random.default_rng(30), 30)),
+        }
+
+    @pytest.mark.parametrize("name, s", DENSE_FORMULA_CASES)
+    def test_matches_dense_formulas(self, decompositions, name, s):
+        sd = decompositions[name]
+        op = build_operator(sd, s)
+        kernel, expected, power = _dense_assembly(sd, s)
         assert np.max(np.abs(op.op_matrix - expected)) <= 1e-11 * np.max(np.abs(expected))
         assert np.max(np.abs(op.power_matrix - power)) <= 1e-11 * np.max(np.abs(power))
         if kernel is None:
@@ -283,9 +298,9 @@ class TestSharedSigmaFactor:
 
 
 def _full_product_divergence(g, p):
-    """div(P . grad) with P c and c^T (M P) formed as whole products and c,
-    L converted from their dense matrices: the reference for the
-    edge-pattern assembly, which must give the same bits."""
+    """div(P . grad) with P c and c^T (M P) formed as whole products and c
+    converted from its dense matrix: the formula of the two halves of the
+    divergence, a round-off reference for the energy form."""
     mu = g.mu
     c = scipy.sparse.csr_array(_gradient_coeff(g))
     pc = p @ c
@@ -294,7 +309,20 @@ def _full_product_divergence(g, p):
     b = c.T @ (scipy.sparse.diags_array(mu) @ p)
     incoming = c.T.multiply(b) - scipy.sparse.diags_array(cpc.T @ mu)
     div = incoming / mu[:, None] - own
-    return div if scipy.sparse.issparse(p) else div.toarray()
+    return div.toarray()
+
+
+def _energy_form_factor(g, kernel):
+    """-div(P grad) for the sigma factor P of kernel K, as
+    M^-1 (S o (c c^T) - Q - Q^T + diag(1^T Q)) with Q = c o (S c),
+    S = diag(K 1) - K, whole products and c converted from its dense
+    matrix: the reference that pins the bits of the odd-order factor."""
+    c = scipy.sparse.csr_array(_gradient_coeff(g))
+    r = kernel.sum(axis=1)
+    q = c.multiply(r[:, None] * c.toarray() - kernel @ c)
+    cc = c @ c.T
+    form = np.diag(r * cc.diagonal() + q.sum(axis=0)) - (cc.multiply(kernel) + q + q.T).toarray()
+    return form / g.mu[:, None]
 
 
 def _same_bits(a, b):
@@ -302,56 +330,43 @@ def _same_bits(a, b):
 
 
 class TestOddOrderBits:
-    """The odd-order factor, whether it gathers the entries of P c and
-    c^T (M P) on the pattern of c or forms the whole products, gives the
-    bits of the whole products, signed zeros included."""
+    """The odd-order factor gives the bits of its energy form built from
+    whole products, and integer odd orders the bits of the sparse Laplacian
+    power, signed zeros included."""
 
     @pytest.fixture(scope="class")
-    def graphs(self, er20, random_connected, complete):
+    def graphs(self, er20, random_connected, complete, star):
         return {
             "er20": er20,
             "n300": random_connected(np.random.default_rng(300), 300),
             "path60": random_connected(np.random.default_rng(60), 60, extra_per_vertex=0),
             "k30": complete(np.random.default_rng(30), 30),
+            "star40": star(np.random.default_rng(40), 40),
         }
-
-    def test_route_follows_degree(self, graphs):
-        # the full products on the complete graph and the small ones, the
-        # gathers on the sparse graph large enough for them to pay
-        routes = {name: _gathering_pays(g.sparse_gradient_coeff) for name, g in graphs.items()}
-        assert routes == {"er20": False, "n300": True, "path60": False, "k30": False}
-
-    def test_gathered_products_match_full_products(self, graphs, random_connected):
-        # every graph here is split into several blocks of n^2 / 16 terms,
-        # down to one entry per block on the complete graph
-        graphs = dict(graphs, n500=random_connected(np.random.default_rng(500), 500, 5))
-        for g in graphs.values():
-            c, mu = g.sparse_gradient_coeff, g.mu
-            p = np.random.default_rng(g.n).standard_normal((g.n, g.n))
-            cpc, cb = _products_on_pattern(c, p, mu)
-            assert _same_bits(cpc.toarray(), c.multiply(p @ c).toarray())
-            b = c.T @ (scipy.sparse.diags_array(mu) @ p)
-            assert _same_bits(cb.toarray(), c.T.multiply(b).toarray())
 
     @pytest.mark.parametrize("sigma", [0.25, 0.5])
     def test_divergence_matches_full_products(self, graphs, sigma):
-        for name in ("er20", "n300", "k30"):
-            g = graphs[name]
+        for g in graphs.values():
             sd = decompose(g)
-            _, rows = _sigma_factor(sd, sigma)
-            expected = _full_product_divergence(g, rows)
-            assert _same_bits(_componentwise_divergence_matrix(g, rows), expected)
-            assert _same_bits(build_operator(sd, 1.0 + sigma).op_matrix, -expected)
+            op = build_operator(sd, 1.0 + sigma)
+            expected = _energy_form_factor(g, op.kernel)
+            assert _same_bits(_odd_order_factor(g, op.kernel), expected)
+            assert _same_bits(op.op_matrix, expected)
+            # the two halves of the divergence give the same operator up to
+            # round-off
+            rows = (np.diag(op.kernel.sum(axis=1)) - op.kernel) / g.mu[:, None]
+            halves = -_full_product_divergence(g, rows)
+            assert np.max(np.abs(op.op_matrix - halves)) <= 1e-14 * np.max(np.abs(halves))
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_integer_odd_orders_unchanged(self, graphs, m):
         for g in graphs.values():
             lap = scipy.sparse.csr_array(g.laplacian_matrix())
-            inner = -_full_product_divergence(g, scipy.sparse.eye_array(g.n, format="csr"))
+            power = lap
             for _ in range(m // 2):
-                inner = lap @ (inner @ lap)
+                power = lap @ (power @ lap)
             assert _same_bits(build_operator(decompose(g), float(m)).op_matrix,
-                              inner.toarray())
+                              power.toarray())
 
     @pytest.mark.parametrize("s", [1.5, 3.5])
     def test_zero_beyond_its_hops(self, graphs, s):
