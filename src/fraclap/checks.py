@@ -72,6 +72,8 @@ def poincare_constant(sd, s):
     mean-zero u; equals 1 / lambda_2^s on a connected graph."""
     if s <= 0:
         raise ValueError("s must be positive")
+    if sd.n < 2:
+        raise ValidationError(f"the Poincare constant needs at least 2 vertices, got {sd.n}")
     lam2 = float(sd.lambdas[1])
     if lam2 <= 0:
         raise ValueError("second eigenvalue vanished; graph not connected?")

@@ -22,6 +22,7 @@ from .checks import run_suite
 from .errors import (
     CertificateUnsolvable,
     FraclapError,
+    InvalidExponent,
     NotSolved,
     NumericalError,
     ThresholdIsMinusInfinity,
@@ -142,8 +143,7 @@ def _cmd_spectrum(args):
 def _cmd_kernel(args):
     g = _graph(args)
     if not 0.0 < args.s < 1.0:
-        log.error("kernel is defined for exponents in (0, 1); got %s", args.s)
-        return EXIT_USAGE
+        raise InvalidExponent(f"kernel is defined for exponents in (0, 1); got {args.s}")
     sd = decompose(g)
     if args.oracle:
         kernel = kernel_w_quadrature(sd, args.s, tol=args.tol)
@@ -336,7 +336,6 @@ def main(argv=None):
         log.error("numerical failure: %s: %s", type(exc).__name__, exc)
         return EXIT_NUMERICAL
     except (FraclapError, OSError, ValueError) as exc:
-        log.error("%s", exc)
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -25,7 +25,8 @@ from scipy.integrate import quad
 from scipy.special import gamma
 
 from .errors import InvalidExponent, QuadratureError
-from .graph import ALL_PAIRS, PairwiseField, as_function, gradient_field, mu_inner
+from .graph import (ALL_PAIRS, PairwiseField, as_function, gradient_field,
+                    iterated_laplacian, mu_inner)
 from .spectral import SpectralDecomposition, gram
 
 
@@ -241,9 +242,8 @@ def _order_m_columns(op, u):
     (k = m // 2) as one column for even m, the n components of its gradient
     field for odd m."""
     g = op.graph
-    f = as_function(g, u)
-    for _ in range(op.m // 2):
-        f = -(g.sparse_laplacian @ f)
+    k = op.m // 2
+    f = iterated_laplacian(g, u, k) if k else as_function(g, u)
     return gradient_field(g, f).entries if op.m % 2 else f[:, None]
 
 

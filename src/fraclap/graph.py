@@ -4,6 +4,9 @@ A graph is a quadruple (V, E, mu, w): vertices with a positive measure mu,
 undirected edges with positive symmetric weights w. All vectors and matrices
 index against the vertex order of the input document; that order is part of
 the external contract.
+
+The weight matrix is the input document's. Every Laplacian and gradient
+coefficient comes from the CSR arrays built on its edge pattern.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ class Graph:
     mu : ndarray (n,)
         Positive vertex measures.
     weights : ndarray (n, n)
-        Symmetric edge-weight matrix, zero diagonal, zero for non-edges.
+        The input document's symmetric edge-weight matrix, zero diagonal,
+        zero for non-edges. Only ``edge_pattern`` reads it.
     """
 
     ids: tuple
@@ -55,9 +59,8 @@ class Graph:
         return float(self.mu.sum())
 
     def laplacian_matrix(self):
-        """Matrix of the positive operator u -> -(Delta)u."""
-        d = self.weights.sum(axis=1)
-        return (np.diag(d) - self.weights) / self.mu[:, None]
+        """Matrix of the positive operator u -> -(Delta)u, ``sparse_laplacian`` as an array."""
+        return self.sparse_laplacian.toarray()
 
     @cached_property
     def edge_pattern(self):
@@ -77,8 +80,8 @@ class Graph:
 
     @cached_property
     def sparse_laplacian(self):
-        """laplacian_matrix() as a CSR array, entry for entry, built on the
-        edge pattern on first access and read-only."""
+        """The positive Laplacian (diag(d) - w) / mu as a CSR array, built on
+        the edge pattern on first access and read-only."""
         rows, cols, w, d = self.edge_pattern
         diag = np.arange(self.n, dtype=np.int32)
         return _read_only_csr(
@@ -278,9 +281,7 @@ def mu_inner(g, u, v):
 
 def laplacian_apply(g, u):
     """Apply the positive Laplacian: result(x) = (1/mu) sum_{y~x} w_xy (u(x)-u(y))."""
-    u = as_function(g, u)
-    d = g.weights.sum(axis=1)
-    return (d * u - g.weights @ u) / g.mu
+    return g.sparse_laplacian @ as_function(g, u)
 
 
 def iterated_laplacian(g, u, m):
@@ -289,19 +290,14 @@ def iterated_laplacian(g, u, m):
         raise ValueError("m must be a positive integer")
     v = as_function(g, u)
     for _ in range(int(m)):
-        v = -laplacian_apply(g, v)
+        v = -(g.sparse_laplacian @ v)
     return v
-
-
-def _gradient_coeff(g):
-    # sqrt(w_xy / (2 mu_x)) on edges, zero elsewhere; rows scale by source measure
-    return np.sqrt(g.weights / (2.0 * g.mu[:, None]))
 
 
 def gradient_field(g, u):
     """Gradient of u as a pairwise field: F(x,y) = sqrt(w_xy/(2 mu_x)) (u(x)-u(y))."""
     u = as_function(g, u)
-    coeff = _gradient_coeff(g)
+    coeff = g.sparse_gradient_coeff.toarray()
     entries = coeff * (u[:, None] - u[None, :])
     return PairwiseField(entries=entries, support=ADJACENCY)
 
@@ -322,7 +318,7 @@ def divergence(g, F):
     divergence(gradient(u)) == Delta u.
     """
     fe = _field_entries(g, F)
-    coeff = _gradient_coeff(g)
+    coeff = g.sparse_gradient_coeff.toarray()
     own = (coeff * fe).sum(axis=1)
     incoming = (g.mu[:, None] * coeff * fe).sum(axis=0)
     return -(g.mu * own - incoming) / g.mu

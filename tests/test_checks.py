@@ -45,6 +45,11 @@ class TestPoincareConstant:
             rhs = c_p * mu_inner(er20, u, op.op_matrix @ u)
             assert lhs <= rhs * (1.0 + 1e-9)
 
+    def test_one_vertex_is_a_validation_error(self):
+        sd = decompose(build_graph([("a", 1.0)], []))
+        with pytest.raises(ValidationError, match="at least 2 vertices"):
+            poincare_constant(sd, 0.5)
+
 
 class TestTrudingerMoser:
     def test_p2_bound_value(self, p2):
@@ -56,6 +61,11 @@ class TestTrudingerMoser:
         sd = decompose(p2)
         assert trudinger_moser_bound(p2, sd, 0.5, -1.0) == p2.volume
         assert trudinger_moser_bound(p2, sd, 0.5, 0.0) == p2.volume
+
+    def test_one_vertex_is_a_validation_error(self):
+        g = build_graph([("a", 1.0)], [])
+        with pytest.raises(ValidationError, match="at least 2 vertices"):
+            trudinger_moser_bound(g, decompose(g), 0.5, 1.0)
 
     def test_second_mode_sits_below_bound(self, p2):
         sd = decompose(p2)

@@ -448,6 +448,25 @@ class TestProcessInvocation:
         ]
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--graph", "{tmp}/missing.json"],
+         "No such file or directory: '{tmp}/missing.json'"),
+        (["apply", "--graph", "{p2}", "--s", "-1", "--input", "{u}"],
+         "exponent must be a positive real, got -1.0"),
+        (["kernel", "--graph", "{p2}", "--s", "1.5"],
+         "kernel is defined for exponents in (0, 1); got 1.5"),
+    ], ids=["missing-file", "apply-negative-s", "kernel-s-above-one"])
+    def test_usage_error_printed_once(self, p2_file, tmp_path, isolated_cli, argv, message):
+        paths = {"p2": p2_file, "u": fn_file(tmp_path, "u.json", {"x1": 1.0, "x2": -1.0}),
+                 "tmp": str(tmp_path)}
+        code, out, err = isolated_cli([a.format(**paths) for a in argv])
+        assert code == 1
+        assert out == ""
+        # one line, in the one format every usage error shares
+        assert err.count(message.format(**paths)) == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
 
 class TestInvalidNumericFlags:
     """Non-finite or out-of-range numeric flags end in exit 1 with a message,

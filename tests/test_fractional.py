@@ -20,7 +20,16 @@ from fraclap.fractional import (
     limit_residuals,
     split_exponent,
 )
-from fraclap.graph import PairwiseField, _gradient_coeff, build_graph, integral, mu_inner
+from fraclap.graph import (
+    PairwiseField,
+    build_graph,
+    divergence,
+    gradient_field,
+    integral,
+    iterated_laplacian,
+    laplacian_apply,
+    mu_inner,
+)
 from fraclap.spectral import decompose
 
 SQRT2 = math.sqrt(2.0)
@@ -28,6 +37,17 @@ SQRT2 = math.sqrt(2.0)
 
 def lam_pow(lam, s):
     return np.where(lam > 0, np.where(lam > 0, lam, 1.0) ** s, 0.0)
+
+
+def _dense_laplacian(g):
+    # the positive Laplacian from the dense weight matrix, independent of the
+    # edge-pattern matrices the package builds
+    return (np.diag(g.weights.sum(axis=1)) - g.weights) / g.mu[:, None]
+
+
+def _dense_gradient_coeff(g):
+    # sqrt(w_xy / (2 mu_x)) from the dense weight matrix, zero off the edges
+    return np.sqrt(g.weights / (2.0 * g.mu[:, None]))
 
 
 class TestSplitExponent:
@@ -160,13 +180,13 @@ def _dense_assembly(sd, s):
     kernel = 0.5 * (kernel + kernel.T)
     np.fill_diagonal(kernel, 0.0)
     p = (np.diag(kernel.sum(axis=1)) - kernel) / mu[:, None]
-    lap = g.laplacian_matrix()
+    lap = _dense_laplacian(g)
     if m == 0:
         return kernel, p, power
     if m % 2 == 0:
         half = np.linalg.matrix_power(lap, m // 2)
         return kernel, half @ p @ half, power
-    c = np.sqrt(g.weights / (2.0 * mu[:, None]))
+    c = _dense_gradient_coeff(g)
     pc = p @ c
     own = p * (c @ c.T) - c * pc
     incoming = ((mu[:, None] * c).T @ p) * c.T - np.diag((mu[:, None] * c * pc).sum(axis=0))
@@ -302,7 +322,7 @@ def _full_product_divergence(g, p):
     converted from its dense matrix: the formula of the two halves of the
     divergence, a round-off reference for the energy form."""
     mu = g.mu
-    c = scipy.sparse.csr_array(_gradient_coeff(g))
+    c = scipy.sparse.csr_array(_dense_gradient_coeff(g))
     pc = p @ c
     cpc = c.multiply(pc)
     own = (c @ c.T).multiply(p) - cpc
@@ -317,7 +337,7 @@ def _energy_form_factor(g, kernel):
     M^-1 (S o (c c^T) - Q - Q^T + diag(1^T Q)) with Q = c o (S c),
     S = diag(K 1) - K, whole products and c converted from its dense
     matrix: the reference that pins the bits of the odd-order factor."""
-    c = scipy.sparse.csr_array(_gradient_coeff(g))
+    c = scipy.sparse.csr_array(_dense_gradient_coeff(g))
     r = kernel.sum(axis=1)
     q = c.multiply(r[:, None] * c.toarray() - kernel @ c)
     cc = c @ c.T
@@ -361,7 +381,7 @@ class TestOddOrderBits:
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_integer_odd_orders_unchanged(self, graphs, m):
         for g in graphs.values():
-            lap = scipy.sparse.csr_array(g.laplacian_matrix())
+            lap = scipy.sparse.csr_array(_dense_laplacian(g))
             power = lap
             for _ in range(m // 2):
                 power = lap @ (power @ lap)
@@ -407,6 +427,27 @@ class TestScale:
         assert np.max(np.abs(a.sum(axis=1))) <= 1e-12 * scale
         u = np.random.default_rng(1).standard_normal(g.n)
         assert mu_inner(g, u, a @ u) >= 0.0
+
+    def test_divergence_of_gradient(self, sd1000):
+        g = sd1000.graph
+        u = np.random.default_rng(2).standard_normal(g.n)
+        lu = laplacian_apply(g, u)
+        got = divergence(g, gradient_field(g, u))
+        assert np.max(np.abs(got + lu)) <= 1e-13 * np.max(np.abs(lu))
+
+    def test_laplacian_apply_matches_matrix(self, sd1000):
+        g = sd1000.graph
+        u = np.random.default_rng(3).standard_normal(g.n)
+        want = g.laplacian_matrix() @ u
+        assert np.max(np.abs(laplacian_apply(g, u) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_iterated_laplacian_eigen_relation(self, sd1000):
+        g = sd1000.graph
+        scale = sd1000.lambdas[-1] ** 2
+        for i in (1, g.n // 2, g.n - 1):
+            phi = sd1000.phis[:, i]
+            r = iterated_laplacian(g, phi, 2) - sd1000.lambdas[i] ** 2 * phi
+            assert np.max(np.abs(r)) <= 1e-12 * scale * np.max(np.abs(phi))
 
 
 class TestFracApply:

@@ -16,7 +16,6 @@ from fraclap.errors import (
 )
 from fraclap.graph import (
     PairwiseField,
-    _gradient_coeff,
     build_graph,
     divergence,
     function_document,
@@ -160,10 +159,22 @@ class TestLaplacian:
         assert np.allclose(out, [2.0, -1.0, -1.0])
 
 
+def dense_laplacian(g):
+    """The positive Laplacian from the dense weight matrix: the reference
+    formula for the edge-pattern matrices."""
+    return (np.diag(g.weights.sum(axis=1)) - g.weights) / g.mu[:, None]
+
+
+def dense_gradient_coeff(g):
+    """The gradient coefficients sqrt(w_xy / (2 mu_x)) from the dense weight
+    matrix: the reference formula for the edge-pattern matrices."""
+    return np.sqrt(g.weights / (2.0 * g.mu[:, None]))
+
+
 class TestCachedSparseMatrices:
     @pytest.mark.parametrize("name,dense", [
-        ("sparse_laplacian", lambda g: g.laplacian_matrix()),
-        ("sparse_gradient_coeff", _gradient_coeff),
+        ("sparse_laplacian", dense_laplacian),
+        ("sparse_gradient_coeff", dense_gradient_coeff),
     ])
     def test_bit_identical_cached_and_read_only(self, all_graphs, name, dense):
         for g in all_graphs.values():
@@ -176,6 +187,16 @@ class TestCachedSparseMatrices:
             assert (a.indices.dtype, a.indptr.dtype) == (ref.indices.dtype, ref.indptr.dtype)
             for arr in (a.data, a.indices, a.indptr):
                 assert not arr.flags.writeable
+
+    def test_dense_views_match_dense_formulas(self, all_graphs):
+        rng = np.random.default_rng(5)
+        for g in all_graphs.values():
+            u = rng.standard_normal(g.n)
+            assert np.array_equal(g.laplacian_matrix(), dense_laplacian(g))
+            assert np.array_equal(gradient_field(g, u).entries,
+                                  dense_gradient_coeff(g) * (u[:, None] - u[None, :]))
+            want = dense_laplacian(g) @ u
+            assert np.max(np.abs(laplacian_apply(g, u) - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_edge_pattern_read_only(self, er20):
         for arr in er20.edge_pattern:
