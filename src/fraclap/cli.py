@@ -4,15 +4,18 @@ poisson, check.
 All numeric output is serialized with 17 significant digits so every emitted
 double round-trips losslessly. Exit codes: 0 ok, 1 usage or parse error,
 2 certificate-unsolvable, 3 search failure, 4 numerical failure.
+stdout carries only JSON. Exits 1, 3 and 4 write one stderr line each:
+``error: <message>``, ``error: search failure: <message>`` and ``error:
+numerical failure: <Type>: <message>``; a failed ``check`` writes ``error:
+check failed: <name> measured=<m> tol=<t>`` per failed entry. Exits 0 and 2
+write only the integer-order ``warning:`` line, if any.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,8 +33,6 @@ from .errors import (
 from .fractional import build_operator, frac_apply, kernel_w_quadrature, split_exponent
 from .graph import function_document, load_function, load_graph
 from .spectral import decompose, heat_apply
-
-log = logging.getLogger("fraclap")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,6 +116,11 @@ def _emit(args, payload):
     else:
         sys.stdout.write(text)
         sys.stdout.write("\n")
+
+
+def _error(message):
+    # the one stderr writer for exits 1, 3 and 4 once the arguments parsed
+    sys.stderr.write(f"error: {message}\n")
 
 
 def _read(path):
@@ -206,8 +212,7 @@ def _cmd_kw(args):
     try:
         report = kw.solve(problem, opts)
     except CertificateUnsolvable as exc:
-        _emit(args, {"solution": None, "residual_inf": None, "method": "screen",
-                     "iterations": 0, "energy": None, "verdict": exc.verdict.to_dict()})
+        _emit(args, kw.SolveReport(None, None, "screen", 0, None, exc.verdict).to_dict(g))
         return EXIT_CERTIFICATE_UNSOLVABLE
     _emit(args, report.to_dict(g))
     return EXIT_OK
@@ -236,12 +241,10 @@ def _cmd_check(args):
     s_list = args.s if args.s else [0.5]
     report = run_suite(g, s_list=s_list, seed=args.seed)
     _emit(args, report.to_dict())
-    if not report.passed:
-        for entry in report.failures:
-            log.error("check failed: %s measured=%g tol=%g", entry.name,
-                      entry.measured, entry.tolerance)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    for entry in report.failures:
+        _error(f"check failed: {entry.name} measured={entry.measured:g} "
+               f"tol={entry.tolerance:g}")
+    return EXIT_OK if report.passed else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +314,7 @@ def build_parser():
     return parser
 
 
-def _configure_logging():
-    level_name = os.environ.get("FRACLAP_LOG", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(level_name, logging.ERROR)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv=None):
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -329,14 +323,14 @@ def main(argv=None):
     try:
         return args.handler(args)
     except NotSolved as exc:
-        log.error("search failure: %s", exc)
+        _error(f"search failure: {exc}")
         return EXIT_SEARCH_FAILURE
     except (NumericalError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # stray floating-point and LAPACK failures share NumericalError's exit
-        log.error("numerical failure: %s: %s", type(exc).__name__, exc)
+        _error(f"numerical failure: {type(exc).__name__}: {exc}")
         return EXIT_NUMERICAL
     except (FraclapError, OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _error(exc)
         return EXIT_USAGE
 
 

@@ -34,6 +34,13 @@ def make_weighted_path(n=10, seed=3):
     return build_graph(verts, edges)
 
 
+def make_unit_path(n):
+    """The path on n vertices with unit measure and unit weights."""
+    verts = [(f"p{i}", 1.0) for i in range(n)]
+    edges = [(f"p{i}", f"p{i + 1}", 1.0) for i in range(n - 1)]
+    return build_graph(verts, edges)
+
+
 def make_er20(seed=0, n=20, p=0.25):
     # seed 0 gives a connected draw; keep it pinned for reproducibility
     rng = np.random.default_rng(seed)
@@ -97,6 +104,12 @@ def k3():
 @pytest.fixture(scope="session")
 def path10():
     return make_weighted_path()
+
+
+@pytest.fixture(scope="session")
+def path40():
+    # long enough that the Trudinger-Moser bound at s = 1.5 overflows
+    return make_unit_path(40)
 
 
 @pytest.fixture(scope="session")

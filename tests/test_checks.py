@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ class TestTrudingerMoser:
         value = integral(p2, np.exp(u**2))
         assert value == pytest.approx(2.0 * math.exp(1.0 / (2.0 * 2.0 ** 0.5)), rel=1e-10)
         assert value <= trudinger_moser_bound(p2, sd, 0.5, 1.0)
+
+    def test_overflowing_bound_is_inf_without_warning(self, path40):
+        sd = decompose(path40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = trudinger_moser_bound(path40, sd, 1.5, 1.0)
+        assert bound == math.inf
 
     def test_sampled_bound_never_violated(self, all_graphs):
         rng = np.random.default_rng(32)

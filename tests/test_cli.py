@@ -1,8 +1,9 @@
 import json
+import logging
 import math
-import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclap import kazdan_warner as kw
+from fraclap.checks import CheckEntry, CheckReport
 from fraclap.cli import format_json, main
 from fraclap.errors import NumericalError
 from fraclap.graph import load_graph
@@ -116,6 +118,15 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def null_root_handler():
+    """A host that has configured logging: the root logger has a handler."""
+    handler = logging.NullHandler()
+    logging.root.addHandler(handler)
+    yield
+    logging.root.removeHandler(handler)
 
 
 class TestFormatJson:
@@ -273,13 +284,15 @@ class TestKwCmd:
         assert data["verdict"]["status"] == "unsolvable"
         assert data["verdict"]["reasons"]
 
-    def test_search_failure_exit_3(self, p2_file, tmp_path, capsys):
+    def test_search_failure_exit_3(self, p2_file, tmp_path, capsys, null_root_handler):
         # far below the threshold for this kappa: no solution exists
         kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "-5.0",
                      "--kappa", kap, "--max-iter", "500"])
         assert code == 3
+        assert out == ""
+        assert err == "error: search failure: newton-continuation: all starts failed\n"
 
     def test_zero_c_positive_integral_exit_3(self, random_connected, tmp_path, capsys):
         # s > 1 leaves this c = 0 problem unscreened; the solve must end in a
@@ -367,13 +380,38 @@ class TestCheckCmd:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_overflowing_moser_bound_passes_silently(self, path40, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, ["check", "--graph", graph_file(tmp_path, path40), "--s", "1.5"])
+        assert code == 0
+        assert err == ""
+        moser = [e for e in json.loads(out)["entries"] if "moser-bound" in e["name"]]
+        assert len(moser) == 2
+        assert all(e["passed"] and e["tolerance"] is None for e in moser)
+
+    def test_failed_entry_writes_one_error_line(
+            self, p2_file, capsys, monkeypatch, null_root_handler):
+        entry = CheckEntry(name="s=0.5:fake", passed=False, measured=0.5,
+                           tolerance=1e-9, citation="a failing entry")
+        monkeypatch.setattr("fraclap.cli.run_suite",
+                            lambda g, s_list, seed: CheckReport([entry]))
+        code, out, err = run_cli(capsys, ["check", "--graph", p2_file])
+        assert code == 4
+        assert json.loads(out)["passed"] is False
+        assert err == "error: check failed: s=0.5:fake measured=0.5 tol=1e-09\n"
+
 
 class TestNumericalFailureExit:
-    def test_quadrature_tolerance_exit_4(self, p2_file, capsys):
-        code, _, _ = run_cli(
+    def test_quadrature_tolerance_exit_4(self, p2_file, capsys, null_root_handler):
+        code, out, err = run_cli(
             capsys, ["kernel", "--graph", p2_file, "--s", "0.5", "--oracle",
                      "--tol", "1e-300"])
         assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: numerical failure: QuadratureError: ")
 
     @pytest.mark.parametrize("error", [
         OverflowError("Numerical result out of range"),
@@ -427,15 +465,28 @@ class TestSpectrumAtScale:
 
 
 class TestProcessInvocation:
-    def test_module_entry_with_log_env(self, p2_file):
-        env = dict(os.environ, FRACLAP_LOG="debug")
+    def test_module_entry(self, p2_file):
         proc = subprocess.run(
             [sys.executable, "-m", "fraclap.cli", "spectrum", "--graph", p2_file],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0
         data = json.loads(proc.stdout)
         assert data["lambdas"] == pytest.approx([0.0, 2.0], abs=1e-12)
+
+    def test_root_logger_untouched(self, p2_file, isolated):
+        # a fresh interpreter, so the root logger starts with no handler
+        argv = ["kernel", "--graph", p2_file, "--s", "0.5", "--oracle", "--tol", "1e-300"]
+        result = isolated(
+            "import json, logging\n"
+            "from fraclap.cli import main\n"
+            "root = logging.getLogger()\n"
+            "before = (list(root.handlers), root.level)\n"
+            f"code = main({argv!r})\n"
+            "print(json.dumps({'code': code,\n"
+            "                  'same': (list(root.handlers), root.level) == before}))\n"
+        )
+        assert result == {"code": 4, "same": True}
 
     def test_byte_identical_runs(self, p2_file):
         runs = [
@@ -448,21 +499,28 @@ class TestProcessInvocation:
         ]
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("argv, message", [
-        (["spectrum", "--graph", "{tmp}/missing.json"],
+    @pytest.mark.parametrize("argv, exit_code, message", [
+        (["spectrum", "--graph", "{tmp}/missing.json"], 1,
          "No such file or directory: '{tmp}/missing.json'"),
-        (["apply", "--graph", "{p2}", "--s", "-1", "--input", "{u}"],
+        (["apply", "--graph", "{p2}", "--s", "-1", "--input", "{u}"], 1,
          "exponent must be a positive real, got -1.0"),
-        (["kernel", "--graph", "{p2}", "--s", "1.5"],
+        (["kernel", "--graph", "{p2}", "--s", "1.5"], 1,
          "kernel is defined for exponents in (0, 1); got 1.5"),
-    ], ids=["missing-file", "apply-negative-s", "kernel-s-above-one"])
-    def test_usage_error_printed_once(self, p2_file, tmp_path, isolated_cli, argv, message):
+        (["kw", "--graph", "{p2}", "--s", "0.5", "--c", "-5", "--kappa", "{k}"], 3,
+         "search failure: newton-continuation: all starts failed"),
+        (["kernel", "--graph", "{p2}", "--s", "0.5", "--oracle", "--tol", "1e-300"], 4,
+         "numerical failure: QuadratureError: requested tolerance 1e-300 unreached"),
+    ], ids=["missing-file", "apply-negative-s", "kernel-s-above-one",
+            "kw-search-failure", "kernel-quadrature-failure"])
+    def test_usage_error_printed_once(
+            self, p2_file, tmp_path, isolated_cli, argv, exit_code, message):
         paths = {"p2": p2_file, "u": fn_file(tmp_path, "u.json", {"x1": 1.0, "x2": -1.0}),
+                 "k": fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0}),
                  "tmp": str(tmp_path)}
         code, out, err = isolated_cli([a.format(**paths) for a in argv])
-        assert code == 1
+        assert code == exit_code
         assert out == ""
-        # one line, in the one format every usage error shares
+        # one line, in the one format every failure shares
         assert err.count(message.format(**paths)) == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
