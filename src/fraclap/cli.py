@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -39,6 +40,9 @@ EXIT_USAGE = 1
 EXIT_CERTIFICATE_UNSOLVABLE = 2
 EXIT_SEARCH_FAILURE = 3
 EXIT_NUMERICAL = 4
+
+# argparse before 3.13 takes "--c -1e-3" for an option; no fraclap option looks like a number
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def format_json(obj, indent=0):
@@ -261,6 +265,7 @@ def build_parser():
 
     def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--graph", required=True, help="graph JSON file")
         p.add_argument("--out", help="write JSON here instead of stdout")
         p.set_defaults(handler=handler)

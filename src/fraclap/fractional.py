@@ -21,8 +21,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
-from scipy.integrate import quad
-from scipy.special import gamma
 
 from .errors import InvalidExponent, QuadratureError
 from .graph import (ALL_PAIRS, PairwiseField, as_function, gradient_field,
@@ -311,6 +309,10 @@ def kernel_w_quadrature(sd, s, tol=1e-8):
     (s / Gamma(1-s)) mu(x) mu(y) sum_i err_i |phi_i(x) phi_i(y)|; QuadratureError
     names the worst pair when that exceeds tol.
     """
+    # imported on first use: only this oracle needs them, and they slow `import fraclap`
+    from scipy.integrate import quad
+    from scipy.special import gamma
+
     s = float(s)
     if not 0.0 < s < 1.0:
         raise InvalidExponent(f"quadrature kernel needs 0 < s < 1, got {s}")

@@ -117,7 +117,7 @@ def build_graph(vertices, edges):
     Raises
     ------
     ValidationError
-        Nonpositive mu or w, self-loop, duplicate edge or duplicate id.
+        Nonpositive mu or w, self-loop, duplicate edge or id, or 2 d/mu overflowing.
     DisconnectedError
         If the graph is not connected.
     """
@@ -151,6 +151,11 @@ def build_graph(vertices, edges):
         weights[i, j] = weights[j, i] = w
 
     _check_connected(seen, ids)
+    with np.errstate(over="ignore"):  # L's entries and eigenvalues are at most max 2 d/mu
+        bad = np.flatnonzero(~np.isfinite(2.0 * weights.sum(axis=1) / mu))
+    if bad.size:
+        raise ValidationError(f"vertex {ids[bad[0]]!r}: 2 d/mu, d the weighted degree, must be "
+                              f"a finite double; got mu={mu[bad[0]]:g}")
     weights.setflags(write=False)
     mu.setflags(write=False)
     return Graph(ids=ids, mu=mu, weights=weights)

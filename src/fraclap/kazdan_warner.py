@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq, minimize
 
 from .errors import (
     CertificateUnsolvable,
@@ -445,6 +444,7 @@ def solve_positive_c(p, opts=None, op=None):
     reduced gradient, then, if the residual is still above tol (small c), by
     damped Newton on the equation; the result leaves through _verified.
     """
+    from scipy.optimize import minimize  # imported on first use: it slows `import fraclap`
     opts = opts or SolveOptions()
     if p.c <= 0:
         raise ValueError("positive-c route requires c > 0")
@@ -491,6 +491,8 @@ def solve_positive_c(p, opts=None, op=None):
     v, extra, _ = _newton(gradient, polish_step, res.x, 40, 1e-13 * (1.0 + cv))
     iterations = int(res.nit) + extra
     u = v + (math.log(cv) - log_mass(v)[0])
+    if not np.all(np.isfinite(u)):  # c |V| overflowed, so the shift did
+        raise NotSolved("positive-c candidate is not finite")
     if check_solution(p, u, op).residual_inf > opts.tol:
         polished, extra, ok = _damped_newton(op, kappa, c, u, opts)
         iterations += extra
@@ -536,6 +538,7 @@ def solve_zero_c(p, opts=None, op=None):
     come out positive; the final answer is u0 + log(multiplier), polished
     by damped Newton and returned through _verified.
     """
+    from scipy.optimize import minimize  # imported on first use: it slows `import fraclap`
     opts = opts or SolveOptions()
     if p.c != 0:
         raise ValueError("zero-c route requires c == 0")
@@ -603,6 +606,8 @@ def _restore_constraint(g, kappa, u, bump):
     sought on the mass relative to e^{max}, which has the same sign and
     never overflows.
     """
+    from scipy.optimize import brentq  # imported on first use: it slows `import fraclap`
+
     def h(beta):
         w = u + beta * bump
         return float(np.dot(kappa * np.exp(w - np.max(w)), g.mu))

@@ -322,6 +322,24 @@ class TestKwCmd:
         assert data["method"] == "variational-zero-c"
         assert data["residual_inf"] <= 1e-8
 
+    @pytest.mark.parametrize("c", ["1e308", "1.7e308"])
+    def test_overflowing_constraint_mass_exit_3(self, p2_file, tmp_path, capsys, c):
+        # c |V| overflows; every input is valid, so this is no usage error
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        code, out, err = run_cli(
+            capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", c, "--kappa", kap])
+        assert code == 3
+        assert out == ""
+        assert err == "error: search failure: newton-continuation: all starts failed\n"
+
+    @pytest.mark.parametrize("c", ["-1e-3", "-1E2", "-2.5e+0"])
+    def test_negative_c_in_exponent_form(self, p2_file, tmp_path, capsys, c):
+        kap = fn_file(tmp_path, "k.json", {"x1": -1.0, "x2": -1.5})
+        argv = ["kw", "--graph", p2_file, "--s", "0.5", "--kappa", kap]
+        code, out, err = run_cli(capsys, [*argv, "--c", c])
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli(capsys, [*argv, f"--c={c}"])
+
     def test_monotone_method_flag(self, p2_file, tmp_path, capsys):
         kap = fn_file(tmp_path, "k.json", {"x1": -1.0, "x2": -1.0})
         code, out, _ = run_cli(
@@ -488,6 +506,39 @@ class TestProcessInvocation:
         )
         assert result == {"code": 4, "same": True}
 
+    def test_deferred_subpackages_load_only_where_called(self, p2_file, tmp_path, isolated):
+        # a fresh interpreter, since this suite itself imports scipy.optimize
+        u = fn_file(tmp_path, "u.json", {"x1": 1.0, "x2": -1.0})
+        k = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        kneg = fn_file(tmp_path, "kneg.json", {"x1": -1.0, "x2": -1.5})
+        g = ["--graph", p2_file]
+        lean = [
+            ["spectrum", *g], ["kernel", *g, "--s", "0.5"],
+            ["apply", *g, "--s", "0.5", "--input", u], ["heat", *g, "--t", "1", "--input", u],
+            ["poisson", *g, "--s", "0.5", "--input", u],
+            ["threshold", *g, "--s", "0.5", "--kappa", k],
+            ["kw", *g, "--s", "0.5", "--c", "-1", "--kappa", kneg],
+            ["kw", *g, "--s", "0.5", "--c", "-0.05", "--kappa", k],
+        ]
+        deferred = [
+            ["kw", *g, "--s", "0.5", "--c", "1", "--kappa", k],
+            ["kw", *g, "--s", "0.5", "--c", "0", "--kappa", k],
+            ["kernel", *g, "--s", "0.5", "--oracle"],
+        ]
+        result = isolated(
+            "import contextlib, io, json, sys\n"
+            "from fraclap.cli import main\n"
+            "def run(argvs):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        return [main(argv) for argv in argvs]\n"
+            "names = ['scipy.optimize', 'scipy.integrate', 'scipy.special']\n"
+            f"lean = run({lean!r})\n"
+            "loaded = [m for m in names if m in sys.modules]\n"
+            f"deferred = run({deferred!r})\n"
+            "print(json.dumps({'lean': lean, 'loaded': loaded, 'deferred': deferred}))\n"
+        )
+        assert result == {"lean": [0] * len(lean), "loaded": [], "deferred": [0, 0, 0]}
+
     def test_byte_identical_runs(self, p2_file):
         runs = [
             subprocess.run(
@@ -645,6 +696,54 @@ class TestUsageErrors:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["lambdas"][1] == pytest.approx(2.0)
+
+
+class TestOverflowingDegreeRejected:
+    """A vertex whose 2 d/mu overflows is rejected as the graph loads,
+    before any command computes with it."""
+
+    GRAPHS = {
+        "subnormal-mu": {  # d / mu = 2 / 1e-310 overflows
+            "vertices": [{"id": "x0", "mu": 1.0}, {"id": "x1", "mu": 1e-310},
+                         {"id": "x2", "mu": 1.0}],
+            "edges": [{"src": "x0", "dst": "x1", "w": 1.0},
+                      {"src": "x1", "dst": "x2", "w": 1.0}],
+        },
+        "overflowing-degree": {  # d = 2.4e308 overflows at the hub of a star
+            "vertices": [{"id": x, "mu": 1.0} for x in ("x0", "x1", "x2", "x3")],
+            "edges": [{"src": "x1", "dst": y, "w": 0.8e308} for y in ("x0", "x2", "x3")],
+        },
+        "overflowing-spectrum": {  # d is finite, but 2 d / mu = 1.8e308 is not
+            "vertices": [{"id": "x0", "mu": 1.0}, {"id": "x1", "mu": 1.0},
+                         {"id": "x2", "mu": 1.0}],
+            "edges": [{"src": "x0", "dst": "x1", "w": 1.0},
+                      {"src": "x1", "dst": "x2", "w": 0.9e308}],
+        },
+    }
+
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    @pytest.mark.parametrize("argv", [
+        ["spectrum"], ["kernel", "--s", "0.5"], ["apply", "--s", "0.5", "--input", "{u}"],
+        ["poisson", "--s", "0.5", "--input", "{u}"],
+        ["kw", "--s", "0.5", "--c", "-1", "--kappa", "{k}"],
+        ["apply", "--s", "1.5", "--input", "{u}"], ["apply", "--s", "2", "--input", "{u}"],
+        ["heat", "--t", "1", "--input", "{u}"], ["check"],
+    ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+    def test_one_error_line(self, tmp_path, capsys, graph, argv):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(self.GRAPHS[graph]))
+        # never read: the graph is rejected first
+        files = {"u": fn_file(tmp_path, "u.json", {"x0": 1.0, "x1": -2.0, "x2": 0.5}),
+                 "k": fn_file(tmp_path, "k.json", {"x0": -1.0, "x1": -2.0, "x2": -0.5})}
+        argv = [argv[0], "--graph", str(path), *(a.format(**files) for a in argv[1:])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        message = "error: vertex 'x1': 2 d/mu, d the weighted degree, must be a finite double"
+        assert err.startswith(f"{message}; got mu=")
+        assert len(err.splitlines()) == 1
 
 
 class TestOutOfRangeInputsEnd:

@@ -28,6 +28,7 @@ from fraclap.graph import (
     mu_inner,
     pointwise_inner,
 )
+from fraclap.spectral import decompose
 
 SQRT2 = math.sqrt(2.0)
 
@@ -98,6 +99,26 @@ class TestLoadGraph:
     def test_unknown_endpoint(self):
         with pytest.raises(ValidationError):
             load_graph(graph_doc([("x1", 1.0), ("x2", 1.0)], [("x1", "zz", 1.0)]))
+
+    @pytest.mark.parametrize("vertices, edges, named", [
+        # d / mu = 2 / 1e-310 overflows at the middle vertex
+        ([("x0", 1.0), ("x1", 1e-310), ("x2", 1.0)],
+         [("x0", "x1", 1.0), ("x1", "x2", 1.0)], "x1"),
+        # d = 2.4e308 overflows at the hub of a three-leaf star
+        ([("x0", 1.0), ("x1", 1.0), ("x2", 1.0), ("x3", 1.0)],
+         [("x1", y, 0.8e308) for y in ("x0", "x2", "x3")], "x1"),
+        # d is finite, but the eigenvalue 2 d/mu = 1.8e308 would not be
+        ([("x0", 1.0), ("x1", 1.0), ("x2", 1.0)],
+         [("x0", "x1", 1.0), ("x1", "x2", 0.9e308)], "x1"),
+    ], ids=["subnormal-mu", "overflowing-degree", "overflowing-spectrum"])
+    def test_overflowing_degree_ratio_rejected(self, vertices, edges, named):
+        with pytest.raises(ValidationError, match=f"^vertex '{named}': 2 d/mu"):
+            load_graph(graph_doc(vertices, edges))
+
+    @pytest.mark.parametrize("mu, w", [(1e-300, 1.0), (1.0, 0.8e308)])
+    def test_extreme_but_representable_graph_loads(self, mu, w):
+        g = load_graph(graph_doc([("x0", 1.0), ("x1", mu)], [("x0", "x1", w)]))
+        assert np.all(np.isfinite(decompose(g).lambdas))
 
     def test_single_vertex_is_connected(self):
         g = load_graph(graph_doc([("only", 2.0)], []))

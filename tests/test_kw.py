@@ -350,6 +350,16 @@ class TestSolvePositiveC:
         with pytest.raises(NotSolved, match=match):
             kw.solve(p, kw.SolveOptions(method="variational"), op=op_p2)
 
+    @pytest.mark.parametrize("c", [1e308, 1.7e308])
+    def test_overflowing_constraint_mass_is_not_solved(self, p2, op_p2, c):
+        # c |V| overflows to inf, and so does the shift of the candidate; the
+        # route must fail as a search, so that Newton gets its turn
+        p = problem(p2, c, [1.0, -3.0])
+        with pytest.raises(NotSolved, match="^positive-c candidate is not finite"):
+            kw.solve_positive_c(p, op=op_p2)
+        with pytest.raises(NotSolved, match="^newton-continuation: all starts failed"):
+            kw.solve(p, op=op_p2)
+
     def test_underflowed_base_level_keeps_bookkeeping_finite(self, random_connected):
         # c = 8 puts the base level near -798, below log(DBL_TRUE_MIN) = -745,
         # so e^u is 0 on 195 of the 200 vertices
