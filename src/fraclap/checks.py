@@ -7,6 +7,7 @@ The CLI ``check`` subcommand wraps it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,9 +160,27 @@ def kernel_entries(op, name_prefix=""):
     return entries
 
 
+# a draw the Laplacian is applied to is scaled when ||L||_inf ||u||_inf
+# exceeds 2**LAPLACIAN_DRAW_EXPONENT, so the checks' sums and products of
+# L u stay finite; no graph of moderate weights reaches it
+LAPLACIAN_DRAW_EXPONENT = 512
+
+
+def _laplacian_draws(g, draws):
+    """draws, scaled in place by a power of two to ||L||_inf ||u||_inf <= 1
+    where that product exceeds 2**LAPLACIAN_DRAW_EXPONENT; ||L||_inf is
+    max 2 d/mu, finite on every graph that loads."""
+    d = g.edge_pattern[3]
+    exponent = (math.frexp(float(np.max(2.0 * d / g.mu)))[1]
+                + math.frexp(float(np.max(np.abs(draws))))[1])
+    if exponent > LAPLACIAN_DRAW_EXPONENT:
+        draws *= 2.0 ** -exponent
+    return draws
+
+
 def _calculus_checks(g, rng, entries):
     n = g.n
-    fns = rng.standard_normal((50, n))
+    fns = _laplacian_draws(g, rng.standard_normal((50, n)))
     worst = max(
         abs(integral(g, laplacian_apply(g, u))) / (np.max(np.abs(u)) * g.volume)
         for u in fns
@@ -171,7 +190,7 @@ def _calculus_checks(g, rng, entries):
 
     worst = 0.0
     for _ in range(100):
-        u = rng.standard_normal(n)
+        u = _laplacian_draws(g, rng.standard_normal(n))
         v = rng.standard_normal(n)
         lhs = mu_inner(g, v, laplacian_apply(g, u))
         rhs = integral(g, pointwise_inner(g, gradient_field(g, u), gradient_field(g, v)))

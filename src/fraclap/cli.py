@@ -31,7 +31,13 @@ from .errors import (
     NumericalError,
     ThresholdIsMinusInfinity,
 )
-from .fractional import build_operator, frac_apply, kernel_w_quadrature, split_exponent
+from .fractional import (
+    build_operator,
+    frac_apply,
+    kernel_w_quadrature,
+    spectral_kernel,
+    split_exponent,
+)
 from .graph import function_document, load_function, load_graph
 from .spectral import decompose, heat_apply
 
@@ -48,77 +54,100 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 def format_json(obj, indent=0):
     """Serialize to JSON with floats at 17 significant digits (lossless).
 
-    Non-finite floats raise NumericalError. One recursive writer appends the
-    pieces of the text to a flat list, joined once at the end. A list whose
-    items are all plain finite floats, such as a row from ``ndarray.tolist()``,
-    is formatted in one ``%.17g`` pass: the same correctly rounded conversion
-    as ``format(x, ".17g")``, so the text is the one per-float formatting
-    gives.
+    Non-finite floats raise NumericalError, naming the first one in
+    document order, before any text is formed. One recursive writer hands
+    the pieces of the text to a sink, here a flat list joined once at the
+    end. A float ndarray is written a row at a time, each row formatted in
+    one ``%.17g`` pass over ``row.tolist()``, and so is a list whose items
+    are all plain floats. That is the same correctly rounded conversion as
+    ``format(x, ".17g")``, so an ndarray's text is the one per-float
+    formatting of its ``tolist()`` gives.
     """
+    _refuse_nonfinite(obj)
     pieces = []
-    _write(pieces, obj, indent)
+    _write(pieces.append, obj, indent)
     return "".join(pieces)
 
 
+def _refuse_nonfinite(obj):
+    """Raise NumericalError at the first non-finite float of obj, in document order."""
+    bad = None
+    if isinstance(obj, dict):
+        for v in obj.values():
+            _refuse_nonfinite(v)
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            bad = obj[~np.isfinite(obj)][0]
+    elif isinstance(obj, (list, tuple)):
+        if not (all(type(v) is float for v in obj) and all(map(math.isfinite, obj))):
+            for v in obj:
+                _refuse_nonfinite(v)
+    elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        bad = obj
+    if bad is not None:
+        raise NumericalError(f"refusing to serialize non-finite value {float(bad)}")
+
+
 def _write(out, obj, indent):
+    # obj has passed _refuse_nonfinite; out is the sink each piece goes to
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
+            out("{}")
             return
         inner = "\n" + "  " * (indent + 1)
         sep = "{" + inner
         for k, v in obj.items():
-            out.append(f"{sep}{json.dumps(str(k))}: ")
+            out(f"{sep}{json.dumps(str(k))}: ")
             _write(out, v, indent + 1)
             sep = "," + inner
-        out.append("\n" + "  " * indent + "}")
+        out("\n" + "  " * indent + "}")
         return
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
+    array = isinstance(obj, np.ndarray) and obj.ndim > 0 and obj.dtype.kind == "f"
+    if array or isinstance(obj, (list, tuple)):
+        if not len(obj):
+            out("[]")
             return
         inner = "\n" + "  " * (indent + 1)
         close = "\n" + "  " * indent + "]"
-        # a row with a non-finite float takes the item path, which raises at
-        # the first such value in row order
-        if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
-            row = ("," + inner).join(["%.17g"] * len(obj))
-            out.append(f"[{inner}{row}{close}" % tuple(obj))
+        if array:
+            row = obj.tolist() if obj.ndim == 1 else None
+        else:
+            row = obj if all(type(v) is float for v in obj) else None
+        if row is not None:
+            fmt = ("," + inner).join(["%.17g"] * len(row))
+            out(f"[{inner}{fmt}{close}" % tuple(row))
             return
         sep = "[" + inner
         for v in obj:
-            out.append(sep)
+            out(sep)
             _write(out, v, indent + 1)
             sep = "," + inner
-        out.append(close)
+        out(close)
         return
     if isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        out("true" if obj else "false")
     elif obj is None:
-        out.append("null")
+        out("null")
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        out(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise NumericalError(f"refusing to serialize non-finite value {x}")
-        out.append(format(x, ".17g"))
+        out(format(float(obj), ".17g"))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _emit(args, payload):
-    # formatted before the file is opened, so a refused value leaves no file;
-    # the newline is written on its own to avoid copying the whole text
-    text = format_json(payload)
+    # checked before the file is opened, so a refused value leaves no file
+    # and no stdout; then streamed piece by piece, arrays a row at a time
+    _refuse_nonfinite(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write(fh.write, payload, 0)
             fh.write("\n")
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout.write, payload, 0)
         sys.stdout.write("\n")
 
 
@@ -144,8 +173,8 @@ def _cmd_spectrum(args):
     g = _graph(args)
     sd = decompose(g)
     _emit(args, {
-        "lambdas": sd.lambdas.tolist(),
-        "phis": sd.phis.T.tolist(),
+        "lambdas": sd.lambdas,
+        "phis": sd.phis.T,
     })
     return EXIT_OK
 
@@ -158,8 +187,8 @@ def _cmd_kernel(args):
     if args.oracle:
         kernel = kernel_w_quadrature(sd, args.s, tol=args.tol)
     else:
-        kernel = build_operator(sd, args.s).kernel
-    _emit(args, kernel.tolist())
+        kernel = spectral_kernel(sd, args.s)
+    _emit(args, kernel)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ import scipy.sparse
 from .errors import InvalidExponent, QuadratureError
 from .graph import (ALL_PAIRS, PairwiseField, as_function, gradient_field,
                     iterated_laplacian, mu_inner)
-from .spectral import SpectralDecomposition, gram
+from .spectral import SpectralDecomposition
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,12 @@ def spectral_kernel(sd, sigma):
     positive off the diagonal on a connected graph; the diagonal is zero by
     convention.
     """
-    w = gram(sd.graph.mu[:, None] * sd.phis, sd.lambda_power(sigma))
+    # gram's B = diag(mu) Phi diag(sqrt(lambda^sigma)), scaled in place so
+    # that no second n x n factor is alive next to it
+    b = sd.graph.mu[:, None] * sd.phis
+    b *= np.sqrt(sd.lambda_power(sigma))[None, :]
+    w = b @ b.T
+    del b
     np.negative(w, out=w)
     np.fill_diagonal(w, 0.0)
     w.setflags(write=False)

@@ -5,8 +5,9 @@ undirected edges with positive symmetric weights w. All vectors and matrices
 index against the vertex order of the input document; that order is part of
 the external contract.
 
-The weight matrix is the input document's. Every Laplacian and gradient
-coefficient comes from the CSR arrays built on its edge pattern.
+A graph keeps its edges as the edge pattern alone, never as a dense n x n
+weight matrix: every Laplacian and gradient coefficient comes from the CSR
+arrays built on that pattern.
 """
 
 from __future__ import annotations
@@ -40,14 +41,18 @@ class Graph:
         Vertex identifiers in document order.
     mu : ndarray (n,)
         Positive vertex measures.
-    weights : ndarray (n, n)
-        The input document's symmetric edge-weight matrix, zero diagonal,
-        zero for non-edges. Only ``edge_pattern`` reads it.
+    edge_pattern : tuple of ndarray
+        ``(rows, cols, w, d)``, all read-only: the row and column indices of
+        the nonzero entries of the symmetric edge-weight matrix in row-major
+        order (each edge once in each orientation, int32, the index type
+        scipy gives a matrix of this size), the weights there, and the
+        weighted degrees, each the pairwise row sum
+        ``weights.sum(axis=1)`` gives.
     """
 
     ids: tuple
     mu: np.ndarray
-    weights: np.ndarray
+    edge_pattern: tuple
 
     @property
     def n(self):
@@ -58,25 +63,20 @@ class Graph:
         """Sum of all vertex measures."""
         return float(self.mu.sum())
 
+    @property
+    def weights(self):
+        """The symmetric edge-weight matrix, zero diagonal and zero for
+        non-edges, as a dense read-only n x n array built on each access.
+        For inspection: the package itself works on ``edge_pattern``."""
+        rows, cols, w, _ = self.edge_pattern
+        weights = np.zeros((self.n, self.n))
+        weights[rows, cols] = w
+        weights.setflags(write=False)
+        return weights
+
     def laplacian_matrix(self):
         """Matrix of the positive operator u -> -(Delta)u, ``sparse_laplacian`` as an array."""
         return self.sparse_laplacian.toarray()
-
-    @cached_property
-    def edge_pattern(self):
-        """The edge pattern from one scan of ``weights``, computed on first
-        access: row and column indices of the nonzero weights in row-major
-        order, the weights there, and the weighted degrees
-        ``weights.sum(axis=1)``, all read-only.
-
-        The indices are int32, the index type scipy gives a matrix of this
-        size, so the sparse matrices built from them keep int32 indices.
-        """
-        rows, cols = (i.astype(np.int32) for i in np.nonzero(self.weights))
-        pattern = rows, cols, self.weights[rows, cols], self.weights.sum(axis=1)
-        for arr in pattern:
-            arr.setflags(write=False)
-        return pattern
 
     @cached_property
     def sparse_laplacian(self):
@@ -130,10 +130,8 @@ def build_graph(vertices, edges):
     if not np.all(np.isfinite(mu)) or np.any(mu <= 0):
         raise ValidationError("vertex measure mu must be positive and finite")
 
-    n = len(ids)
     index = {v: i for i, v in enumerate(ids)}
-    weights = np.zeros((n, n))
-    seen = set()
+    edge_weights = {}
     for src, dst, w in edges:
         try:
             i, j = index[str(src)], index[str(dst)]
@@ -142,23 +140,55 @@ def build_graph(vertices, edges):
         if i == j:
             raise ValidationError(f"self-loop at vertex {src!r}")
         key = (min(i, j), max(i, j))
-        if key in seen:
+        if key in edge_weights:
             raise ValidationError(f"duplicate edge {src!r}-{dst!r}")
-        seen.add(key)
         w = float(w)
         if not np.isfinite(w) or w <= 0:
             raise ValidationError(f"edge weight must be positive, got {w} on {src!r}-{dst!r}")
-        weights[i, j] = weights[j, i] = w
+        edge_weights[key] = w
 
-    _check_connected(seen, ids)
-    with np.errstate(over="ignore"):  # L's entries and eigenvalues are at most max 2 d/mu
-        bad = np.flatnonzero(~np.isfinite(2.0 * weights.sum(axis=1) / mu))
+    _check_connected(edge_weights, ids)
+    # L's entries and eigenvalues are at most max 2 d/mu, so an overflow in
+    # the degree sums or in 2 d/mu is rejected here
+    with np.errstate(over="ignore"):
+        pattern = _edge_pattern(len(ids), edge_weights)
+        bad = np.flatnonzero(~np.isfinite(2.0 * pattern[3] / mu))
     if bad.size:
         raise ValidationError(f"vertex {ids[bad[0]]!r}: 2 d/mu, d the weighted degree, must be "
                               f"a finite double; got mu={mu[bad[0]]:g}")
-    weights.setflags(write=False)
     mu.setflags(write=False)
-    return Graph(ids=ids, mu=mu, weights=weights)
+    return Graph(ids=ids, mu=mu, edge_pattern=pattern)
+
+
+# entries of the dense weight matrix held at once while the degrees are summed
+DEGREE_BLOCK_ENTRIES = 1 << 16
+
+
+def _edge_pattern(n, edge_weights):
+    """The read-only ``Graph.edge_pattern`` of the weights {(i, j): w}, i < j.
+
+    Each degree is summed over its row of the dense weight matrix, written
+    a bounded block of rows at a time, so it has the bits of the pairwise
+    sum ``weights.sum(axis=1)`` without an n x n array.
+    """
+    upper = np.array(list(edge_weights), dtype=np.int32).reshape(-1, 2).T
+    half = np.fromiter(edge_weights.values(), dtype=float, count=len(edge_weights))
+    rows = np.concatenate((upper[0], upper[1]))
+    cols = np.concatenate((upper[1], upper[0]))
+    order = np.lexsort((cols, rows))
+    rows, cols, w = rows[order], cols[order], np.concatenate((half, half))[order]
+    degrees = np.empty(n)
+    block = np.empty((min(n, max(1, DEGREE_BLOCK_ENTRIES // n)), n))
+    for lo in range(0, n, len(block)):
+        hi = min(lo + len(block), n)
+        a, b = np.searchsorted(rows, (lo, hi))
+        block.fill(0.0)
+        block[rows[a:b] - lo, cols[a:b]] = w[a:b]
+        degrees[lo:hi] = block[:hi - lo].sum(axis=1)
+    pattern = rows, cols, w, degrees
+    for arr in pattern:
+        arr.setflags(write=False)
+    return pattern
 
 
 def _check_connected(pairs, ids):

@@ -101,7 +101,15 @@ def decompose(g):
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     del sym  # freed before the sign fix allocates its n x n temporary
 
-    lam = np.where(lam < ZERO_EIGENVALUE_REL * max(1.0, float(lam[-1])), 0.0, lam)
+    tiny = ZERO_EIGENVALUE_REL * max(1.0, float(lam[-1]))
+    zero = lam < tiny
+    if np.count_nonzero(zero) > 1:
+        raise NumericalError(
+            f"{np.count_nonzero(zero)} eigenvalues fall below the zero threshold {tiny:g}, "
+            "but a connected graph has one zero mode: the spread of mu and w is beyond "
+            "the eigensolver's resolution"
+        )
+    lam = np.where(zero, 0.0, lam)
     phis /= root_mu[:, None]
 
     # fix signs: first entry of each column that is clearly nonzero goes positive

@@ -12,16 +12,24 @@ result are never alive together. With S = diag(K 1) - K formed as an n x n
 temporary it peaked at 2.32 (2.89), and forming the divergence from dense
 n x n intermediates at 3.33 (3.93). The bounds sit below those, so bringing
 back an n x n temporary fails.
+
+The CLI streams each array to its sink a row at a time, from the ndarray.
+Through ``ndarray.tolist()`` and one joined text, ``spectrum`` peaked at
+13.35 n^2 and ``kernel --s 0.5`` at 13.87, and ``load_graph`` at n = 1000,
+with a dense n x n weight matrix in the graph, at 1.24.
 """
 
+import json
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from fraclap import fractional
+from fraclap import cli, fractional
 from fraclap.fractional import build_operator
+from fraclap.graph import load_graph
 from fraclap.spectral import decompose
 
 N = 500
@@ -89,3 +97,43 @@ def test_odd_order_build_on_a_complete_graph(complete):
     sd.graph.sparse_gradient_coeff  # n^2 entries here, built before the count
     assert _peak(lambda: build_operator(sd, 1.5), n) <= 15.0
     assert held.kernel is build_operator(sd, 1.5).kernel
+
+
+def _document(g):
+    rows, cols, w, _ = g.edge_pattern
+    upper = rows < cols
+    return json.dumps({
+        "vertices": [{"id": v, "mu": m} for v, m in zip(g.ids, g.mu.tolist())],
+        "edges": [{"src": g.ids[a], "dst": g.ids[b], "w": x}
+                  for a, b, x in zip(rows[upper], cols[upper], w[upper].tolist())],
+    })
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["spectrum"], 3.0),
+    (["kernel", "--s", "0.5"], 3.5),
+], ids=["spectrum", "kernel"])
+def test_cli_array_commands(g500, tmp_path, argv, bound):
+    # load, decompose and the result as in a library call; the text is
+    # written a row at a time
+    path = tmp_path / "g.json"
+    path.write_text(_document(g500), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = [argv[0], "--graph", str(path), "--out", str(out), *argv[1:]]
+    assert _peak(lambda: cli.main(argv)) <= bound
+    assert out.stat().st_size > 20 * N * N
+
+
+def test_load_graph(random_connected):
+    n = 1000
+    text = _document(random_connected(np.random.default_rng(n), n))
+    assert _peak(lambda: load_graph(text), n) <= 0.5
+
+
+def test_loaded_graph_holds_no_dense_matrix(g500):
+    g = load_graph(_document(g500))
+    g.sparse_laplacian, g.sparse_gradient_coeff  # cached on the graph
+    held = [*g.edge_pattern]
+    held += [v for v in vars(g).values() if isinstance(v, np.ndarray)]
+    held += [v.data for v in vars(g).values() if scipy.sparse.issparse(v)]
+    assert max(a.size for a in held) < N * N / 10

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from fraclap.checks import (
+    _calculus_checks,
+    _laplacian_draws,
     kernel_entries,
     poincare_constant,
     run_suite,
     trudinger_moser_bound,
 )
-from fraclap.errors import ValidationError
+from fraclap.errors import NumericalError, ValidationError
 from fraclap.fractional import build_operator
 from fraclap.graph import build_graph, integral, mu_inner
 from fraclap.spectral import decompose
@@ -149,6 +151,29 @@ class TestRunSuite:
         assert set(d) == {"passed", "entries"}
         assert all({"name", "passed", "measured", "tolerance", "citation"} <= set(e)
                    for e in d["entries"])
+
+
+class TestHugeWeight:
+    """P2 with w = 0.8e308: 2 d/mu = 1.6e308 is finite, so the graph loads,
+    but the Laplacian of a standard-normal draw overflows."""
+
+    @pytest.fixture
+    def g(self):
+        return build_graph([("x1", 1.0), ("x2", 1.0)], [("x1", "x2", 0.8e308)])
+
+    def test_calculus_checks_pass_on_scaled_draws(self, g):
+        entries = []
+        _calculus_checks(g, np.random.default_rng(7), entries)
+        assert len(entries) == 4
+        assert all(e.passed for e in entries), [(e.name, e.measured) for e in entries]
+
+    def test_suite_ends_in_a_numerical_error(self, g):
+        with pytest.raises(NumericalError):
+            run_suite(g, s_list=[0.5], seed=7)
+
+    def test_moderate_graph_draws_are_not_scaled(self, er20):
+        draws = np.random.default_rng(3).standard_normal((50, er20.n))
+        assert np.array_equal(_laplacian_draws(er20, draws.copy()), draws)
 
 
 class TestFaultInjection:

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fraclap import kazdan_warner as kw
 from fraclap.checks import CheckEntry, CheckReport
 from fraclap.cli import format_json, main
 from fraclap.errors import NumericalError
+from fraclap.fractional import build_operator, spectral_kernel
 from fraclap.graph import load_graph
 from fraclap.spectral import SpectralDecomposition, decompose
 
@@ -159,6 +161,30 @@ class TestFormatJson:
     def test_matches_per_float_reference(self, payload, indent):
         assert serialized(format_json, payload, indent) == serialized(
             reference_format_json, payload, indent)
+
+    @pytest.mark.parametrize("array", [
+        np.array(EDGE_FLOATS),
+        np.arange(12.0).reshape(3, 4) / 7.0,
+        (np.arange(12.0).reshape(3, 4) / 7.0).T,
+        np.empty(0),
+        np.empty((2, 0)),
+        np.empty((0, 3)),
+        np.array([[1 / 3]]),
+    ], ids=["1d", "2d", "2d-strided-rows", "empty", "empty-rows", "no-rows", "1x1"])
+    @pytest.mark.parametrize("indent", [0, 2])
+    def test_ndarray_matches_reference_on_tolist(self, array, indent):
+        assert format_json(array, indent) == reference_format_json(array.tolist(), indent)
+        payload = {"a": array, "b": [array, 1.5]}
+        assert format_json(payload, indent) == reference_format_json(
+            {"a": array.tolist(), "b": [array.tolist(), 1.5]}, indent)
+
+    @settings(max_examples=200, deadline=None)
+    @given(array=arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0)),
+           indent=st.integers(0, 3))
+    def test_ndarray_with_any_floats_matches_reference(self, array, indent):
+        # a non-finite entry is refused, naming the first one in row order
+        assert serialized(format_json, {"x": array}, indent) == serialized(
+            reference_format_json, {"x": array.tolist()}, indent)
 
     def test_nested_structures(self):
         text = format_json({"a": [1, 2.5], "b": {"c": None, "d": True}})
@@ -409,6 +435,19 @@ class TestCheckCmd:
         assert len(moser) == 2
         assert all(e["passed"] and e["tolerance"] is None for e in moser)
 
+    def test_huge_weight_is_a_numerical_failure(self, tmp_path, capsys):
+        # 2 d/mu = 1.6e308 is finite, so the graph loads; the checks end in
+        # a typed numerical failure, not in a usage error
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(dict(P2_DOC, edges=[{"src": "x1", "dst": "x2", "w": 0.8e308}])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, ["check", "--graph", str(path), "--s", "0.5"])
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: numerical failure: ")
+
     def test_failed_entry_writes_one_error_line(
             self, p2_file, capsys, monkeypatch, null_root_handler):
         entry = CheckEntry(name="s=0.5:fake", passed=False, measured=0.5,
@@ -422,6 +461,23 @@ class TestCheckCmd:
 
 
 class TestNumericalFailureExit:
+    def test_unresolvable_zero_modes_exit_4(self, tmp_path, capsys):
+        # the unit path with mu(x1) = 1e-300 has lambda = 1 exactly, below
+        # the zero threshold relative to lambda_max = 2e300
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": "x0", "mu": 1.0}, {"id": "x1", "mu": 1e-300},
+                         {"id": "x2", "mu": 1.0}],
+            "edges": [{"src": "x0", "dst": "x1", "w": 1.0},
+                      {"src": "x1", "dst": "x2", "w": 1.0}],
+        }))
+        code, out, err = run_cli(capsys, ["spectrum", "--graph", str(path)])
+        assert code == 4
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: numerical failure: NumericalError: 2 eigenvalues ")
+
+
     def test_quadrature_tolerance_exit_4(self, p2_file, capsys, null_root_handler):
         code, out, err = run_cli(
             capsys, ["kernel", "--graph", p2_file, "--s", "0.5", "--oracle",
@@ -479,6 +535,36 @@ class TestSpectrumAtScale:
         assert code == 4
         assert out == ""
         assert "Traceback" not in err
+        assert not target.exists()
+
+
+    def test_streamed_arrays_match_reference_text(self, graph_path, capsys):
+        # byte for byte the per-float serializer's text of the same arrays
+        sd = decompose(load_graph(open(graph_path, encoding="utf-8").read()))
+        code, out, _ = run_cli(capsys, ["spectrum", "--graph", graph_path])
+        assert code == 0
+        assert out == reference_format_json(
+            {"lambdas": sd.lambdas.tolist(), "phis": sd.phis.T.tolist()}) + "\n"
+        code, out, _ = run_cli(capsys, ["kernel", "--graph", graph_path, "--s", "0.5"])
+        assert code == 0
+        assert out == reference_format_json(build_operator(sd, 0.5).kernel.tolist()) + "\n"
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out-file", "stdout"])
+    def test_nonfinite_deep_in_kernel_exit_4_without_output(
+            self, graph_path, tmp_path, capsys, monkeypatch, to_file):
+        def poisoned(sd, s):
+            kernel = spectral_kernel(sd, s).copy()
+            kernel[190, 120] = np.nan
+            return kernel
+
+        monkeypatch.setattr("fraclap.cli.spectral_kernel", poisoned)
+        target = tmp_path / "kernel.json"
+        argv = ["kernel", "--graph", graph_path, "--s", "0.5"]
+        code, out, err = run_cli(capsys, argv + (["--out", str(target)] if to_file else []))
+        assert code == 4
+        assert out == ""
+        assert err == ("error: numerical failure: NumericalError: "
+                       "refusing to serialize non-finite value nan\n")
         assert not target.exists()
 
 

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fraclap.errors import NumericalError
 from fraclap.graph import build_graph, laplacian_apply, mu_inner
 from fraclap.spectral import ZERO_EIGENVALUE_REL, decompose, heat_apply, heat_kernel
 
@@ -25,6 +26,15 @@ class TestDecompose:
         g = build_graph([("x1", 1.0), ("x2", 1.0)], [("x1", "x2", 3.0)])
         sd = decompose(g)
         assert np.allclose(sd.lambdas, [0.0, 6.0], atol=1e-12)
+
+    def test_unresolvable_second_zero_mode_raises(self):
+        # lambda = 1 is exact (eigenfunction (1, 0, -1)) but lies below the
+        # zero threshold relative to lambda_max = 2e300; it must not be
+        # reported as a second constant mode
+        g = build_graph([("x0", 1.0), ("x1", 1e-300), ("x2", 1.0)],
+                        [("x0", "x1", 1.0), ("x1", "x2", 1.0)])
+        with pytest.raises(NumericalError, match="one zero mode"):
+            decompose(g)
 
     def test_zero_mode_is_normalized_constant(self, all_graphs):
         for g in all_graphs.values():
