@@ -58,10 +58,9 @@ def format_json(obj, indent=0):
     document order, before any text is formed. One recursive writer hands
     the pieces of the text to a sink, here a flat list joined once at the
     end. A float ndarray is written a row at a time, each row formatted in
-    one ``%.17g`` pass over ``row.tolist()``, and so is a list whose items
-    are all plain floats. That is the same correctly rounded conversion as
-    ``format(x, ".17g")``, so an ndarray's text is the one per-float
-    formatting of its ``tolist()`` gives.
+    one ``%.17g`` pass over ``row.tolist()``. That is the same correctly
+    rounded conversion as ``format(x, ".17g")``, so an ndarray's text is
+    the one per-float formatting of its ``tolist()`` gives.
     """
     _refuse_nonfinite(obj)
     pieces = []
@@ -79,9 +78,8 @@ def _refuse_nonfinite(obj):
         if obj.dtype.kind == "f" and not np.isfinite(obj).all():
             bad = obj[~np.isfinite(obj)][0]
     elif isinstance(obj, (list, tuple)):
-        if not (all(type(v) is float for v in obj) and all(map(math.isfinite, obj))):
-            for v in obj:
-                _refuse_nonfinite(v)
+        for v in obj:
+            _refuse_nonfinite(v)
     elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
         bad = obj
     if bad is not None:
@@ -109,10 +107,7 @@ def _write(out, obj, indent):
             return
         inner = "\n" + "  " * (indent + 1)
         close = "\n" + "  " * indent + "]"
-        if array:
-            row = obj.tolist() if obj.ndim == 1 else None
-        else:
-            row = obj if all(type(v) is float for v in obj) else None
+        row = obj.tolist() if array and obj.ndim == 1 else None
         if row is not None:
             fmt = ("," + inner).join(["%.17g"] * len(row))
             out(f"[{inner}{fmt}{close}" % tuple(row))

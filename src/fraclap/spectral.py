@@ -105,9 +105,9 @@ def decompose(g):
     zero = lam < tiny
     if np.count_nonzero(zero) > 1:
         raise NumericalError(
-            f"{np.count_nonzero(zero)} eigenvalues fall below the zero threshold {tiny:g}, "
-            "but a connected graph has one zero mode: the spread of mu and w is beyond "
-            "the eigensolver's resolution"
+            f"{np.count_nonzero(zero)} eigenvalues fall below the zero threshold {tiny:g} "
+            f"(ZERO_EIGENVALUE_REL * max(1, lambda_max)), but a connected graph has one "
+            "zero mode; the decomposition cannot go on"
         )
     lam = np.where(zero, 0.0, lam)
     phis /= root_mu[:, None]

@@ -36,6 +36,15 @@ class TestDecompose:
         with pytest.raises(NumericalError, match="one zero mode"):
             decompose(g)
 
+    def test_small_eigenvalue_below_fixed_threshold_raises(self):
+        # the threshold is fixed, not eigh's resolution: lambda_1 ~ 1e-11 of
+        # a unit path bridged by w = 1e-11 is well resolved, yet lies below
+        # 1e-10 * lambda_max = 2e-10
+        g = build_graph([(f"x{i}", 1.0) for i in range(4)],
+                        [("x0", "x1", 1.0), ("x1", "x2", 1e-11), ("x2", "x3", 1.0)])
+        with pytest.raises(NumericalError, match="threshold 2e-10 "):
+            decompose(g)
+
     def test_zero_mode_is_normalized_constant(self, all_graphs):
         for g in all_graphs.values():
             sd = decompose(g)
