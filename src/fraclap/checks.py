@@ -7,14 +7,16 @@ The CLI ``check`` subcommand wraps it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kazdan_warner as kw
-from .errors import ValidationError
-from .fractional import build_operator, frac_inner, limit_residuals, spectral_kernel
+from .errors import CertificateUnsolvable, NotSolved, ValidationError
+from .fractional import (_induced_inf, build_operator, dirichlet_energy, frac_inner,
+                         limit_residuals, spectral_kernel)
 from .graph import (
     divergence,
     gradient_field,
@@ -99,29 +101,13 @@ def trudinger_moser_bound(g, sd, s, alpha):
 # suite internals
 
 
-def _entry(entries, name, measured, tolerance, citation, witness=None):
-    entries.append(
-        CheckEntry(
-            name=name,
-            passed=bool(measured <= tolerance),
-            measured=float(measured),
-            tolerance=float(tolerance),
-            citation=citation,
-            witness=witness,
-        )
-    )
+def _entry(entries, name, measured, tolerance, citation, witness=None, failed=False):
+    passed = bool(measured <= tolerance) and not failed
+    entries.append(CheckEntry(name, passed, float(measured), float(tolerance), citation, witness))
 
 
 def _info(entries, name, measured, citation):
-    entries.append(
-        CheckEntry(
-            name=name,
-            passed=True,
-            measured=float(measured),
-            tolerance=float("inf"),
-            citation=citation,
-        )
-    )
+    entries.append(CheckEntry(name, True, float(measured), math.inf, citation))
 
 
 def kernel_entries(op, name_prefix=""):
@@ -130,34 +116,29 @@ def kernel_entries(op, name_prefix=""):
     Usable standalone so fault-injection tests can feed a corrupted operator.
     """
     entries = []
-    w = op.kernel
-    n = w.shape[0]
-    asym = np.abs(w - w.T)
-    i, j = np.unravel_index(np.argmax(asym), asym.shape)
-    entries.append(
-        CheckEntry(
-            name=f"{name_prefix}kernel-symmetry",
-            passed=bool(asym[i, j] <= 1e-12),
-            measured=float(asym[i, j]),
-            tolerance=1e-12,
-            citation="the nonlocal kernel is symmetric in its two vertices",
-            witness=f"pair ({i}, {j})",
-        )
-    )
-    off = ~np.eye(n, dtype=bool)
-    vals = np.where(off, w, np.inf)
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    entries.append(
-        CheckEntry(
-            name=f"{name_prefix}kernel-positivity",
-            passed=bool(vals[i, j] > 0),
-            measured=float(vals[i, j]),
-            tolerance=0.0,
-            citation="the nonlocal kernel is strictly positive off the diagonal",
-            witness=f"pair ({i}, {j})",
-        )
-    )
+    asym, (i, j), low, (k, l) = _kernel_defects(op.kernel)
+    _entry(entries, f"{name_prefix}kernel-symmetry", asym, 1e-12,
+           "the nonlocal kernel is symmetric in its two vertices", f"pair ({i}, {j})")
+    entries.append(CheckEntry(f"{name_prefix}kernel-positivity", bool(low > 0), low, 0.0,
+                              "the nonlocal kernel is strictly positive off the diagonal",
+                              f"pair ({k}, {l})"))
     return entries
+
+
+def _kernel_defects(w):
+    """(largest |w - w^T|, its pair, smallest off-diagonal entry, its pair)."""
+    asym = np.abs(w - w.T)
+    worst = np.unravel_index(np.argmax(asym), asym.shape)
+    off = np.where(~np.eye(len(w), dtype=bool), w, np.inf)
+    lowest = np.unravel_index(np.argmin(off), off.shape)
+    return float(asym[worst]), worst, float(off[lowest]), lowest
+
+
+def _eigen_residual(mat, sd, values):
+    """Worst sup-norm residual of mat phi_i = values_i phi_i over the
+    eigenfunctions, each relative to 1 + values_i."""
+    resid = np.abs(mat @ sd.phis - sd.phis * values[None, :])
+    return float(np.max(resid.max(axis=0) / (1.0 + values)))
 
 
 # a draw the Laplacian is applied to is scaled when ||L||_inf ||u||_inf
@@ -223,9 +204,7 @@ def _spectral_checks(g, sd, rng, entries):
     _entry(entries, "first-eigenfunction-constant",
            float(np.max(np.abs(sd.phis[:, 0] - 1.0 / np.sqrt(g.volume)))), 1e-10,
            "the zero mode is the normalized constant")
-    lap = g.laplacian_matrix()
-    resid = np.abs(lap @ sd.phis - sd.phis * sd.lambdas[None, :])
-    worst = float(np.max(resid.max(axis=0) / (1.0 + sd.lambdas)))
+    worst = _eigen_residual(g.laplacian_matrix(), sd, sd.lambdas)
     _entry(entries, "eigen-residual", worst, 1e-8,
            "each eigenpair satisfies its defining equation")
 
@@ -250,19 +229,17 @@ def _spectral_checks(g, sd, rng, entries):
            "evolving twice composes like a semigroup")
 
 
-def _fractional_checks(g, sd, s_list, rng, entries):
+def _fractional_checks(g, sd, s_list, operator, rng, entries):
     n = g.n
     for s in s_list:
-        op = build_operator(sd, s)
+        op = operator(s)
         tag = f"s={s:g}:"
 
         # the odd composition is a different operator; the power relation is
         # asserted on the spectral power realization
         odd_path = op.sigma > 0 and op.m % 2 == 1
         mat = op.power_matrix if odd_path else op.op_matrix
-        pow_lam = sd.lambda_power(s)
-        resid = np.abs(mat @ sd.phis - sd.phis * pow_lam[None, :])
-        worst = float(np.max(resid.max(axis=0) / (1.0 + pow_lam)))
+        worst = _eigen_residual(mat, sd, sd.lambda_power(s))
         _entry(entries, f"{tag}eigen-relation", worst, 1e-8,
                "eigenfunctions persist with eigenvalues raised to the power s")
 
@@ -309,18 +286,15 @@ def _fractional_checks(g, sd, s_list, rng, entries):
                    "the composed operator matches its defining pairing")
             if op.m % 2 == 0:
                 # round-off scales with the operator: 1e-8 up to a norm of 1e5
-                norm = float(np.max(np.abs(op.op_matrix).sum(axis=1)))
                 _entry(entries, f"{tag}even-order-collapse", op.power_mismatch,
-                       max(1e-8, 1e-13 * norm),
+                       max(1e-8, 1e-13 * _induced_inf(op.op_matrix)),
                        "even compositions collapse to the spectral power")
             else:
                 _info(entries, f"{tag}odd-order-power-gap", op.power_mismatch,
                       "gap between the odd composition and the spectral power (reported)")
 
-        energies = np.array([
-            mu_inner(g, u, op.op_matrix @ u) for u in rng.standard_normal((50, n))
-        ])
-        const_energy = abs(mu_inner(g, np.ones(n), op.op_matrix @ np.ones(n)))
+        energies = np.array([dirichlet_energy(op, u) for u in rng.standard_normal((50, n))])
+        const_energy = abs(dirichlet_energy(op, np.ones(n)))
         _entry(entries, f"{tag}energy-positive-nonconstant", float(-np.min(energies)), 0.0,
                "nonconstant functions carry positive energy")
         _entry(entries, f"{tag}energy-zero-constant", const_energy, 1e-9,
@@ -328,9 +302,8 @@ def _fractional_checks(g, sd, s_list, rng, entries):
 
     worst = 0.0
     for s in [k / 10 for k in range(1, 10)]:
-        wk = spectral_kernel(sd, s)
-        off = ~np.eye(n, dtype=bool)
-        worst = max(worst, float(np.max(np.abs(wk - wk.T))), float(-np.min(wk[off])))
+        asym, _, low, _ = _kernel_defects(spectral_kernel(sd, s))
+        worst = max(worst, asym, -low)
     _entry(entries, "kernel-grid-positivity", worst, 0.0,
            "kernels across the exponent grid stay symmetric and positive")
 
@@ -338,8 +311,8 @@ def _fractional_checks(g, sd, s_list, rng, entries):
     for s1 in small:
         for s2 in small:
             if s1 + s2 <= 1.0:
-                lhs = build_operator(sd, s1).op_matrix @ build_operator(sd, s2).op_matrix
-                rhs = build_operator(sd, s1 + s2).op_matrix
+                lhs = operator(s1).op_matrix @ operator(s2).op_matrix
+                rhs = operator(s1 + s2).op_matrix
                 _entry(entries, f"semigroup-in-s:{s1:g}+{s2:g}",
                        float(np.max(np.abs(lhs - rhs))), 1e-8,
                        "powers compose additively in the exponent")
@@ -352,10 +325,20 @@ def _fractional_checks(g, sd, s_list, rng, entries):
            "residual against the mean-zero identity shrinks as s drops to zero")
 
 
-def _solver_checks(g, sd, s_list, rng, entries):
+def _solved(problem, opts, op, k, failures):
+    """kw.solve's report on problem k, or None with the failure appended to
+    ``failures`` as a witness; a NumericalError propagates."""
+    try:
+        return kw.solve(problem, opts, op)
+    except (CertificateUnsolvable, NotSolved) as exc:
+        failures.append(f"problem {k} (c={problem.c!r}): {type(exc).__name__}: {exc}")
+        return None
+
+
+def _solver_checks(g, s_list, operator, rng, entries):
     n = g.n
     s = next((v for v in s_list if 0 < v < 1), 0.5)
-    op = build_operator(sd, s)
+    op = operator(s)
 
     worst = 0.0
     for _ in range(100):
@@ -371,6 +354,7 @@ def _solver_checks(g, sd, s_list, rng, entries):
     opts = kw.SolveOptions(seed=int(rng.integers(2**31)))
     worst_defect = 0.0
     worst_resid = 0.0
+    failures = []
     for k in range(12):
         u_star = 0.5 * rng.standard_normal(n)
         c = float(rng.uniform(-1.5, 1.5))
@@ -378,33 +362,37 @@ def _solver_checks(g, sd, s_list, rng, entries):
             c = 0.0
         kappa = np.exp(-u_star) * (op.op_matrix @ u_star + c)
         problem = kw.KWProblem(graph=g, s=s, c=c, kappa=kappa)
-        if kw.screen(problem).status == kw.UNSOLVABLE:
+        report = _solved(problem, opts, op, k, failures)
+        if report is None:
             continue
-        report = kw.solve(problem, opts, op)
         worst_resid = max(worst_resid, report.residual_inf)
         defect = kw.check_solution(problem, report.solution, op).integral_defect
         worst_defect = max(worst_defect, defect / (1.0 + abs(c) * g.volume))
     _entry(entries, "manufactured-recovery", worst_resid, 1e-8,
-           "problems built from a known solution are solved back")
+           "problems built from a known solution are solved back",
+           *failures[:1], failed=bool(failures))
     _entry(entries, "integrated-identity", worst_defect, 1e-7,
            "accepted solutions balance the integrated equation")
 
     worst = 0.0
-    for _ in range(5):
+    failures = []
+    for k in range(5):
         kappa = -np.abs(rng.standard_normal(n)) - 0.1
         c = float(-np.abs(rng.uniform(0.5, 2.0)))
         problem = kw.KWProblem(graph=g, s=s, c=c, kappa=kappa)
-        report = kw.solve(problem, opts, op)
-        phi0 = kw.auxiliary_phi0(problem, op)
-        worst = max(worst, float(np.max(np.exp(-report.solution) - phi0)))
+        report = _solved(problem, opts, op, k, failures)
+        if report is not None:
+            phi0 = kw.auxiliary_phi0(problem, op)
+            worst = max(worst, float(np.max(np.exp(-report.solution) - phi0)))
     _entry(entries, "comparison-inequality", worst, 1e-8,
-           "the linear comparison function dominates exp(-u)")
+           "the linear comparison function dominates exp(-u)",
+           *failures[:1], failed=bool(failures))
 
 
-def _embedding_checks(g, sd, s_list, rng, entries):
+def _embedding_checks(g, sd, s_list, operator, rng, entries):
     n = g.n
     for s in s_list:
-        op = build_operator(sd, s)
+        op = operator(s)
         # the sharp constant is a statement about the spectral power; on the
         # odd composition path that realization differs from op_matrix
         mat = g.mu[:, None] * op.power_matrix
@@ -444,17 +432,24 @@ def run_suite(g, s_list=(0.25, 0.5, 0.75), seed=7):
     tolerance it was held to, and a one-line citation of the property. The
     graph needs at least 2 vertices and the seed must be a nonnegative
     integer.
+
+    One operator is built for each distinct exponent and shared by every
+    check group. A Kazdan-Warner solve of the suite that raises
+    CertificateUnsolvable or NotSolved fails its entry, with a witness
+    naming the problem and the error, and the suite goes on; a
+    NumericalError ends it.
     """
     if g.n < 2:
         raise ValidationError(f"the invariant suite needs at least 2 vertices, got {g.n}")
     kw.check_seed(seed)
     rng = np.random.default_rng(seed)
     sd = decompose(g)
+    operator = functools.cache(functools.partial(build_operator, sd))
     report = CheckReport()
     entries = report.entries
     _calculus_checks(g, rng, entries)
     _spectral_checks(g, sd, rng, entries)
-    _fractional_checks(g, sd, list(s_list), rng, entries)
-    _solver_checks(g, sd, list(s_list), rng, entries)
-    _embedding_checks(g, sd, [s for s in s_list if s > 0], rng, entries)
+    _fractional_checks(g, sd, list(s_list), operator, rng, entries)
+    _solver_checks(g, list(s_list), operator, rng, entries)
+    _embedding_checks(g, sd, [s for s in s_list if s > 0], operator, rng, entries)
     return report

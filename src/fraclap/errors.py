@@ -73,4 +73,4 @@ class NotAnUpperSolution(FraclapError):
 
 
 class ThresholdIsMinusInfinity(FraclapError):
-    """kappa <= 0 everywhere: the equation is solvable for every c < 0."""
+    """Screening certifies the equation solvable for every c < 0: no threshold."""

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InvalidExponent, QuadratureError
-from .graph import (ALL_PAIRS, PairwiseField, as_function, gradient_field,
+from .graph import (ALL_PAIRS, PairwiseField, as_function, check_tol, gradient_field,
                     iterated_laplacian, mu_inner)
 from .spectral import SpectralDecomposition
 
@@ -83,7 +83,7 @@ class FractionalOperator:
 
     @cached_property
     def power_mismatch(self):
-        return float(np.max(np.abs(self.op_matrix - self.power_matrix).sum(axis=1)))
+        return _induced_inf(self.op_matrix - self.power_matrix)
 
     @cached_property
     def energy_matrix(self):
@@ -91,6 +91,11 @@ class FractionalOperator:
         form = 0.5 * (form + form.T)
         form.setflags(write=False)
         return form
+
+
+def _induced_inf(matrix):
+    """The induced sup norm of a matrix: its largest absolute row sum."""
+    return float(np.max(np.abs(matrix).sum(axis=1)))
 
 
 def split_exponent(s):
@@ -321,8 +326,7 @@ def kernel_w_quadrature(sd, s, tol=1e-8):
     s = float(s)
     if not 0.0 < s < 1.0:
         raise InvalidExponent(f"quadrature kernel needs 0 < s < 1, got {s}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    check_tol(tol)
     g = sd.graph
     live = sd.lambdas > 0
     phis = sd.phis[:, live]
@@ -372,10 +376,6 @@ class LimitReport:
     entries: tuple
     monotone_toward_one: bool
     monotone_toward_zero: bool
-
-
-def _induced_inf(matrix):
-    return float(np.max(np.abs(matrix).sum(axis=1)))
 
 
 def limit_residuals(sd, s_list):

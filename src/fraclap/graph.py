@@ -264,6 +264,13 @@ def as_function(g, u):
     return u
 
 
+def check_tol(tol):
+    """Reject a tolerance that is not finite and positive; a NaN one would
+    pass every comparison it is held to."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 @dataclass(frozen=True)
 class PairwiseField:
     """Antisymmetrically generated per-vertex-pair field F(x, y).

@@ -29,8 +29,8 @@ from .errors import (
     SingularSystem,
     ThresholdIsMinusInfinity,
 )
-from .fractional import FractionalOperator, build_operator, dirichlet_energy
-from .graph import as_function, function_document, integral, mean
+from .fractional import FractionalOperator, build_operator, dirichlet_energy, split_exponent
+from .graph import as_function, check_tol, function_document, integral, mean
 from .spectral import decompose
 
 SOLVABLE = "solvable"
@@ -41,7 +41,11 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class KWProblem:
-    """Equation data: graph, exponent s > 0, constant c, weight kappa."""
+    """Equation data: graph, exponent s > 0, constant c, weight kappa.
+
+    An s that split_exponent rejects raises its InvalidExponent (a
+    ValueError); a non-finite c raises ValueError, and kappa is checked by
+    as_function."""
 
     graph: object
     s: float
@@ -49,8 +53,7 @@ class KWProblem:
     kappa: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s > 0):
-            raise ValueError(f"s must be a positive real, got {self.s}")
+        split_exponent(self.s)
         if not math.isfinite(self.c):
             raise ValueError("c must be finite")
         object.__setattr__(self, "kappa", as_function(self.graph, self.kappa))
@@ -835,9 +838,7 @@ def solve(p, opts=None, op=None):
     within tol; a NotSolved carries the trace of the attempts that failed.
     """
     opts = opts or SolveOptions()
-    if not 0.0 < opts.tol < math.inf:
-        # a NaN tolerance would pass every residual check below
-        raise ValueError(f"tol must be finite and positive, got {opts.tol}")
+    check_tol(opts.tol)
     check_seed(opts.seed)
     verdict = screen(p)
     if verdict.status == UNSOLVABLE and not opts.override_screen:
@@ -930,25 +931,30 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
     seeded restarts follow; if one solves, the walk resumes from it. A
     solution certifies everything between its c and zero. The probe log
     holds each walk's end point and each confirmation, every c once and in
-    decreasing order; ``cap`` bounds its length. ``tol`` must be finite
-    and positive, ``cap`` at least 1 and the seed a nonnegative integer.
+    decreasing order; ``cap`` bounds its length.
+
+    The bracket ``tol`` and the residual tolerance ``opts.tol`` must be
+    finite and positive, ``cap`` at least 1 and the seed a nonnegative
+    integer. The walk starts below zero, so integral(kappa) < 0 is required
+    (ValueError otherwise, kappa identically zero included). Where screening
+    certifies c = -1 solvable, its clause covers every c < 0 and
+    ThresholdIsMinusInfinity is raised; every other kappa is bracketed.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    check_tol(tol)
     if not cap >= 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     opts = opts or SolveOptions()
+    check_tol(opts.tol)
     check_seed(opts.seed)
     kappa = as_function(g, kappa)
     kint = integral(g, kappa)
-    if float(np.max(kappa)) <= 0:
-        raise ThresholdIsMinusInfinity(
-            "kappa <= 0 everywhere: solvable for every c < 0, threshold is -infinity"
-        )
     if kint >= 0:
         raise ValueError(
             "threshold undefined: integral(kappa) >= 0 makes every c < 0 unsolvable"
         )
+    verdict = screen(KWProblem(g, s, -1.0, kappa))
+    if verdict.status == SOLVABLE:
+        raise ThresholdIsMinusInfinity("; ".join(verdict.reasons) + "; threshold is -infinity")
 
     op = _ensure_operator(g, s, op)
     start = _branch_start(op, kappa, kint / g.volume / 16.0, opts)

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from fraclap import checks, fractional
+from fraclap import kazdan_warner as kw
 from fraclap.checks import (
     _calculus_checks,
     _laplacian_draws,
@@ -174,6 +176,54 @@ class TestHugeWeight:
     def test_moderate_graph_draws_are_not_scaled(self, er20):
         draws = np.random.default_rng(3).standard_normal((50, er20.n))
         assert np.array_equal(_laplacian_draws(er20, draws.copy()), draws)
+
+
+class TestSuiteSolveFailures:
+    """A Kazdan-Warner solve inside the suite that raises CertificateUnsolvable
+    or NotSolved fails its entry, and the suite goes on."""
+
+    SOLVER_ENTRIES = {"manufactured-recovery", "integrated-identity", "comparison-inequality"}
+
+    def test_unsound_certificate_cannot_hide(self, p2, monkeypatch):
+        intact = run_suite(p2, s_list=[0.5], seed=7)
+        unsolvable = kw.FeasibilityVerdict(kw.UNSOLVABLE, ("forced certificate",))
+        monkeypatch.setattr(kw, "screen", lambda p: unsolvable)
+        report = run_suite(p2, s_list=[0.5], seed=7)
+        entries = {e.name: e for e in report.entries}
+        for name in ("manufactured-recovery", "comparison-inequality"):
+            assert not entries[name].passed
+            assert entries[name].measured == 0.0  # no problem was solved
+            assert entries[name].witness.startswith("problem 0 (c=")
+            assert "CertificateUnsolvable: forced certificate" in entries[name].witness
+        # every draw is made before its solve, so every other entry keeps its bits
+        assert [e for e in report.entries if e.name not in self.SOLVER_ENTRIES] == \
+            [e for e in intact.entries if e.name not in self.SOLVER_ENTRIES]
+
+    def test_huge_weight_solve_failure_is_an_entry(self):
+        g = build_graph([("x1", 1.0), ("x2", 1.0)], [("x1", "x2", 1e200)])
+        entries = {e.name: e for e in run_suite(g, s_list=[0.5], seed=7).entries}
+        recovery = entries["manufactured-recovery"]
+        assert not recovery.passed
+        assert math.isfinite(recovery.measured)
+        assert "NotSolved" in recovery.witness
+
+
+class TestOperatorSharing:
+    def test_one_build_per_exponent(self, random_connected, monkeypatch):
+        g = random_connected(np.random.default_rng(5), 60)
+        calls = []
+        real = fractional.build_operator
+
+        def counted(sd, s):
+            calls.append(s)
+            return real(sd, s)
+
+        for module in (checks, fractional, kw):
+            monkeypatch.setattr(module, "build_operator", counted)
+        run_suite(g, s_list=[0.5, 1.5], seed=7)
+        # 0.5, 1.5, the semigroup sum 1.0 and the eight limit exponents
+        assert len(calls) == len(set(calls)) == 11
+        assert {0.5, 1.5, 1.0} <= set(calls)
 
 
 class TestFaultInjection:

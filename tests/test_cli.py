@@ -416,6 +416,16 @@ class TestThresholdCmd:
         assert code == 0
         assert json.loads(out)["status"] == "threshold-is-minus-infinity"
 
+    def test_zero_kappa_is_a_usage_error(self, p2_file, tmp_path, capsys):
+        # kw --c -1 certifies this kappa unsolvable (exit 2)
+        kap = fn_file(tmp_path, "k.json", {"x1": 0.0, "x2": 0.0})
+        code, out, err = run_cli(
+            capsys, ["threshold", "--graph", p2_file, "--s", "0.5", "--kappa", kap])
+        assert code == 1
+        assert out == ""
+        assert err == ("error: threshold undefined: integral(kappa) >= 0 makes "
+                       "every c < 0 unsolvable\n")
+
 
 class TestCheckCmd:
     def test_passes_on_p2(self, p2_file, capsys):
@@ -447,6 +457,23 @@ class TestCheckCmd:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: numerical failure: ")
+
+    def test_failed_solve_is_a_failed_entry(self, tmp_path, capsys):
+        # on P2 with w = 1e200 the suite's own solves fail with NotSolved
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(dict(P2_DOC, edges=[{"src": "x1", "dst": "x2", "w": 1e200}])))
+        code, out, err = run_cli(capsys, ["check", "--graph", str(path), "--s", "0.5"])
+        assert code == 4
+        entries = {e["name"]: e for e in json.loads(out)["entries"]}
+        recovery = entries["manufactured-recovery"]
+        assert recovery["passed"] is False
+        assert math.isfinite(recovery["measured"])
+        assert recovery["witness"].startswith("problem ")
+        assert "NotSolved" in recovery["witness"]
+        failed = [name for name, e in entries.items() if not e["passed"]]
+        assert err.splitlines() == [line for line in err.splitlines()
+                                    if line.startswith("error: check failed: ")]
+        assert len(err.splitlines()) == len(failed)
 
     def test_failed_entry_writes_one_error_line(
             self, p2_file, capsys, monkeypatch, null_root_handler):

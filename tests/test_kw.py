@@ -10,6 +10,7 @@ from fraclap import kazdan_warner as kw
 from fraclap.errors import (
     CertificateUnsolvable,
     InfeasibleStart,
+    InvalidExponent,
     NotAnUpperSolution,
     NotSolved,
     SingularSystem,
@@ -880,6 +881,22 @@ class TestThreshold:
         with pytest.raises(ValueError):
             kw.estimate_threshold(p2, 0.5, np.array([2.0, -1.0]), tol=1e-3)
 
+    def test_zero_kappa_rejected(self, p2):
+        # screening certifies kappa = 0 unsolvable at every c < 0, so no
+        # threshold exists and -infinity would be false
+        with pytest.raises(ValueError, match=r"integral\(kappa\) >= 0"):
+            kw.estimate_threshold(p2, 0.5, np.zeros(2), tol=1e-3)
+
+    def test_minus_infinity_only_where_screening_certifies_it(self, p2):
+        # at s > 1 the sufficient clause needs kappa < 0 everywhere; a zero
+        # entry leaves the screen open, so the driver brackets it
+        with pytest.raises(ThresholdIsMinusInfinity, match="high-order sufficient clause"):
+            kw.estimate_threshold(p2, 1.5, np.array([-1.0, -2.0]), tol=1e-3)
+        est = kw.estimate_threshold(p2, 1.5, np.array([0.0, -1.0]), tol=1e-3)
+        assert est.c_low < est.c_high < 0.0
+        p = problem(p2, est.c_high, [0.0, -1.0], s=1.5)
+        assert kw.check_solution(p, est.attained_solution_at_threshold).residual_inf <= 1e-8
+
     @pytest.mark.parametrize("kwargs", [
         {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0},
         {"cap": 0}, {"cap": -1}, {"cap": math.nan},
@@ -887,6 +904,13 @@ class TestThreshold:
     def test_invalid_tol_or_cap_rejected(self, p2, kwargs):
         with pytest.raises(ValueError):
             kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), **kwargs)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+    def test_invalid_residual_tol_rejected(self, p2, tol):
+        # an infinite tolerance once walked to c = -1.2e18 in 64 probes
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]),
+                                  opts=kw.SolveOptions(tol=tol))
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
     def test_solve_rejects_invalid_tol(self, p2, tol):
@@ -1016,6 +1040,11 @@ class TestSettingsAndOperatorChecks:
             kw.solve(p, kw.SolveOptions(seed=1.5, method=method), op=op_p2)
         rep = kw.solve(p, kw.SolveOptions(seed=np.int64(3), method=method), op=op_p2)
         assert rep.residual_inf <= 1e-8
+
+    @pytest.mark.parametrize("s", [0.0, math.nan])
+    def test_problem_exponent_is_checked_by_split_exponent(self, p2, s):
+        with pytest.raises(InvalidExponent, match="exponent must be a positive real"):
+            problem(p2, 1.0, [1.0, 1.0], s=s)
 
     def test_threshold_rejects_non_integer_seed(self, p2):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
