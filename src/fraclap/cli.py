@@ -247,13 +247,11 @@ def _cmd_kw(args):
 
 
 def _cmd_threshold(args):
-    _flag_at_least("--seed", args.seed, 0)
     g = _graph(args)
     kappa = load_function(g, _read(args.kappa))
     # --tol is the bracket width; the solves keep the default residual tolerance
-    opts = kw.SolveOptions(seed=args.seed)
     try:
-        est = kw.estimate_threshold(g, args.s, kappa, tol=args.tol, cap=args.cap, opts=opts)
+        est = kw.estimate_threshold(g, args.s, kappa, tol=args.tol, cap=args.cap)
     except ThresholdIsMinusInfinity as exc:
         _emit(args, {"status": "threshold-is-minus-infinity", "reason": str(exc)})
         return EXIT_OK
@@ -328,8 +326,7 @@ def build_parser():
     p.add_argument("--kappa", required=True)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--cap", type=int, default=64,
-                   help="probe log length: walk end points and confirmations")
-    p.add_argument("--seed", type=int, default=0)
+                   help="probe log length: the start, then one entry per Newton run")
 
     p = add("poisson", _cmd_poisson, "mean-zero solve of (-Delta)^s u = f - mean(f)")
     p.add_argument("--s", type=float, required=True)

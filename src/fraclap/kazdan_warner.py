@@ -5,9 +5,11 @@
 Sign screening certifies solvability or unsolvability where the sign of
 (c, kappa) decides it outright; the remaining cases run one route: constrained
 minimization (c >= 0) or monotone iteration bracketed by upper and lower
-solutions (c < 0, s <= 1), then damped Newton where that fails. The threshold
-driver estimates the negative-c solvability threshold with the same Newton
-continuation in c that builds the continuation upper solution.
+solutions (c < 0, s <= 1), then damped Newton where that fails. One stable
+walk in c, Newton continuation with a tangent predictor that accepts only
+points where the linearization is positive definite, builds the continuation
+upper solution and drives the estimate of the negative-c solvability
+threshold.
 """
 
 from __future__ import annotations
@@ -123,13 +125,12 @@ class ResidualReport:
 class ThresholdEstimate:
     """Bracket around the negative-c solvability threshold.
 
-    c_high carries a verified solution; c_low is the confirmed probe where
-    damped Newton failed from the solution at c_high, from zero and from every
-    seeded restart (operational, not a mathematical certificate). When
-    cap_reached is set the probe log used its whole budget, which may have
-    stopped the search early: the log records what was actually established,
-    and c_low may be a c where only one continuation step failed, or the
-    unprobed candidate 2 c_high.
+    c_high carries a verified solution on the stable branch (mu J positive
+    definite); c_low is the probe where the stable walk from c_high failed,
+    the fold as the walk finds it, not a certificate that c_low is
+    unsolvable. When cap_reached is set the probe log used its whole budget,
+    which may have stopped the search early: c_low may then lie more than
+    ``tol`` below c_high, or be the unprobed candidate 2 c_high.
     """
 
     c_low: float
@@ -633,9 +634,9 @@ def construct_upper_solution(p, opts=None, op=None):
     """Build a function with nonnegative equation slack for c < 0, or None.
 
     Nonpositive kappa with negative integral admits the explicit affine
-    construction a*v + b over the mean-zero solve of kappa; otherwise Newton
-    continuation walks from c/2 down to c, and any solution at lower c serves
-    as an upper solution at c. Absent is a valid outcome.
+    construction a*v + b over the mean-zero solve of kappa; otherwise the
+    stable walk goes from near c/2 down to c, and any solution at lower c
+    serves as an upper solution at c. Absent is a valid outcome.
     """
     opts = opts or SolveOptions()
     if p.c >= 0:
@@ -674,60 +675,74 @@ def _affine_upper_solution(p, op):
 
 
 def _continuation_solution(p, opts, op):
-    """Newton continuation from c/2 down to (slightly past) c: the last
+    """The stable walk from near c/2 down to (slightly past) c: the last
     solution at or below c, or None."""
-    c = p.c
-    start = _branch_start(op, p.kappa, c / 2.0, opts)
+    start = _stable_start(op, p.kappa, p.c / 2.0, opts)
     if start is None:
         return None
     # overshoot c by a relative margin so the final slack is strictly positive
-    c_end, u, _ = _walk(op, p.kappa, *start, c * (1.0 + 1e-6), opts, abs(c) * 1e-9)
-    return u if c_end <= c else None
+    c_end, u, _ = _stable_walk(op, p.kappa, start, p.c * (1.0 + 1e-6), opts,
+                               abs(p.c) * 1e-9, [], math.inf)
+    return u if c_end <= p.c else None
 
 
-def _branch_start(op, kappa, c, opts):
-    """Where a continuation walk toward c < 0 starts: the first (c / 2^k, u)
-    that Newton from zero solves for k = 0, ..., 15, else (c, u) from the
-    seeded restarts at c; None when every start fails."""
-    zero = np.zeros(op.graph.n)
+def _stable_point(op, kappa, c, u0, opts):
+    """Damped Newton at c < 0 from u0, accepted only where mu J = energy
+    matrix - diag(mu kappa e^u) is positive definite (Morse index 0), as at
+    the maximal solution of upper and lower solutions. Returns (u, du/dc),
+    from (mu J) du/dc = -mu on that factor, or None."""
+    u, _, ok = _damped_newton(op, kappa, c, u0, opts)
+    # a converged run has a finite residual, so e^u does not overflow
+    factor = _shifted_cholesky(op.graph, op, -kappa * np.exp(u)) if ok else None
+    if factor is None:
+        return None
+    return u, scipy.linalg.cho_solve(factor, -op.graph.mu)
+
+
+def _stable_start(op, kappa, c, opts):
+    """Where the stable walk toward c < 0 starts: the first (c_k, u, du/dc)
+    with c_k = c / 2^k, k = 0, ..., 15, that Newton solves stably from the
+    constant log(c_k / kbar), the limit of the stable branch as c -> 0-.
+    None when kbar >= 0 or every start fails."""
+    kbar = mean(op.graph, kappa)
+    if kbar >= 0:
+        return None
     for k in range(16):
-        u, _, ok = _damped_newton(op, kappa, c / 2.0**k, zero, opts)
-        if ok:
-            return c / 2.0**k, u
-    rng = np.random.default_rng((opts.seed, 0xC017))
-    u, _ = _newton_attempts(op, kappa, c, _seeded_restarts(op, rng), opts)
-    return None if u is None else (c, u)
+        ck = c / 2.0**k
+        point = _stable_point(op, kappa, ck, np.full(op.graph.n, math.log(ck / kbar)), opts)
+        if point is not None:
+            return (ck, *point)
+    return None
 
 
-def _walk(op, kappa, c, u, target, opts, min_step):
-    """Newton continuation in c from the solution u at c down to target < c.
+def _stable_walk(op, kappa, start, target, opts, tol, probes, cap):
+    """Continuation in c along the stable branch from ``start`` = (c, u,
+    du/dc) down to target < c, each run from the tangent predictor.
 
-    Each step first tries the whole remaining distance and is halved after a
-    failure. The walk stops at the target, after 12 failures in a row, after
-    200 steps, or once a halved step is below min_step: geometric stalling
-    pins a fold between the last solution and the last failure. Returns the
-    last solved (c, u) and the last failed c below it (None when no step
-    failed, or when the walk went on past its failures to the target).
+    The first step goes to 2c and the step doubles after each success;
+    after the first failure the walk bisects between the last solution and
+    the last failure. It stops at the
+    target, once those are at most tol apart or adjacent doubles, or once
+    ``probes``, which gets (c', solved) for every run, holds ``cap`` entries.
+    Returns the last solved (c, u) and the last failed c, or None.
     """
-    step = target - c
-    failed = None
-    failures_in_a_row = 0
-    for _ in range(200):
-        if c <= target:
-            break
-        nxt = max(c + step, target)
-        cand, _, ok = _damped_newton(op, kappa, nxt, u, opts)
-        if ok:
-            u, c = cand, nxt
-            step = target - c
-            failures_in_a_row = 0
+    c, u, tangent = start
+    step, failed = c, None
+    while c > target and len(probes) < cap:
+        if failed is None:
+            nxt = max(c + step, target)
         else:
-            failed = nxt
-            step *= 0.5
-            failures_in_a_row += 1
-            if abs(step) < min_step or failures_in_a_row >= 12:
+            nxt = 0.5 * (c + failed)
+            if c - failed <= tol or nxt in (c, failed):
                 break
-    return c, u, (failed if failed is not None and failed < c else None)
+        point = _stable_point(op, kappa, nxt, u + (nxt - c) * tangent, opts)
+        probes.append((nxt, point is not None))
+        if point is None:
+            failed = nxt
+        else:
+            c, (u, tangent) = nxt, point
+            step *= 2.0
+    return c, u, failed
 
 
 def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
@@ -878,8 +893,9 @@ def _route(p, opts, op, trace):
        c >= 0; for c < 0 and s <= 1, monotone iteration from the affine
        upper solution, then under "monotone" from the continuation point.
     2. Unless the method is "variational" or "monotone", damped Newton at c
-       from zero, each upper solution (the continuation point solves just
-       past c) and the seeded restarts, in that order.
+       from zero, each upper solution (the continuation point, a stable
+       solution just past c) and the seeded restarts, in that order; the
+       first root found wins, stable or not.
 
     Step 1's last error is raised under a method that stops after it, and
     InfeasibleStart, a certificate, always; any other goes to ``trace``.
@@ -918,24 +934,20 @@ def _route(p, opts, op, trace):
 
 
 def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
-    """Bracket the negative-c solvability threshold by Newton continuation
-    in c.
+    """Bracket the negative-c solvability threshold by the stable walk in c
+    from near kbar/16, with no lower target.
 
-    From a solution near kbar/16 the continuation walk heads down to a target
-    that doubles each time a walk reaches it. After a failure the target is
-    the last failed c, and walking goes on until the last solution and that
-    failure are at most tol apart, or until a walk moves neither end (a tol
-    below the spacing of doubles there, so width can exceed tol). Only that
-    lower end is then confirmed: the walk's own failed run from the last
-    solution is the first attempt, and damped Newton from zero and from
-    seeded restarts follow; if one solves, the walk resumes from it. A
-    solution certifies everything between its c and zero. The probe log
-    holds each walk's end point and each confirmation, every c once and in
-    decreasing order; ``cap`` bounds its length.
+    c_high is the walk's last solution and c_low its last failure: the fold
+    as the walk finds it, reported, not certified. width exceeds tol only
+    where tol is below the spacing of doubles there. The probe log holds the
+    start's c, then (c, solved) for each Newton run of the walk; ``cap``
+    bounds its length. Each probe lies below every earlier solved c, but the
+    log is not in decreasing order: a bisection probe lies above the
+    failures before it.
 
     The bracket ``tol`` and the residual tolerance ``opts.tol`` must be
-    finite and positive, ``cap`` at least 1 and the seed a nonnegative
-    integer. The walk starts below zero, so integral(kappa) < 0 is required
+    finite and positive and ``cap`` at least 1; ``opts.seed`` is not used.
+    The walk starts below zero, so integral(kappa) < 0 is required
     (ValueError otherwise, kappa identically zero included). Where screening
     certifies c = -1 solvable, its clause covers every c < 0 and
     ThresholdIsMinusInfinity is raised; every other kappa is bracketed.
@@ -945,7 +957,6 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
         raise ValueError(f"cap must be at least 1, got {cap}")
     opts = opts or SolveOptions()
     check_tol(opts.tol)
-    check_seed(opts.seed)
     kappa = as_function(g, kappa)
     kint = integral(g, kappa)
     if kint >= 0:
@@ -957,30 +968,11 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
         raise ThresholdIsMinusInfinity("; ".join(verdict.reasons) + "; threshold is -infinity")
 
     op = _ensure_operator(g, s, op)
-    start = _branch_start(op, kappa, kint / g.volume / 16.0, opts)
+    start = _stable_start(op, kappa, kint / g.volume / 16.0, opts)
     if start is None:
         raise NotSolved("no solvable c found near zero", trace=["threshold"])
-    c_hi, u = start
-    c_lo = None  # the last failed c below c_hi, once a walk has failed
-    probes = []
-    while len(probes) < cap:
-        target = 2.0 * c_hi if c_lo is None else c_lo
-        before = (c_hi, c_lo)
-        c_hi, u, c_lo = _walk(op, kappa, c_hi, u, target, opts, 0.5 * tol)
-        if not probes or probes[-1][0] != c_hi:
-            probes.append((c_hi, True))
-        # a walk that moves neither end is as narrow as doubles allow
-        narrowed = c_lo is not None and (c_hi - c_lo <= tol or (c_hi, c_lo) == before)
-        if not narrowed or len(probes) >= cap:
-            continue
-        rng = np.random.default_rng((opts.seed, len(probes)))
-        starts = itertools.chain([np.zeros(g.n)], _seeded_restarts(op, rng))
-        confirmed, _ = _newton_attempts(op, kappa, c_lo, starts, opts)
-        probes.append((c_lo, confirmed is not None))
-        if confirmed is None:
-            break
-        c_hi, u, c_lo = c_lo, confirmed, None
-
+    probes = [(start[0], True)]
+    c_hi, u, c_lo = _stable_walk(op, kappa, start, -math.inf, opts, tol, probes, cap)
     c_low = 2.0 * c_hi if c_lo is None else c_lo
     return ThresholdEstimate(
         c_low=float(c_low),

@@ -735,15 +735,13 @@ class TestInvalidNumericFlags:
                      "--kappa", kap, "--method", "monotone", "--max-iter", max_iter],
             "--max-iter must be at least 1")
 
-    @pytest.mark.parametrize("command", ["kw", "threshold", "check"])
+    @pytest.mark.parametrize("command", ["kw", "check"])
     def test_seed_nonnegative(self, p2_file, tmp_path, capsys, command):
         # refused before any route runs: a monotone kw solve never draws from
         # the seed, and the other routes would fail inside numpy
         extra = {
             "kw": ["--s", "0.5", "--c", "-2.0", "--kappa",
                    fn_file(tmp_path, "k.json", {"x1": -1.0, "x2": -1.0})],
-            "threshold": ["--s", "0.5", "--kappa",
-                          fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})],
             "check": [],
         }[command]
         self.assert_usage_error(

@@ -812,9 +812,38 @@ class TestThreshold:
         assert kw.check_solution(p, est.attained_solution_at_threshold, op).residual_inf <= 1e-8
         assert_probes_below_earlier_successes(est)
 
+    @pytest.mark.parametrize("k, reach", [
+        (1, -0.113113), (2, -0.107471), (3, -0.077033), (4, -0.125276),
+    ])
+    def test_bracket_ends_on_the_stable_branch(self, random_connected, k, reach):
+        # reach: a stable solution (mu J positive definite, residual at most
+        # 4.2e-12) exists there, found by a separate continuation. For
+        # k = 1, 3, 4 an unstable branch folds more than 0.008 above it, so a
+        # walk that accepts Newton roots of any stability stops early
+        rng = np.random.default_rng(k)
+        g = random_connected(rng, 300)
+        kappa = rng.normal(size=g.n) - 0.5
+        op = build_operator(decompose(g), 0.5)
+        est = kw.estimate_threshold(g, 0.5, kappa, tol=1e-4, op=op)
+        assert est.c_high <= reach + 1e-4
+        u = est.attained_solution_at_threshold
+        assert kw._shifted_cholesky(g, op, -kappa * np.exp(u)) is not None
+        p = problem(g, est.c_high, kappa)
+        assert kw.check_solution(p, u, op).residual_inf <= 1e-8
+
+    @pytest.mark.parametrize("c", [-0.105, -0.11])
+    def test_solve_below_an_unstable_fold(self, random_connected, c):
+        # an unstable branch folds near -0.1044; the continuation point must
+        # come from the stable branch, which reaches -0.1131
+        rng = np.random.default_rng(1)
+        g = random_connected(rng, 300)
+        kappa = rng.normal(size=g.n) - 0.5
+        rep = kw.solve(problem(g, c, kappa))
+        assert rep.residual_inf <= 1e-8
+
     def test_confirmation_repeats_no_run(self, p2, monkeypatch):
-        # the walk's last failed run from the last solution is the first
-        # confirmation attempt, so no Newton run is made twice in a row
+        # a failed run is never retried: the bisection moves to a new c, and
+        # no separate confirmation reruns a failure from other starts
         calls = []
         real = kw._damped_newton
 
@@ -826,23 +855,33 @@ class TestThreshold:
         est = kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), tol=1e-3)
         for (c0, u0), (c1, u1) in zip(calls, calls[1:]):
             assert not (c0 == c1 and np.array_equal(u0, u1))
-        assert (est.c_low, est.c_high) == (-0.10437917709350586, -0.1037139892578125)
-        assert est.probes == ((-0.1037139892578125, True), (-0.10437917709350586, False))
+        assert (est.c_low, est.c_high) == (-0.1044921875, -0.103515625)
+        assert est.probes == (
+            (-0.0625, True), (-0.125, False), (-0.09375, True), (-0.109375, False),
+            (-0.1015625, True), (-0.10546875, False), (-0.103515625, True),
+            (-0.1044921875, False))
         assert est.attained_solution_at_threshold.tolist() == [
-            -1.1446748609442943, -1.7415315198296102]
+            -1.3301518150722764, -1.8505155670582292]
 
-    def test_walk_reports_no_failure_it_went_past(self, op_p2, monkeypatch):
-        # the first run fails and every later one solves: the walk halves its
-        # step, then reaches the target, so no failure lies below its end
-        outcomes = iter([False])
+    def test_bisection_never_probes_below_a_failure(self, op_p2, monkeypatch):
+        # scripted outcomes: two doublings solve, then failures and successes
+        # alternate; after the first failure every probe lies strictly
+        # between the last solution and the last failure
+        outcomes = iter([True, True, False, True, False])
 
         def scripted(op, kappa, c, u0, opts):
-            return np.array(u0, dtype=float), 1, next(outcomes, True)
+            return (u0, np.zeros(2)) if next(outcomes, True) else None
 
-        monkeypatch.setattr(kw, "_damped_newton", scripted)
-        c, _, failed = kw._walk(op_p2, np.array([1.0, -3.0]), -0.01, np.zeros(2), -0.02,
-                                kw.SolveOptions(), 1e-9)
-        assert (c, failed) == (-0.02, None)
+        monkeypatch.setattr(kw, "_stable_point", scripted)
+        probes = []
+        start = (-0.01, np.zeros(2), np.zeros(2))
+        c, _, failed = kw._stable_walk(op_p2, np.array([1.0, -3.0]), start, -math.inf,
+                                       kw.SolveOptions(), 1e-3, probes, math.inf)
+        assert [p for p, _ in probes[:5]] == [-0.02, -0.04, -0.08, -0.06, -0.07]
+        for i, (c_probe, _) in enumerate(probes):
+            assert all(c_probe > c_failed for c_failed, ok in probes[:i] if not ok)
+        assert (failed, dict(probes)[failed], dict(probes)[c]) == (-0.07, False, True)
+        assert 0.0 < c - failed <= 1e-3
 
     def test_cap_reached_returns_verified_solution(self, p2):
         est = kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), tol=1e-3, cap=2)
@@ -1027,8 +1066,6 @@ class TestSettingsAndOperatorChecks:
         # the monotone route draws no restarts, so only the check stops it
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             kw.solve(problem(p2, -2.0, [-1.0, -1.0]), opts)
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
-            kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), opts=opts)
 
     @pytest.mark.parametrize("c, kappa, method", [
         (-0.05, [1.0, -3.0], "newton"),  # draws seeded restarts
@@ -1046,7 +1083,12 @@ class TestSettingsAndOperatorChecks:
         with pytest.raises(InvalidExponent, match="exponent must be a positive real"):
             problem(p2, 1.0, [1.0, 1.0], s=s)
 
-    def test_threshold_rejects_non_integer_seed(self, p2):
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
-            kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]),
-                                  opts=kw.SolveOptions(seed=1.5))
+    def test_threshold_draws_no_seed(self, p2):
+        # the stable walk has no random starts, so the seed neither changes
+        # the bracket nor is checked
+        kappa = np.array([1.0, -3.0])
+        base = kw.estimate_threshold(p2, 0.5, kappa, tol=1e-3)
+        for seed in (1.5, -1, 7):
+            est = kw.estimate_threshold(p2, 0.5, kappa, tol=1e-3,
+                                        opts=kw.SolveOptions(seed=seed))
+            assert est.probes == base.probes
