@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .errors import InvalidExponent, QuadratureError
 from .graph import (ALL_PAIRS, PairwiseField, as_function, check_tol, gradient_field,
@@ -159,6 +158,7 @@ def _laplacian_sandwich(g, inner, k):
     """L^k inner L^k as a dense array, with L the positive Laplacian applied
     as a sparse matrix: O(n^2 deg) per factor on a dense inner instead of a
     dense n^3 product. A sparse inner stays sparse until the result."""
+    import scipy.sparse  # imported on first use: it slows `import fraclap`
     if k:
         lap = g.sparse_laplacian
         for _ in range(k):
@@ -225,6 +225,7 @@ def build_operator(sd, s):
         )
     g = sd.graph
     if sigma == 0.0:
+        import scipy.sparse  # imported on first use: it slows `import fraclap`
         kernel = None
         inner = g.sparse_laplacian if m % 2 else scipy.sparse.eye_array(g.n, format="csr")
     else:

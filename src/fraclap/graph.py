@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -98,6 +96,7 @@ class Graph:
 
 
 def _read_only_csr(data, rows, cols, n):
+    import scipy.sparse  # imported on first use: it slows `import fraclap`
     # canonical CSR (sorted indices) without the entries that rounded to zero
     a = scipy.sparse.csr_array((data, (rows, cols)), shape=(n, n))
     a.eliminate_zeros()
@@ -192,13 +191,21 @@ def _edge_pattern(n, edge_weights):
 
 
 def _check_connected(pairs, ids):
-    n = len(ids)
-    ends = np.array(list(pairs), dtype=int).reshape(-1, 2).T
-    adjacency = scipy.sparse.coo_array((np.ones(ends.shape[1]), tuple(ends)), shape=(n, n))
-    _, labels = connected_components(adjacency, directed=False)
-    unreachable = np.nonzero(labels != labels[0])[0]
-    if unreachable.size:
-        missing = [ids[i] for i in unreachable]
+    """Raise DisconnectedError naming, in vertex order, every vertex that the
+    edges {(i, j): w} do not join to vertex 0: a union-find with path halving."""
+    parent = list(range(len(ids)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in pairs:
+        parent[root(i)] = root(j)
+    home = root(0)
+    missing = [v for i, v in enumerate(ids) if root(i) != home]
+    if missing:
         raise DisconnectedError(f"graph is disconnected; unreachable: {missing}")
 
 

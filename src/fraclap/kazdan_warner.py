@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CertificateUnsolvable,
@@ -65,6 +64,7 @@ _STEP_TOL = 1e-10  # a monotone step this small triggers a residual check
 _MAX_ITER_NEWTON = 200  # cap on each damped-Newton run
 _NEWTON_RESTARTS = 8  # seeded random starts after the fixed ones
 _DESCENT_OPTIONS = {"maxiter": 800, "ftol": 1e-10, "gtol": 1e-4}  # both L-BFGS-B runs
+_DRIFT_REL = 1e-3  # a residual above this times the equation's scale is not a solution
 
 
 @dataclass
@@ -245,12 +245,28 @@ def check_solution(p, u, op=None):
     )
 
 
+def _equation_scale(op, kappa, c, u):
+    """T = ||A u||_inf + ||kappa e^u||_inf + |c|, the size of the equation's
+    terms at a u of finite residual, A = op_matrix. A drift toward a constant
+    -infinity drives every term, and with them the residual, to zero, so no
+    absolute tolerance tells it from a solution; a residual above
+    _DRIFT_REL T is not one."""
+    terms = np.max(np.abs(op.op_matrix @ u)) + np.max(np.abs(kappa * np.exp(u)))
+    return float(terms) + abs(c)
+
+
 def _verified(p, op, u, method, iterations, opts, energy=None):
     """The one exit of every solve: the report of u if its re-checked residual
-    is within opts.tol, else NotSolved naming the route and the residual."""
+    is within opts.tol and small against the equation's scale, else NotSolved
+    naming the route and the residual."""
     residual = check_solution(p, u, op).residual_inf
     if not residual <= opts.tol:  # a NaN residual fails too
         message = f"{method} stopped at residual {residual:.3e} > tol {opts.tol:.3e}"
+        raise NotSolved(message, trace=[method])
+    scale = _equation_scale(op, p.kappa, p.c, u)
+    if not residual <= _DRIFT_REL * scale:
+        message = (f"{method} drifted: residual {residual:.3e} is not small against "
+                   f"the scale {scale:.3e} of the equation's terms")
         raise NotSolved(message, trace=[method])
     return SolveReport(u, residual, method, iterations, energy)
 
@@ -333,9 +349,9 @@ def _damped_newton(op, kappa, c, u0, opts):
     def solve_step(u, r):
         ke = kappa * np.exp(u)  # finite, as the residual r is
         if c < 0:
-            factor = _shifted_cholesky(g, op, -ke)
-            if factor is not None:
-                return scipy.linalg.cho_solve(factor, -g.mu * r)
+            chol_solve = _shifted_cholesky(g, op, -ke)
+            if chol_solve is not None:
+                return chol_solve(-g.mu * r)
         j = op.op_matrix.copy()
         j.flat[:: g.n + 1] -= ke
         return _lu_step(j, r)
@@ -354,21 +370,17 @@ def _seeded_restarts(op, rng):
 
 def _newton_attempts(op, kappa, c, starts, opts):
     """Damped Newton at c from each start in turn, drawn lazily; the first
-    converged run wins. Returns (u or None, total iterations).
-
-    At c = 0 a run drifting toward a constant -infinity drives the residual
-    to zero with kappa e^u, so a run whose kappa e^u is within opts.tol
-    everywhere has not told a solution apart from that drift and is
-    rejected."""
+    converged run whose residual is small against the equation's scale wins,
+    so a drift does not stop the search. Returns (u or None, total
+    iterations)."""
     total = 0
     for u0 in starts:
         u, its, ok = _damped_newton(op, kappa, c, u0, opts)
         total += its
-        if ok and c == 0:
-            with np.errstate(over="ignore"):
-                ok = float(np.max(np.abs(kappa * np.exp(u)))) > opts.tol
         if ok:
-            return u, total
+            residual = float(np.max(np.abs(_residual(op, kappa, c, u))))
+            if residual <= _DRIFT_REL * _equation_scale(op, kappa, c, u):
+                return u, total
     return None, total
 
 
@@ -387,26 +399,30 @@ def resolvent_solve(g, op, phi, f):
     f = as_function(g, f)
     if np.min(phi) <= 0:
         raise ValueError("phi must be strictly positive everywhere")
-    factor = _shifted_cholesky(g, op, phi)
-    if factor is None:
+    chol_solve = _shifted_cholesky(g, op, phi)
+    if chol_solve is None:
         raise SingularSystem("resolvent system not positive definite")
-    return scipy.linalg.cho_solve(factor, g.mu * f)
+    return chol_solve(g.mu * f)
 
 
 def _shifted_cholesky(g, op, phi):
-    """Cholesky factor of diag(mu) ((-Delta)^s + diag(phi)), symmetrized:
-    the energy matrix plus diag(mu phi), from one copy of it, or None where
-    that is not positive definite. Damped Newton at c < 0 passes
-    phi = -kappa e^u, making it mu times the Jacobian."""
+    """The solve b -> X^{-1} b by the Cholesky factor of X = diag(mu)
+    ((-Delta)^s + diag(phi)), symmetrized: the energy matrix plus
+    diag(mu phi), from one copy of it, or None where X is not positive
+    definite. Damped Newton at c < 0 passes phi = -kappa e^u, making X mu
+    times the Jacobian. Both LAPACK calls are looked up on scipy.linalg at
+    call time, so a wrapper set there sees every one."""
+    import scipy.linalg  # imported on first use: it slows `import fraclap`
     # the energy matrix is exactly symmetric, so its transpose is the same
     # matrix in the column-major layout LAPACK factors in place, uncopied
     sym = op.energy_matrix.T.copy(order="K")
     with np.errstate(over="ignore"):
         sym.flat[:: g.n + 1] += g.mu * phi
     try:
-        return scipy.linalg.cho_factor(sym, overwrite_a=True)
+        factor = scipy.linalg.cho_factor(sym, overwrite_a=True)
     except (scipy.linalg.LinAlgError, ValueError):  # ValueError: an overflowed shift
         return None
+    return lambda b: scipy.linalg.cho_solve(factor, b)
 
 
 def poisson_meanzero_solve(op, f):
@@ -693,10 +709,10 @@ def _stable_point(op, kappa, c, u0, opts):
     from (mu J) du/dc = -mu on that factor, or None."""
     u, _, ok = _damped_newton(op, kappa, c, u0, opts)
     # a converged run has a finite residual, so e^u does not overflow
-    factor = _shifted_cholesky(op.graph, op, -kappa * np.exp(u)) if ok else None
-    if factor is None:
+    chol_solve = _shifted_cholesky(op.graph, op, -kappa * np.exp(u)) if ok else None
+    if chol_solve is None:
         return None
-    return u, scipy.linalg.cho_solve(factor, -op.graph.mu)
+    return u, chol_solve(-op.graph.mu)
 
 
 def _stable_start(op, kappa, c, opts):
@@ -792,13 +808,13 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
 
     def factor_at(level):
         phi = kappa_neg * np.exp(level)
-        factor = _shifted_cholesky(g, op, phi)
-        if factor is None:
+        chol_solve = _shifted_cholesky(g, op, phi)
+        if chol_solve is None:
             raise SingularSystem("monotone system not positive definite")
-        return phi, factor
+        return phi, chol_solve
 
     level = u_plus
-    phi, factor = factor_at(level)
+    phi, chol_solve = factor_at(level)
     u = u_plus.copy()
     if trace is not None:
         trace.append(u.copy())
@@ -806,7 +822,7 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
     floor = math.inf  # the lowest residual of a small step so far
     for it in range(1, opts.max_iter_monotone + 1):
         rhs = g.mu * (phi * u + kappa * np.exp(u) - c)
-        u_next = scipy.linalg.cho_solve(factor, rhs)
+        u_next = chol_solve(rhs)
         if float(np.max(u_next - u)) > tol_mono:
             raise MonotonicityViolation(
                 f"iterate increased by {float(np.max(u_next - u)):.3e} at sweep {it}"
@@ -827,7 +843,7 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
             floor = residual
         if float(np.max(level - u)) > math.log(2.0):
             level = u
-            phi, factor = factor_at(level)
+            phi, chol_solve = factor_at(level)
     raise NotSolved("monotone iteration cap reached", trace=["monotone-iteration"])
 
 

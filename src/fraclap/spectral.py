@@ -13,8 +13,10 @@ import numpy as np
 from .errors import NumericalError
 from .graph import Graph, as_function
 
-# Eigenvalues below ZERO_EIGENVALUE_REL * max(1, lambda_max) count as zero.
-# Needed so that lambda**s at small s does not amplify eigensolver noise.
+# Eigenvalues at or below ZERO_EIGENVALUE_REL * lambda_max count as zero:
+# relative at every scale of the weights, and a single vertex (lambda_max = 0)
+# keeps its one zero mode. Needed so that lambda**s at small s does not
+# amplify eigensolver noise.
 ZERO_EIGENVALUE_REL = 1e-10
 
 
@@ -101,12 +103,12 @@ def decompose(g):
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     del sym  # freed before the sign fix allocates its n x n temporary
 
-    tiny = ZERO_EIGENVALUE_REL * max(1.0, float(lam[-1]))
-    zero = lam < tiny
+    tiny = ZERO_EIGENVALUE_REL * float(lam[-1])
+    zero = lam <= tiny
     if np.count_nonzero(zero) > 1:
         raise NumericalError(
-            f"{np.count_nonzero(zero)} eigenvalues fall below the zero threshold {tiny:g} "
-            f"(ZERO_EIGENVALUE_REL * max(1, lambda_max)), but a connected graph has one "
+            f"{np.count_nonzero(zero)} eigenvalues fall at or below the zero threshold "
+            f"{tiny:g} (ZERO_EIGENVALUE_REL * lambda_max), but a connected graph has one "
             "zero mode; the decomposition cannot go on"
         )
     lam = np.where(zero, 0.0, lam)

@@ -204,6 +204,17 @@ class TestSpectrum:
         _, out2, _ = run_cli(capsys, ["spectrum", "--graph", p2_file])
         assert out1 == out2
 
+    def test_small_weights_exit_0(self, tmp_path, capsys):
+        # the zero-mode threshold is relative to lambda_max = 2e-12
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": "x1", "mu": 1.0}, {"id": "x2", "mu": 1.0}],
+            "edges": [{"src": "x1", "dst": "x2", "w": 1e-12}],
+        }))
+        code, out, err = run_cli(capsys, ["spectrum", "--graph", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lambdas"] == [0.0, 2e-12]
+
 
 class TestKernel:
     def test_spectral_path(self, p2_file, capsys):
@@ -319,6 +330,17 @@ class TestKwCmd:
         assert code == 3
         assert out == ""
         assert err == "error: search failure: newton-continuation: all starts failed\n"
+
+    @pytest.mark.parametrize("s", ["2", "3", "4"])
+    def test_zero_c_drift_exit_3(self, p2_file, tmp_path, capsys, s):
+        # integrating the equation forces u1 = u2 and then kappa e^u = 0: no
+        # solution exists, and Newton's drift toward -infinity is not one
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -1.0})
+        code, out, err = run_cli(
+            capsys, ["kw", "--graph", p2_file, "--s", s, "--c", "0", "--kappa", kap])
+        assert code == 3
+        assert out == ""
+        assert err.endswith("error: search failure: newton-continuation: all starts failed\n")
 
     def test_zero_c_positive_integral_exit_3(self, random_connected, tmp_path, capsys):
         # s > 1 leaves this c = 0 problem unscreened; the solve must end in a
@@ -620,37 +642,59 @@ class TestProcessInvocation:
         assert result == {"code": 4, "same": True}
 
     def test_deferred_subpackages_load_only_where_called(self, p2_file, tmp_path, isolated):
-        # a fresh interpreter, since this suite itself imports scipy.optimize
+        # fresh interpreters: this suite itself imports scipy.optimize, and
+        # pytest imports scipy.sparse for the filterwarnings setting
         u = fn_file(tmp_path, "u.json", {"x1": 1.0, "x2": -1.0})
         k = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
         kneg = fn_file(tmp_path, "kneg.json", {"x1": -1.0, "x2": -1.5})
         g = ["--graph", p2_file]
-        lean = [
-            ["spectrum", *g], ["kernel", *g, "--s", "0.5"],
-            ["apply", *g, "--s", "0.5", "--input", u], ["heat", *g, "--t", "1", "--input", u],
-            ["poisson", *g, "--s", "0.5", "--input", u],
-            ["threshold", *g, "--s", "0.5", "--kappa", k],
-            ["kw", *g, "--s", "0.5", "--c", "-1", "--kappa", kneg],
-            ["kw", *g, "--s", "0.5", "--c", "-0.05", "--kappa", k],
-        ]
+        spectral = [["spectrum", *g], ["kernel", *g, "--s", "0.5"],
+                    ["heat", *g, "--t", "1", "--input", u]]
+        apply = [["apply", *g, "--s", "0.5", "--input", u]]
+        poisson = [["poisson", *g, "--s", "0.5", "--input", u]]
+        threshold = [["threshold", *g, "--s", "0.5", "--kappa", k]]
+        kw = [["kw", *g, "--s", "0.5", "--c", "-1", "--kappa", kneg],
+              ["kw", *g, "--s", "0.5", "--c", "-0.05", "--kappa", k]]
         deferred = [
             ["kw", *g, "--s", "0.5", "--c", "1", "--kappa", k],
             ["kw", *g, "--s", "0.5", "--c", "0", "--kappa", k],
             ["kernel", *g, "--s", "0.5", "--oracle"],
         ]
-        result = isolated(
-            "import contextlib, io, json, sys\n"
-            "from fraclap.cli import main\n"
-            "def run(argvs):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        return [main(argv) for argv in argvs]\n"
-            "names = ['scipy.optimize', 'scipy.integrate', 'scipy.special']\n"
-            f"lean = run({lean!r})\n"
-            "loaded = [m for m in names if m in sys.modules]\n"
-            f"deferred = run({deferred!r})\n"
-            "print(json.dumps({'lean': lean, 'loaded': loaded, 'deferred': deferred}))\n"
-        )
-        assert result == {"lean": [0] * len(lean), "loaded": [], "deferred": [0, 0, 0]}
+
+        def stages(*groups):
+            # each stage runs its commands, then lists the scipy modules loaded so far
+            return isolated(
+                "import contextlib, io, json, sys\n"
+                "import fraclap\n"
+                "from fraclap.cli import main\n"
+                "def loaded():\n"
+                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+                "                  and m.count('.') <= 1)\n"
+                "out = [{'codes': [], 'loaded': loaded()}]\n"
+                f"for argvs in {list(groups)!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        codes = [main(argv) for argv in argvs]\n"
+                "    out.append({'codes': codes, 'loaded': loaded()})\n"
+                "print(json.dumps(out))\n"
+            )
+
+        sparse, linalg = "scipy.sparse", "scipy.linalg"
+        first = stages(spectral, apply, threshold)
+        assert [stage["codes"] for stage in first] == [[], [0, 0, 0], [0], [0]]
+        imported, after_spectral, after_apply, after_threshold = (
+            stage["loaded"] for stage in first)
+        assert imported == after_spectral == []
+        assert sparse in after_apply and linalg not in after_apply
+        assert linalg in after_threshold
+        second = stages(poisson, kw, deferred)
+        assert [stage["codes"] for stage in second] == [[], [0], [0, 0], [0, 0, 0]]
+        _, after_poisson, after_kw, after_deferred = (stage["loaded"] for stage in second)
+        assert sparse in after_poisson and linalg not in after_poisson
+        assert linalg in after_kw
+        lazy = ["scipy.integrate", "scipy.optimize", "scipy.special"]
+        for loaded in (after_threshold, after_kw):
+            assert not set(lazy) & set(loaded)
+        assert set(lazy) <= set(after_deferred)
 
     def test_byte_identical_runs(self, p2_file):
         runs = [

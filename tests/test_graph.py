@@ -16,6 +16,7 @@ from fraclap.errors import (
 )
 from fraclap.graph import (
     PairwiseField,
+    _check_connected,
     build_graph,
     divergence,
     function_document,
@@ -133,6 +134,47 @@ class TestLoadGraph:
     def test_missing_keys(self):
         with pytest.raises(ParseError):
             load_graph(json.dumps({"vertices": [{"name": "x"}]}))
+
+
+class TestConnectivity:
+    """The union-find connectivity check against scipy's connected_components,
+    and the exact DisconnectedError text."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_connected_components(self, seed):
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng((seed, 0xC0C0))
+        n = int(rng.integers(1, 60))
+        pairs = {}
+        for _ in range(int(rng.integers(0, 4 * n + 1))):
+            a, b = sorted(rng.integers(0, n, size=2).tolist())
+            if a != b:
+                pairs[(a, b)] = 1.0
+        ids = tuple(f"v{i}" for i in rng.permutation(n))
+        ends = np.array(list(pairs), dtype=int).reshape(-1, 2).T
+        adjacency = scipy.sparse.coo_array((np.ones(ends.shape[1]), tuple(ends)), shape=(n, n))
+        labels = connected_components(adjacency, directed=False)[1]
+        missing = [ids[i] for i in np.flatnonzero(labels != labels[0])]
+        if not missing:
+            _check_connected(pairs, ids)
+            return
+        with pytest.raises(DisconnectedError) as info:
+            _check_connected(pairs, ids)
+        assert str(info.value) == f"graph is disconnected; unreachable: {missing}"
+
+    @pytest.mark.parametrize("edges, unreachable", [
+        ([("b", "c"), ("c", "d"), ("d", "e")], "['b', 'c', 'd', 'e']"),
+        ([("a", "b"), ("b", "c"), ("c", "d")], "['e']"),
+        ([("a", "b"), ("c", "d"), ("d", "e")], "['c', 'd', 'e']"),
+        ([("d", "b")], "['b', 'c', 'd', 'e']"),
+    ], ids=["first-vertex-isolated", "last-vertex-isolated", "two-components",
+            "several-components"])
+    def test_error_names_unreachable_in_vertex_order(self, edges, unreachable):
+        doc = graph_doc([(v, 1.0) for v in "abcde"], [(x, y, 1.0) for x, y in edges])
+        with pytest.raises(DisconnectedError) as info:
+            load_graph(doc)
+        assert str(info.value) == f"graph is disconnected; unreachable: {unreachable}"
 
 
 class TestFunctionIO:

@@ -445,6 +445,21 @@ class TestSolveZeroC:
         newton = kw.solve(p, kw.SolveOptions(method="newton"), op=op)
         assert np.allclose(newton.solution, kw.solve(p, op=op).solution, atol=1e-8)
 
+    @pytest.mark.parametrize("s", [2.0, 3.0, 4.0])
+    def test_drift_without_solution_is_not_solved(self, p2, s):
+        # integrating the equation forces u1 = u2 and then kappa e^u = 0, so
+        # no solution exists; Newton from zero drifts toward a constant
+        # -infinity with a residual within tol
+        op = build_operator(decompose(p2), s)
+        p = problem(p2, 0.0, [1.0, -1.0], s=s)
+        with pytest.raises(NotSolved, match="all starts failed"):
+            kw.solve(p, op=op)
+        u, its, ok = kw._damped_newton(op, p.kappa, 0.0, np.zeros(2), kw.SolveOptions())
+        assert ok and np.all(u < -17.0)
+        with pytest.raises(NotSolved, match="^newton-continuation drifted: residual .* is not "
+                                            "small against the scale .* of the equation's"):
+            kw._verified(p, op, u, "newton-continuation", its, kw.SolveOptions())
+
     def test_positive_integral_is_not_solved(self, random_connected):
         # for s > 1 the screen leaves c = 0 with integral(kappa) > 0 unknown;
         # the feasible start then lies along +bump
@@ -551,8 +566,7 @@ class TestNewtonLinearAlgebra:
         u = rng.normal(size=g.n)
         r = kw._residual(op, kappa, -1.0, u)
         ke = kappa * np.exp(u)
-        factor = kw._shifted_cholesky(g, op, -ke)
-        chol = scipy.linalg.cho_solve(factor, -g.mu * r)
+        chol = kw._shifted_cholesky(g, op, -ke)(-g.mu * r)
         lu = kw._lu_step(op.op_matrix - np.diag(ke), r)
         assert np.max(np.abs(chol - lu)) <= 1e-12 * np.max(np.abs(lu))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fraclap.errors import NumericalError
+from fraclap.fractional import spectral_kernel
 from fraclap.graph import build_graph, laplacian_apply, mu_inner
 from fraclap.spectral import ZERO_EIGENVALUE_REL, decompose, heat_apply, heat_kernel
 
@@ -44,6 +45,28 @@ class TestDecompose:
                         [("x0", "x1", 1.0), ("x1", "x2", 1e-11), ("x2", "x3", 1.0)])
         with pytest.raises(NumericalError, match="threshold 2e-10 "):
             decompose(g)
+
+    def test_single_vertex_keeps_its_zero_mode(self):
+        # lambda_max = 0 makes the threshold 0, which the zero mode meets
+        sd = decompose(build_graph([("only", 2.0)], []))
+        assert np.array_equal(sd.lambdas, [0.0])
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-100, 1e-300])
+    def test_weight_scale_scales_spectrum_and_kernel(self, random_connected, t):
+        # scaling every w by t scales each lambda by t and the kernel by t^sigma;
+        # the zero threshold is relative to lambda_max, not to max(1, lambda_max)
+        g = random_connected(np.random.default_rng(5), 60)
+        rows, cols, w, _ = g.edge_pattern
+        upper = rows < cols
+        scaled = build_graph(list(zip(g.ids, g.mu.tolist())),
+                             [(g.ids[i], g.ids[j], t * x)
+                              for i, j, x in zip(rows[upper], cols[upper], w[upper])])
+        sd, sd_t = decompose(g), decompose(scaled)
+        assert sd_t.lambdas[0] == 0.0
+        assert np.max(np.abs(sd_t.lambdas - t * sd.lambdas)) <= 1e-14 * t * sd.lambdas[-1]
+        kernel = spectral_kernel(sd, 0.5)
+        gap = np.max(np.abs(spectral_kernel(sd_t, 0.5) - math.sqrt(t) * kernel))
+        assert gap <= 1e-13 * math.sqrt(t) * np.max(np.abs(kernel))
 
     def test_zero_mode_is_normalized_constant(self, all_graphs):
         for g in all_graphs.values():
@@ -90,7 +113,7 @@ def _dense_decompose(g):
     sym = (np.diag(d) - g.weights) / root_mu[:, None] / root_mu[None, :]
     sym = 0.5 * (sym + sym.T)
     lam, q = np.linalg.eigh(sym)
-    lam = np.where(lam < ZERO_EIGENVALUE_REL * max(1.0, float(lam[-1])), 0.0, lam)
+    lam = np.where(lam <= ZERO_EIGENVALUE_REL * float(lam[-1]), 0.0, lam)
     phis = q / root_mu[:, None]
     mag = np.abs(phis)
     first = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
