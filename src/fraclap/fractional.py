@@ -58,7 +58,11 @@ class FractionalOperator:
         read-only. It is exactly symmetric: the positive-c and zero-c
         objectives use it as their quadratic form, and the resolvent, the
         monotone sweeps and the damped-Newton steps at c < 0 factor it plus
-        a diagonal shift by Cholesky.
+        a diagonal shift by Cholesky (the positive-c polish adds two
+        rank-one terms).
+    energy_is_finite : bool
+        Whether every entry of energy_matrix is finite, tested once on first
+        access, so that the factorizations of it need no per-call scan.
     """
 
     sd: SpectralDecomposition
@@ -90,6 +94,10 @@ class FractionalOperator:
         form = 0.5 * (form + form.T)
         form.setflags(write=False)
         return form
+
+    @cached_property
+    def energy_is_finite(self):
+        return bool(np.isfinite(self.energy_matrix).all())
 
 
 def _induced_inf(matrix):

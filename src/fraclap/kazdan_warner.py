@@ -369,19 +369,36 @@ def _seeded_restarts(op, rng):
 
 
 def _newton_attempts(op, kappa, c, starts, opts):
-    """Damped Newton at c from each start in turn, drawn lazily; the first
-    converged run whose residual is small against the equation's scale wins,
-    so a drift does not stop the search. Returns (u or None, total
-    iterations)."""
-    total = 0
+    """Damped Newton at c from each start in turn, drawn lazily. A converged
+    run counts where its residual is small against the equation's scale, so
+    a drift does not stop the search. At c < 0 with kappa positive somewhere
+    the first stable root wins (mu J positive definite, as at the maximal
+    solution), and the first unstable one only where no start gives a
+    stable one; kappa <= 0 makes mu J positive definite by construction.
+    Returns (u or None, total iterations)."""
+    test_stability = c < 0 and float(np.max(kappa)) > 0
+    total, unstable = 0, None
     for u0 in starts:
         u, its, ok = _damped_newton(op, kappa, c, u0, opts)
         total += its
-        if ok:
-            residual = float(np.max(np.abs(_residual(op, kappa, c, u))))
-            if residual <= _DRIFT_REL * _equation_scale(op, kappa, c, u):
-                return u, total
-    return None, total
+        if not ok:
+            continue
+        residual = float(np.max(np.abs(_residual(op, kappa, c, u))))
+        if not residual <= _DRIFT_REL * _equation_scale(op, kappa, c, u):
+            continue
+        if not test_stability or _stability_solve(op, kappa, u) is not None:
+            return u, total
+        if unstable is None:
+            unstable = u
+    return unstable, total
+
+
+def _stability_solve(op, kappa, u):
+    """The solve by the Cholesky factor of mu J = energy matrix -
+    diag(mu kappa e^u), mu times the Jacobian at u, or None where mu J is not
+    positive definite (Morse index above 0). u must have a finite residual,
+    so that e^u does not overflow."""
+    return _shifted_cholesky(op.graph, op, -kappa * np.exp(u))
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +422,36 @@ def resolvent_solve(g, op, phi, f):
     return chol_solve(g.mu * f)
 
 
-def _shifted_cholesky(g, op, phi):
-    """The solve b -> X^{-1} b by the Cholesky factor of X = diag(mu)
-    ((-Delta)^s + diag(phi)), symmetrized: the energy matrix plus
-    diag(mu phi), from one copy of it, or None where X is not positive
-    definite. Damped Newton at c < 0 passes phi = -kappa e^u, making X mu
-    times the Jacobian. Both LAPACK calls are looked up on scipy.linalg at
-    call time, so a wrapper set there sees every one."""
+def _shifted_cholesky(g, op, phi, rank_one=()):
+    """The solve b -> X^{-1} b by the lower Cholesky factor of X = diag(mu)
+    ((-Delta)^s + diag(phi)), symmetrized, plus alpha x x^T for each
+    (alpha, x) in ``rank_one``: the energy matrix plus diag(mu phi) and the
+    rank-one terms, all in one copy of it. None where X is not positive
+    definite or not finite. Damped Newton at c < 0 passes phi = -kappa e^u,
+    making X mu times the Jacobian. Both LAPACK calls are looked up on
+    scipy.linalg at call time, so a wrapper set there sees every one.
+
+    Neither call scans its matrix: LAPACK would factor a NaN through. The
+    energy matrix is tested once per operator, and here only the diagonal,
+    which holds every overflow of the shift or of a rank-one term, since
+    |x_i x_j| <= max(x_i^2, x_j^2)."""
     import scipy.linalg  # imported on first use: it slows `import fraclap`
+    if not op.energy_is_finite:
+        return None
     # the energy matrix is exactly symmetric, so its transpose is the same
     # matrix in the column-major layout LAPACK factors in place, uncopied
     sym = op.energy_matrix.T.copy(order="K")
     with np.errstate(over="ignore"):
         sym.flat[:: g.n + 1] += g.mu * phi
-    try:
-        factor = scipy.linalg.cho_factor(sym, overwrite_a=True)
-    except (scipy.linalg.LinAlgError, ValueError):  # ValueError: an overflowed shift
+    for alpha, x in rank_one:  # BLAS syr: the lower triangle, in place
+        scipy.linalg.blas.dsyr(alpha, x, lower=1, a=sym, overwrite_a=1)
+    if not np.all(np.isfinite(sym.diagonal())):
         return None
-    return lambda b: scipy.linalg.cho_solve(factor, b)
+    try:
+        factor = scipy.linalg.cho_factor(sym, lower=True, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None
+    return lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 def poisson_meanzero_solve(op, f):
@@ -500,8 +529,7 @@ def solve_positive_c(p, opts=None, op=None):
         return grad if np.isfinite(val) else np.full_like(v, np.inf)
 
     def polish_step(v, r):
-        w = log_mass(v)[1]
-        return _lu_step(ua - cv * (np.diag(w) - np.outer(w, w)) + np.outer(mu, mu), r)
+        return _polish_step(op, cv, log_mass(v)[1], r)
 
     res = minimize(
         objective, _positive_start(p), jac=True, method="L-BFGS-B", options=_DESCENT_OPTIONS
@@ -519,6 +547,24 @@ def solve_positive_c(p, opts=None, op=None):
         u = polished if ok else u
     energy = 0.5 * dirichlet_energy(op, u) + c * integral(g, u)
     return _verified(p, op, u, "variational-positive-c", iterations, opts, float(energy))
+
+
+def _polish_step(op, cv, w, r):
+    """-H^{-1} r for the reduced Hessian H = energy matrix - cv (diag(w) -
+    w w^T) + mu mu^T of the positive-c objective at weights w: by Cholesky
+    where H is positive definite, else by LU on H assembled in place, with
+    the bits of that expression and one n x n temporary (mu mu^T)."""
+    g = op.graph
+    chol_solve = _shifted_cholesky(g, op, -cv * w / g.mu, ((cv, w), (1.0, g.mu)))
+    if chol_solve is not None:
+        return chol_solve(-r)
+    hessian = np.outer(w, w)
+    np.negative(hessian, out=hessian)
+    hessian.flat[:: g.n + 1] += w
+    hessian *= cv
+    np.subtract(op.energy_matrix, hessian, out=hessian)
+    hessian += np.outer(g.mu, g.mu)
+    return _lu_step(hessian, r)
 
 
 def _positive_start(p):
@@ -624,13 +670,24 @@ def _restore_constraint(g, kappa, u, bump):
     most positive one, so integral(kappa e^u) falls strictly from + to -
     along +bump and a doubling bracket always finds the root. The root is
     sought on the mass relative to e^{max}, which has the same sign and
-    never overflows.
+    never overflows. The bump touches two vertices, so the mass of the rest
+    is summed once, and each evaluation costs O(1).
     """
     from scipy.optimize import brentq  # imported on first use: it slows `import fraclap`
 
+    (a_i, b_i, u_i), (a_j, b_j, u_j) = (
+        (float(kappa[k] * g.mu[k]), float(bump[k]), float(u[k])) for k in np.flatnonzero(bump))
+    rest = bump == 0
+    top_rest, mass_rest = -math.inf, 0.0  # an empty rest adds nothing
+    if rest.any():  # the rest's mass relative to e^{its max}
+        top_rest = float(np.max(u[rest]))
+        mass_rest = float(np.dot(kappa[rest] * np.exp(u[rest] - top_rest), g.mu[rest]))
+
     def h(beta):
-        w = u + beta * bump
-        return float(np.dot(kappa * np.exp(w - np.max(w)), g.mu))
+        x_i, x_j = u_i + beta * b_i, u_j + beta * b_j
+        top = max(x_i, x_j, top_rest)
+        return (a_i * math.exp(x_i - top) + a_j * math.exp(x_j - top)
+                + mass_rest * math.exp(top_rest - top))
 
     lo, hi = (0.0, 1.0) if h(0.0) > 0 else (-1.0, 0.0)
     while h(hi) > 0:
@@ -708,8 +765,7 @@ def _stable_point(op, kappa, c, u0, opts):
     the maximal solution of upper and lower solutions. Returns (u, du/dc),
     from (mu J) du/dc = -mu on that factor, or None."""
     u, _, ok = _damped_newton(op, kappa, c, u0, opts)
-    # a converged run has a finite residual, so e^u does not overflow
-    chol_solve = _shifted_cholesky(op.graph, op, -kappa * np.exp(u)) if ok else None
+    chol_solve = _stability_solve(op, kappa, u) if ok else None
     if chol_solve is None:
         return None
     return u, chol_solve(-op.graph.mu)
@@ -911,7 +967,8 @@ def _route(p, opts, op, trace):
     2. Unless the method is "variational" or "monotone", damped Newton at c
        from zero, each upper solution (the continuation point, a stable
        solution just past c) and the seeded restarts, in that order; the
-       first root found wins, stable or not.
+       first root found wins, except that at c < 0 with kappa positive
+       somewhere a stable root wins over an unstable one found earlier.
 
     Step 1's last error is raised under a method that stops after it, and
     InfeasibleStart, a certificate, always; any other goes to ``trace``.

@@ -374,6 +374,36 @@ class TestSolvePositiveC:
         assert math.isfinite(defect) and defect <= 1e-7 * p.c * g.volume
         assert math.isfinite(rep.energy)
 
+    def test_definite_polish_is_a_cholesky_solve(self, random_connected, monkeypatch):
+        # the reduced Hessian of this problem is positive definite at its
+        # one polish step, and the polish leaves the residual within tol
+        rng = np.random.default_rng(0)
+        g = random_connected(rng, 60)
+        op = build_operator(decompose(g), 0.5)
+        p = problem(g, float(rng.uniform(0.5, 2.0)), rng.normal(size=g.n))
+        chol = counting(monkeypatch, scipy.linalg, "cho_factor")
+        lu = counting(monkeypatch, np.linalg, "solve")
+        rep = kw.solve_positive_c(p, op=op)
+        assert rep.residual_inf <= 1e-8
+        assert len(chol) > 0 and lu == []
+
+    @pytest.mark.parametrize("cv", [0.5, 1e3], ids=["definite", "indefinite"])
+    def test_polish_step_matches_lu_step(self, er20, op_er20, monkeypatch, cv):
+        # weights split over two vertices make -cv (diag(w) - w w^T) negative
+        # on their difference, so a large cv leaves the Hessian indefinite
+        w = np.zeros(er20.n)
+        w[[0, 1]] = 0.5
+        r = np.random.default_rng(4).normal(size=er20.n)
+        hessian = (op_er20.energy_matrix - cv * (np.diag(w) - np.outer(w, w))
+                   + np.outer(er20.mu, er20.mu))
+        definite = np.linalg.eigvalsh(hessian)[0] > 0
+        assert definite == (cv == 0.5)
+        expected = np.linalg.solve(hessian, -r)
+        lu = counting(monkeypatch, np.linalg, "solve")
+        step = kw._polish_step(op_er20, cv, w, r)
+        assert len(lu) == (0 if definite else 1)
+        assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+
 
 class TestSolveZeroC:
     def test_manufactured(self, p2, op_p2):
@@ -434,6 +464,25 @@ class TestSolveZeroC:
             assert np.all(np.isfinite(w))
             assert integral(p2, w) == pytest.approx(0.0, abs=1e-9)
             assert w[0] - w[1] == pytest.approx(math.log(2.0), abs=1e-9)
+
+    def test_restored_mass_vanishes_at_scale(self, random_connected):
+        # the root found on the two moving vertices and the rest's mass summed
+        # once balances the mass summed over every vertex
+        rng = np.random.default_rng(8)
+        g = random_connected(rng, 200)
+        kappa = rng.normal(size=g.n) - 0.3
+        bump = kw._meanzero_bump(g, kappa)
+        for _ in range(5):
+            u = rng.normal(scale=3.0, size=g.n)
+            w = kw._restore_constraint(g, kappa, u, bump)
+            assert integral(g, w) == pytest.approx(0.0, abs=1e-12)
+            scaled = kappa * g.mu * np.exp(w - np.max(w))
+            assert abs(np.sum(scaled)) <= 1e-12 * np.sum(np.abs(scaled))
+            # w = u + beta bump - mean, one beta for both moving vertices
+            moved, shift = w - u, (w - u)[bump == 0]
+            assert np.ptp(shift) <= 1e-12
+            beta = (moved[bump != 0] - shift[0]) / bump[bump != 0]
+            assert beta[0] == pytest.approx(beta[1], rel=1e-12)
 
     def test_newton_rejects_drift_to_minus_infinity(self, random_connected):
         # Newton from zero drifts to the constant -27, where kappa e^u is
@@ -498,11 +547,12 @@ class TestResolvent:
 
     def test_cached_energy_matrix_matches_inline_assembly(self, er20, op_er20):
         # factoring the cached energy matrix plus diag(mu phi) gives, bit for
-        # bit, the factor of diag(mu) (A + diag(phi)) symmetrized per call
+        # bit, the lower factor of diag(mu) (A + diag(phi)) symmetrized per call
         def inline(phi, f):
             sym = er20.mu[:, None] * op_er20.op_matrix + np.diag(er20.mu * phi)
             sym = 0.5 * (sym + sym.T)
-            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(sym), er20.mu * f)
+            factor = scipy.linalg.cho_factor(sym, lower=True)
+            return scipy.linalg.cho_solve(factor, er20.mu * f)
 
         rng = np.random.default_rng(29)
         phi = np.abs(rng.standard_normal(er20.n)) + 0.05
@@ -603,6 +653,29 @@ class TestNewtonLinearAlgebra:
         p = problem(p2, -2.0, [-1.0, -1.0])
         with pytest.raises(SingularSystem, match="^monotone system not positive definite"):
             kw.solve_negative_c_monotone(p, np.ones(2), op=op_p2)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_energy_matrix_is_never_factored(self, p2, op_p2, monkeypatch,
+                                                        entry, value):
+        # the factorization scans no matrix, so the once-per-operator test
+        # must keep a non-finite entry from every Cholesky factor and solve
+        op = dataclasses.replace(op_p2)
+        energy = op_p2.energy_matrix.copy()
+        energy[entry] = value
+        vars(op)["energy_matrix"] = energy
+        chol = counting(monkeypatch, scipy.linalg, "cho_factor")
+        assert kw._shifted_cholesky(p2, op, np.ones(2)) is None
+        with pytest.raises(SingularSystem, match="^resolvent system"):
+            kw.resolvent_solve(p2, op, np.ones(2), np.ones(2))
+        p = problem(p2, -2.0, [-1.0, -1.0])
+        with pytest.raises(SingularSystem, match="^monotone system"):
+            kw.solve_negative_c_monotone(p, np.ones(2), op=op)
+        lu = counting(monkeypatch, np.linalg, "solve")
+        u, _, ok = kw._damped_newton(op, p.kappa, p.c, np.ones(2), kw.SolveOptions())
+        assert ok and len(lu) > 0 and np.all(np.isfinite(u))
+        assert kw.check_solution(p, u, op_p2).residual_inf <= 1e-8
+        assert chol == []
 
     def test_singular_step_ends_the_run(self, p2, op_p2, monkeypatch):
         # kappa = 0 leaves the Jacobian op_matrix, singular on constants, so
@@ -854,6 +927,25 @@ class TestThreshold:
         kappa = rng.normal(size=g.n) - 0.5
         rep = kw.solve(problem(g, c, kappa))
         assert rep.residual_inf <= 1e-8
+
+    def test_solve_prefers_a_stable_root(self, random_connected):
+        # Newton from zero converges to an unstable root at c = -0.05 (mu J
+        # has eigenvalue -6.43 there); the next start, the continuation
+        # point, gives the stable one
+        rng = np.random.default_rng(1)
+        g = random_connected(rng, 300)
+        kappa = rng.normal(size=g.n) - 0.5
+        op = build_operator(decompose(g), 0.5)
+
+        def lowest(u):
+            mu_j = op.energy_matrix - np.diag(g.mu * kappa * np.exp(u))
+            return np.linalg.eigvalsh(mu_j)[0]
+
+        first, _ = kw._newton_attempts(op, kappa, -0.05, [np.zeros(g.n)], kw.SolveOptions())
+        assert lowest(first) < -6.0  # no stable root among the starts: kept
+        rep = kw.solve(problem(g, -0.05, kappa), op=op)
+        assert rep.method == "newton-continuation"
+        assert rep.residual_inf <= 1e-8 and lowest(rep.solution) > 0.05
 
     def test_confirmation_repeats_no_run(self, p2, monkeypatch):
         # a failed run is never retried: the bisection moves to a new c, and
