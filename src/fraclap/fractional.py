@@ -56,10 +56,9 @@ class FractionalOperator:
         The matrix 0.5 (M A + (M A)^T) of the energy pairing <u, A v>_mu,
         with A = op_matrix and M = diag(mu), computed on first access and
         read-only. It is exactly symmetric: the positive-c and zero-c
-        objectives use it as their quadratic form, and the resolvent, the
-        monotone sweeps and the damped-Newton steps at c < 0 factor it plus
-        a diagonal shift by Cholesky (the positive-c polish adds two
-        rank-one terms).
+        objectives use it as their quadratic form, and every linear system
+        the Kazdan-Warner solvers form is it plus a diagonal shift (the
+        positive-c polish adds two rank-one terms).
     energy_is_finite : bool
         Whether every entry of energy_matrix is finite, tested once on first
         access, so that the factorizations of it need no per-call scan.

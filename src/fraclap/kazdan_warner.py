@@ -329,32 +329,20 @@ def _newton(fun, solve_step, u0, max_iter, target):
     return u, max_iter, float(np.max(np.abs(r)))
 
 
-def _lu_step(j, r):
-    """-j^{-1} r by LU, or None where j is singular."""
-    try:
-        return np.linalg.solve(j, -r)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _damped_newton(op, kappa, c, u0, opts):
     """_newton on F(u) = op u - kappa e^u + c. Returns (u, iterations,
     converged): converged when the residual reached the Newton target or
-    is within opts.tol. At c < 0 a step solves (mu J) step = -mu r by
-    _shifted_cholesky (mu J has form -integral(kappa e^u) = -c |V| > 0 on
-    constants at a solution); where that fails, and at c >= 0, by LU. A
-    singular LU system ends the run unconverged."""
+    is within opts.tol. Each step solves (mu J) step = -mu r by
+    _newton_step, trying Cholesky at c < 0 only (mu J has form
+    -integral(kappa e^u) = -c |V| on constants at a solution). A step that
+    is singular or not finite ends the run unconverged."""
     g = op.graph
 
     def solve_step(u, r):
-        ke = kappa * np.exp(u)  # finite, as the residual r is
-        if c < 0:
-            chol_solve = _shifted_cholesky(g, op, -ke)
-            if chol_solve is not None:
-                return chol_solve(-g.mu * r)
-        j = op.op_matrix.copy()
-        j.flat[:: g.n + 1] -= ke
-        return _lu_step(j, r)
+        with np.errstate(over="ignore"):
+            b = -g.mu * r
+        # kappa e^u is finite, as the residual r is
+        return _newton_step(g, op, -kappa * np.exp(u), b, cholesky=c < 0)
 
     target = max(1e-13, 1e-3 * opts.tol)
     u, its, rinf = _newton(
@@ -422,36 +410,61 @@ def resolvent_solve(g, op, phi, f):
     return chol_solve(g.mu * f)
 
 
-def _shifted_cholesky(g, op, phi, rank_one=()):
-    """The solve b -> X^{-1} b by the lower Cholesky factor of X = diag(mu)
-    ((-Delta)^s + diag(phi)), symmetrized, plus alpha x x^T for each
-    (alpha, x) in ``rank_one``: the energy matrix plus diag(mu phi) and the
-    rank-one terms, all in one copy of it. None where X is not positive
-    definite or not finite. Damped Newton at c < 0 passes phi = -kappa e^u,
-    making X mu times the Jacobian. Both LAPACK calls are looked up on
-    scipy.linalg at call time, so a wrapper set there sees every one.
+def _system_matrix(g, op, phi, rank_one=()):
+    """X = energy matrix + diag(mu phi) + alpha x x^T for each (alpha, x) in
+    ``rank_one``, in one column-major copy, or None where X is not finite:
+    the one matrix of every linear system the solver forms. Damped Newton
+    passes phi = -kappa e^u, making X mu times the Jacobian, and the
+    positive-c polish adds its reduced Hessian's two rank-one terms.
 
-    Neither call scans its matrix: LAPACK would factor a NaN through. The
-    energy matrix is tested once per operator, and here only the diagonal,
-    which holds every overflow of the shift or of a rank-one term, since
-    |x_i x_j| <= max(x_i^2, x_j^2)."""
+    No factorization scans its matrix, since LAPACK would factor a NaN
+    through: the energy matrix is tested once per operator, and X here only
+    on the diagonal, which holds every overflow of the shift or of a
+    rank-one term, since |x_i x_j| <= max(x_i^2, x_j^2)."""
     import scipy.linalg  # imported on first use: it slows `import fraclap`
     if not op.energy_is_finite:
         return None
     # the energy matrix is exactly symmetric, so its transpose is the same
     # matrix in the column-major layout LAPACK factors in place, uncopied
-    sym = op.energy_matrix.T.copy(order="K")
+    x = op.energy_matrix.T.copy(order="K")
     with np.errstate(over="ignore"):
-        sym.flat[:: g.n + 1] += g.mu * phi
-    for alpha, x in rank_one:  # BLAS syr: the lower triangle, in place
-        scipy.linalg.blas.dsyr(alpha, x, lower=1, a=sym, overwrite_a=1)
-    if not np.all(np.isfinite(sym.diagonal())):
+        x.flat[:: g.n + 1] += g.mu * phi
+    for alpha, v in rank_one:  # BLAS ger, in place on both triangles: LU reads both
+        scipy.linalg.blas.dger(alpha, v, v, a=x, overwrite_a=1)
+    return x if np.all(np.isfinite(x.diagonal())) else None
+
+
+def _shifted_cholesky(g, op, phi, rank_one=()):
+    """The solve b -> X^{-1} b by the lower Cholesky factor of the X of
+    _system_matrix, or None where X is not positive definite or not finite.
+    Both LAPACK calls are looked up on scipy.linalg at call time, so a
+    wrapper set there sees every one."""
+    import scipy.linalg  # imported on first use: it slows `import fraclap`
+    x = _system_matrix(g, op, phi, rank_one)
+    if x is None:
         return None
     try:
-        factor = scipy.linalg.cho_factor(sym, lower=True, overwrite_a=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(x, lower=True, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError:
         return None
     return lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False)
+
+
+def _newton_step(g, op, phi, b, rank_one=(), cholesky=True):
+    """X^{-1} b for the X of _system_matrix: by its Cholesky factor where
+    ``cholesky`` is set and X is positive definite, else by LU on X built
+    again (a failed factorization overwrites it). None where b or X is not
+    finite or X is singular, which ends that Newton run."""
+    if not np.all(np.isfinite(b)):
+        return None
+    chol_solve = _shifted_cholesky(g, op, phi, rank_one) if cholesky else None
+    if chol_solve is not None:
+        return chol_solve(b)
+    x = _system_matrix(g, op, phi, rank_one)
+    try:
+        return None if x is None else np.linalg.solve(x, b)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def poisson_meanzero_solve(op, f):
@@ -521,7 +534,9 @@ def solve_positive_c(p, opts=None, op=None):
         av = ua @ v
         iv = float(np.dot(v, mu))
         val = 0.5 * float(v @ av) + c * (iv + vol * (math.log(cv) - log_m))
-        return val + 0.5 * iv * iv, av + (c + iv) * mu - cv * w
+        # an overflowed c |V| leaves the gradient not finite, and the candidate fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            return val + 0.5 * iv * iv, av + (c + iv) * mu - cv * w
 
     def gradient(v):
         # infinite off the feasible set, so the polish never steps there
@@ -529,7 +544,9 @@ def solve_positive_c(p, opts=None, op=None):
         return grad if np.isfinite(val) else np.full_like(v, np.inf)
 
     def polish_step(v, r):
-        return _polish_step(op, cv, log_mass(v)[1], r)
+        # the reduced Hessian ua - cv (diag(w) - w w^T) + mu mu^T at weights w
+        w = log_mass(v)[1]
+        return _newton_step(g, op, -cv * w / mu, -r, ((cv, w), (1.0, mu)))
 
     res = minimize(
         objective, _positive_start(p), jac=True, method="L-BFGS-B", options=_DESCENT_OPTIONS
@@ -547,24 +564,6 @@ def solve_positive_c(p, opts=None, op=None):
         u = polished if ok else u
     energy = 0.5 * dirichlet_energy(op, u) + c * integral(g, u)
     return _verified(p, op, u, "variational-positive-c", iterations, opts, float(energy))
-
-
-def _polish_step(op, cv, w, r):
-    """-H^{-1} r for the reduced Hessian H = energy matrix - cv (diag(w) -
-    w w^T) + mu mu^T of the positive-c objective at weights w: by Cholesky
-    where H is positive definite, else by LU on H assembled in place, with
-    the bits of that expression and one n x n temporary (mu mu^T)."""
-    g = op.graph
-    chol_solve = _shifted_cholesky(g, op, -cv * w / g.mu, ((cv, w), (1.0, g.mu)))
-    if chol_solve is not None:
-        return chol_solve(-r)
-    hessian = np.outer(w, w)
-    np.negative(hessian, out=hessian)
-    hessian.flat[:: g.n + 1] += w
-    hessian *= cv
-    np.subtract(op.energy_matrix, hessian, out=hessian)
-    hessian += np.outer(g.mu, g.mu)
-    return _lu_step(hessian, r)
 
 
 def _positive_start(p):

@@ -50,6 +50,10 @@ class TestPoincareConstant:
             rhs = c_p * mu_inner(er20, u, op.op_matrix @ u)
             assert lhs <= rhs * (1.0 + 1e-9)
 
+    def test_nonpositive_s(self, p2):
+        with pytest.raises(ValueError, match="s must be positive"):
+            poincare_constant(decompose(p2), 0)
+
     def test_one_vertex_is_a_validation_error(self):
         sd = decompose(build_graph([("a", 1.0)], []))
         with pytest.raises(ValidationError, match="at least 2 vertices"):

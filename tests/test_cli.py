@@ -416,6 +416,16 @@ class TestThresholdCmd:
         # (the bracket tolerance flag must not loosen the solve residual)
         assert data["c_low"] <= p2_threshold <= data["c_high"]
 
+    def test_no_solvable_start_exit_3(self, p2_file, tmp_path, capsys, monkeypatch):
+        # every one of the 16 starts near zero fails, as it does unpatched
+        # on P2 with mu = (1e9, 1) and kappa = (1, -3e9)
+        monkeypatch.setattr(kw, "_damped_newton", lambda op, kappa, c, u0, opts: (u0, 0, False))
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        code, out, err = run_cli(
+            capsys, ["threshold", "--graph", p2_file, "--s", "0.5", "--kappa", kap])
+        assert (code, out) == (3, "")
+        assert err == "error: search failure: no solvable c found near zero\n"
+
     def test_bracket_width_is_not_the_residual_tolerance(self, p2_file, tmp_path, capsys):
         # a wide bracket still verifies c_high to the default 1e-8 residual
         kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
@@ -718,12 +728,34 @@ class TestProcessInvocation:
          "search failure: newton-continuation: all starts failed"),
         (["kernel", "--graph", "{p2}", "--s", "0.5", "--oracle", "--tol", "1e-300"], 4,
          "numerical failure: QuadratureError: requested tolerance 1e-300 unreached"),
+        # mu = (1e9, 1): c |V| overflows in the positive-c objective, and mu r
+        # in a Newton step at c = -1e300; neither may write a raw warning
+        (["kw", "--graph", "{heavy}", "--s", "0.5", "--c", "1e300", "--kappa", "{k}"], 3,
+         "search failure: newton-continuation: all starts failed"),
+        (["kw", "--graph", "{heavy}", "--s", "2.5", "--c", "1e300", "--kappa", "{k}"], 3,
+         "search failure: newton-continuation: all starts failed"),
+        (["kw", "--graph", "{heavy}", "--s", "0.5", "--c", "-1e300", "--kappa", "{kneg}"], 3,
+         "search failure: newton-continuation: all starts failed"),
+        (["kw", "--graph", "{path5}", "--s", "0.5", "--c", "-1", "--kappa", "{k5}",
+          "--method", "monotone", "--max-iter", "1"], 3,
+         "search failure: monotone iteration cap reached"),
     ], ids=["missing-file", "apply-negative-s", "kernel-s-above-one",
-            "kw-search-failure", "kernel-quadrature-failure"])
+            "kw-search-failure", "kernel-quadrature-failure", "kw-overflowing-positive-c",
+            "kw-overflowing-positive-c-s2.5", "kw-overflowing-negative-c", "kw-monotone-cap"])
     def test_usage_error_printed_once(
             self, p2_file, tmp_path, isolated_cli, argv, exit_code, message):
+        heavy = tmp_path / "heavy.json"
+        heavy.write_text(json.dumps({**P2_DOC, "vertices": [{"id": "x1", "mu": 1e9},
+                                                            {"id": "x2", "mu": 1.0}]}))
+        path5 = tmp_path / "path5.json"
+        path5.write_text(json.dumps({
+            "vertices": [{"id": f"v{i}", "mu": 1.0} for i in range(5)],
+            "edges": [{"src": f"v{i}", "dst": f"v{i + 1}", "w": 1.0} for i in range(4)]}))
+        k5 = dict(zip([f"v{i}" for i in range(5)], [-1.0, -2.0, -0.5, -1.0, -1.5]))
         paths = {"p2": p2_file, "u": fn_file(tmp_path, "u.json", {"x1": 1.0, "x2": -1.0}),
                  "k": fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0}),
+                 "kneg": fn_file(tmp_path, "kneg.json", {"x1": -1.0, "x2": -2.0}),
+                 "heavy": str(heavy), "path5": str(path5), "k5": fn_file(tmp_path, "k5.json", k5),
                  "tmp": str(tmp_path)}
         code, out, err = isolated_cli([a.format(**paths) for a in argv])
         assert code == exit_code

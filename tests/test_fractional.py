@@ -748,6 +748,10 @@ class TestQuadratureOracle:
 
 
 class TestLimits:
+    def test_exponent_outside_the_unit_interval(self, p2):
+        with pytest.raises(InvalidExponent, match=r"need s in \(0, 1\), got 1.5"):
+            limit_residuals(decompose(p2), [1.5])
+
     def test_p2_closed_forms(self, p2):
         sd = decompose(p2)
         rep = limit_residuals(sd, [0.999])

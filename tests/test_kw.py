@@ -387,23 +387,6 @@ class TestSolvePositiveC:
         assert rep.residual_inf <= 1e-8
         assert len(chol) > 0 and lu == []
 
-    @pytest.mark.parametrize("cv", [0.5, 1e3], ids=["definite", "indefinite"])
-    def test_polish_step_matches_lu_step(self, er20, op_er20, monkeypatch, cv):
-        # weights split over two vertices make -cv (diag(w) - w w^T) negative
-        # on their difference, so a large cv leaves the Hessian indefinite
-        w = np.zeros(er20.n)
-        w[[0, 1]] = 0.5
-        r = np.random.default_rng(4).normal(size=er20.n)
-        hessian = (op_er20.energy_matrix - cv * (np.diag(w) - np.outer(w, w))
-                   + np.outer(er20.mu, er20.mu))
-        definite = np.linalg.eigvalsh(hessian)[0] > 0
-        assert definite == (cv == 0.5)
-        expected = np.linalg.solve(hessian, -r)
-        lu = counting(monkeypatch, np.linalg, "solve")
-        step = kw._polish_step(op_er20, cv, w, r)
-        assert len(lu) == (0 if definite else 1)
-        assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
-
 
 class TestSolveZeroC:
     def test_manufactured(self, p2, op_p2):
@@ -582,8 +565,9 @@ def fail_cholesky(*args, **kwargs):
 
 
 class TestNewtonLinearAlgebra:
-    """Damped Newton at c < 0 factors mu times the Jacobian by the shifted
-    Cholesky helper; LU is the fallback there and the step for c >= 0."""
+    """Every Newton step solves one matrix, mu times the Jacobian (or the
+    positive-c polish's reduced Hessian): by Cholesky at c < 0 and in the
+    polish, by LU on the same matrix where that fails and at c >= 0."""
 
     def test_negative_c_steps_use_cholesky_only(self, random_connected, monkeypatch):
         rng = np.random.default_rng(60)
@@ -607,18 +591,40 @@ class TestNewtonLinearAlgebra:
         assert ok and its > 0
         assert np.max(np.abs(kw._residual(op_p2, kappa, c, u))) < 1e-8 * start
 
-    @pytest.mark.parametrize("s", [0.5, 1.5])
-    def test_cholesky_step_equals_lu_step(self, random_connected, s):
+    @pytest.mark.parametrize("system", ["0.5", "1.5", "polish-definite", "polish-indefinite"])
+    def test_cholesky_step_equals_lu_step(self, random_connected, er20, op_er20, monkeypatch,
+                                          system):
+        # one matrix X per step: a Newton step's (mu J) s = -mu r at s = 0.5,
+        # 1.5, and a polish step's H s = -r, whose weights split over two
+        # vertices make -cv (diag(w) - w w^T) indefinite for a large cv
         rng = np.random.default_rng(15)
-        g = random_connected(rng, 200)
-        op = build_operator(decompose(g), s)
-        kappa = -np.abs(rng.normal(size=g.n)) - 0.1
-        u = rng.normal(size=g.n)
-        r = kw._residual(op, kappa, -1.0, u)
-        ke = kappa * np.exp(u)
-        chol = kw._shifted_cholesky(g, op, -ke)(-g.mu * r)
-        lu = kw._lu_step(op.op_matrix - np.diag(ke), r)
-        assert np.max(np.abs(chol - lu)) <= 1e-12 * np.max(np.abs(lu))
+        if system.startswith("polish"):
+            g, op, cv = er20, op_er20, 0.5 if system == "polish-definite" else 1e3
+            w = np.zeros(g.n)
+            w[[0, 1]] = 0.5
+            phi, b, rank_one = -cv * w / g.mu, -rng.normal(size=g.n), ((cv, w), (1.0, g.mu))
+            reference = (op.energy_matrix - cv * (np.diag(w) - np.outer(w, w))
+                         + np.outer(g.mu, g.mu))
+        else:
+            g = random_connected(rng, 200)
+            op = build_operator(decompose(g), float(system))
+            kappa = -np.abs(rng.normal(size=g.n)) - 0.1
+            u = rng.normal(size=g.n)
+            ke = kappa * np.exp(u)
+            phi, b, rank_one = -ke, -g.mu * kw._residual(op, kappa, -1.0, u), ()
+            reference = g.mu[:, None] * (op.op_matrix - np.diag(ke))
+        definite = system != "polish-indefinite"
+        assert (np.linalg.eigvalsh(0.5 * (reference + reference.T))[0] > 0) == definite
+        expected = np.linalg.solve(reference, b)
+        lu = counting(monkeypatch, np.linalg, "solve")
+        step = kw._newton_step(g, op, phi, b, rank_one)
+        assert len(lu) == (0 if definite else 1)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_cholesky)
+        via_lu = kw._newton_step(g, op, phi, b, rank_one)
+        assert len(lu) == (1 if definite else 2)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(step - via_lu)) <= 1e-12 * scale
+        assert np.max(np.abs(step - expected)) <= 1e-12 * scale
 
     def test_failed_factor_falls_back_to_lu_with_the_same_run(self, random_connected,
                                                                monkeypatch):
@@ -635,16 +641,20 @@ class TestNewtonLinearAlgebra:
         assert ok_chol and ok_lu and its_chol == its_lu == len(lu)
         assert np.max(np.abs(u_chol - u_lu)) <= 1e-12 * (1.0 + np.max(np.abs(u_lu)))
 
-    def test_overflowed_shift_falls_back_to_lu(self, monkeypatch):
-        # the residual is finite (1e304), but mu kappa e^u overflows the shift
+    def test_overflowed_shift_ends_the_run(self, monkeypatch):
+        # the residual is finite (1e304), but mu kappa e^u overflows the
+        # shift, so there is no step: nothing is factored and Newton stops
         g = build_graph([("x1", 1e6), ("x2", 1.0)], [("x1", "x2", 1.0)])
         op = build_operator(decompose(g), 0.5)
+        chol = counting(monkeypatch, scipy.linalg, "cho_factor")
         lu = counting(monkeypatch, np.linalg, "solve")
+        u0 = np.array([700.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kw._damped_newton(op, np.array([-1.0, -1.0]), -1.0, np.array([700.0, 0.0]),
-                              kw.SolveOptions())
-        assert len(lu) > 0
+            u, its, ok = kw._damped_newton(op, np.array([-1.0, -1.0]), -1.0, u0,
+                                           kw.SolveOptions())
+        assert (its, ok) == (0, False) and np.array_equal(u, u0)
+        assert chol == [] and lu == []
 
     def test_failed_factor_stays_typed(self, p2, op_p2, monkeypatch):
         monkeypatch.setattr(scipy.linalg, "cho_factor", fail_cholesky)
@@ -659,7 +669,8 @@ class TestNewtonLinearAlgebra:
     def test_nonfinite_energy_matrix_is_never_factored(self, p2, op_p2, monkeypatch,
                                                         entry, value):
         # the factorization scans no matrix, so the once-per-operator test
-        # must keep a non-finite entry from every Cholesky factor and solve
+        # must keep a non-finite entry from every factor and solve: Newton
+        # has no step and ends where it starts
         op = dataclasses.replace(op_p2)
         energy = op_p2.energy_matrix.copy()
         energy[entry] = value
@@ -672,10 +683,11 @@ class TestNewtonLinearAlgebra:
         with pytest.raises(SingularSystem, match="^monotone system"):
             kw.solve_negative_c_monotone(p, np.ones(2), op=op)
         lu = counting(monkeypatch, np.linalg, "solve")
-        u, _, ok = kw._damped_newton(op, p.kappa, p.c, np.ones(2), kw.SolveOptions())
-        assert ok and len(lu) > 0 and np.all(np.isfinite(u))
-        assert kw.check_solution(p, u, op_p2).residual_inf <= 1e-8
-        assert chol == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, its, ok = kw._damped_newton(op, p.kappa, p.c, np.ones(2), kw.SolveOptions())
+        assert (its, ok) == (0, False) and np.array_equal(u, np.ones(2))
+        assert chol == [] and lu == []
 
     def test_singular_step_ends_the_run(self, p2, op_p2, monkeypatch):
         # kappa = 0 leaves the Jacobian op_matrix, singular on constants, so
