@@ -58,7 +58,8 @@ class FractionalOperator:
         read-only. It is exactly symmetric: the positive-c and zero-c
         objectives use it as their quadratic form, and every linear system
         the Kazdan-Warner solvers form is it plus a diagonal shift (the
-        positive-c polish adds two rank-one terms).
+        trust-region preconditioner and the positive-c certificate add
+        rank-one terms).
     energy_is_finite : bool
         Whether every entry of energy_matrix is finite, tested once on first
         access, so that the factorizations of it need no per-call scan.

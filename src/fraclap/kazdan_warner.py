@@ -4,8 +4,9 @@
 
 Sign screening certifies solvability or unsolvability where the sign of
 (c, kappa) decides it outright; the remaining cases run one route: constrained
-minimization (c >= 0) or monotone iteration bracketed by upper and lower
-solutions (c < 0, s <= 1), then damped Newton where that fails. One stable
+minimization by one trust-region Newton-CG descent (c >= 0) or monotone
+iteration bracketed by upper and lower solutions (c < 0, s <= 1), then
+damped Newton where that fails. One stable
 walk in c, Newton continuation with a tangent predictor that accepts only
 points where the linearization is positive definite, builds the continuation
 upper solution and drives the estimate of the negative-c solvability
@@ -61,9 +62,8 @@ class KWProblem:
 
 
 _STEP_TOL = 1e-10  # a monotone step this small triggers a residual check
-_MAX_ITER_NEWTON = 200  # cap on each damped-Newton run
+_MAX_ITER_NEWTON = 200  # cap on each damped-Newton and trust-region run
 _NEWTON_RESTARTS = 8  # seeded random starts after the fixed ones
-_DESCENT_OPTIONS = {"maxiter": 800, "ftol": 1e-10, "gtol": 1e-4}  # both L-BFGS-B runs
 _DRIFT_REL = 1e-3  # a residual above this times the equation's scale is not a solution
 
 
@@ -289,31 +289,36 @@ def _ensure_operator(g, s, op):
     return op
 
 
-def _newton(fun, solve_step, u0, max_iter, target):
-    """Damped Newton on fun(u) = r = 0 by steps solve_step(u, r) and a
-    sum-of-squares line search, never accepting a non-finite residual (a start
-    with one returns (u0, 0, inf)). A step that is None (a singular system)
-    or not finite ends the run where it stands. Returns (u, iterations,
-    sup-norm residual)."""
+def _damped_newton(op, kappa, c, u0, opts):
+    """Damped Newton on F(u) = op u - kappa e^u + c from u0, with a
+    sum-of-squares line search that never accepts a non-finite residual.
+    Each step solves (mu J) step = -mu r by _newton_step, trying Cholesky
+    at c < 0 only (mu J has form -integral(kappa e^u) = -c |V| on constants
+    at a solution). A step that is singular or not finite ends the run
+    where it stands, and a start of non-finite residual runs no step.
+    Returns (u, iterations, converged): converged when the residual reached
+    the Newton target or is within opts.tol."""
+    g = op.graph
+    target = max(1e-13, 1e-3 * opts.tol)
     u = np.array(u0, dtype=float)
-    r = fun(u)
+    r = _residual(op, kappa, c, u)
     if not np.all(np.isfinite(r)):
-        return u, 0, math.inf
+        return u, 0, False
     with np.errstate(over="ignore"):
         phi = 0.5 * float(r @ r)
-    stalls = 0
-    for it in range(max_iter):
-        rinf = float(np.max(np.abs(r)))
-        if rinf <= target:
-            return u, it, rinf
-        step = solve_step(u, r)
+    its, stalls = 0, 0
+    while its < _MAX_ITER_NEWTON and float(np.max(np.abs(r))) > target:
+        with np.errstate(over="ignore"):
+            b = -g.mu * r
+        # kappa e^u is finite, as the residual r is
+        step = _newton_step(g, op, -kappa * np.exp(u), b, cholesky=c < 0)
         if step is None or not np.all(np.isfinite(step)):
-            return u, it, rinf
+            break
+        its += 1
         t = 1.0
-        accepted = False
         while t >= 1e-12:
             cand = u + t * step
-            rc = fun(cand)
+            rc = _residual(op, kappa, c, cand)
             if np.all(np.isfinite(rc)):
                 with np.errstate(over="ignore"):
                     phic = 0.5 * float(rc @ rc)
@@ -321,34 +326,82 @@ def _newton(fun, solve_step, u0, max_iter, target):
                     # count barely-moving accepts; crawling near a fold is failure
                     stalls = stalls + 1 if phic > phi * (1.0 - 1e-10) else 0
                     u, r, phi = cand, rc, phic
-                    accepted = True
                     break
             t *= 0.5
-        if not accepted or stalls >= 3:
-            return u, it + 1, float(np.max(np.abs(r)))
-    return u, max_iter, float(np.max(np.abs(r)))
+        if t < 1e-12 or stalls >= 3:  # no step accepted, or a crawl
+            break
+    return u, its, float(np.max(np.abs(r))) <= max(target, opts.tol)
 
 
-def _damped_newton(op, kappa, c, u0, opts):
-    """_newton on F(u) = op u - kappa e^u + c. Returns (u, iterations,
-    converged): converged when the residual reached the Newton target or
-    is within opts.tol. Each step solves (mu J) step = -mu r by
-    _newton_step, trying Cholesky at c < 0 only (mu J has form
-    -integral(kappa e^u) = -c |V| on constants at a solution). A step that
-    is singular or not finite ends the run unconverged."""
-    g = op.graph
-
-    def solve_step(u, r):
-        with np.errstate(over="ignore"):
-            b = -g.mu * r
-        # kappa e^u is finite, as the residual r is
-        return _newton_step(g, op, -kappa * np.exp(u), b, cholesky=c < 0)
-
-    target = max(1e-13, 1e-3 * opts.tol)
-    u, its, rinf = _newton(
-        lambda u: _residual(op, kappa, c, u), solve_step, u0, _MAX_ITER_NEWTON, target
-    )
-    return u, its, rinf <= max(target, opts.tol)
+def _trust_region(fun, x, op, gtol):
+    """Minimize by Newton-CG in a trust region (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., ch. 4 and Alg. 7.2; Steihaug 1983). fun(x)
+    returns (f, gradient, hessp), hessp(d) the Hessian times d, with f not
+    finite off the domain. Each step is truncated CG on the quadratic model,
+    preconditioned by the Cholesky factor of M = energy matrix + mu mu^T
+    and bounded in the M-norm. CG goes to the boundary along negative
+    curvature, so the descent does not settle on a saddle, and a step that
+    leaves the domain is halved back into it. Stops at a sup-norm gradient
+    within gtol, once the model predicts a decrease below 1e-15 (1 + |f|),
+    where round-off takes over (that last step is kept if it lowers the
+    gradient), or after _MAX_ITER_NEWTON steps. Returns (x, steps taken)."""
+    precondition = _shifted_cholesky(op.graph, op, 0.0, ((1.0, op.graph.mu),))
+    if precondition is None:
+        raise NotSolved("trust-region preconditioner has no Cholesky factor")
+    f, grad, hessp = fun(x)
+    if not (math.isfinite(f) and np.all(np.isfinite(grad))):
+        return x, 0
+    radius = None
+    for it in range(_MAX_ITER_NEWTON):
+        y = precondition(grad)
+        ry = float(grad @ y)
+        if not (float(np.max(np.abs(grad))) > gtol and ry > 0):
+            return x, it
+        radius = math.sqrt(ry) if radius is None else radius
+        cg_tol = min(0.1, ry ** 0.25) * math.sqrt(ry)  # superlinear forcing
+        # CG from z = 0 on m(z) = grad.z + z.Hz / 2; zz, zd and dd are the
+        # M-inner products of z and d, carried by the recurrences of PCG
+        r, z, d = grad, np.zeros_like(x), -y
+        zz, zd, dd, model = 0.0, 0.0, ry, 0.0
+        for _ in range(x.size):
+            hd = hessp(d)
+            dhd = float(d @ hd)
+            alpha = ry / dhd if dhd > 0 else math.inf
+            boundary = not zz + alpha * (2.0 * zd + alpha * dd) < radius * radius
+            if boundary:  # the region binds, or the curvature is not positive
+                alpha = (math.sqrt(zd * zd + dd * (radius * radius - zz)) - zd) / dd
+            z = z + alpha * d
+            zz += alpha * (2.0 * zd + alpha * dd)
+            model += alpha * float(r @ d) + 0.5 * alpha * alpha * dhd
+            if boundary:
+                break
+            r = r + alpha * hd
+            y = precondition(r)
+            ry_old, ry = ry, float(r @ y)
+            if not ry > cg_tol * cg_tol:
+                break
+            beta = ry / ry_old
+            zd, dd = beta * (zd + alpha * dd), ry + beta * beta * dd
+            d = -y + beta * d
+        trial, gz = fun(x + z), float(grad @ z)
+        for _ in range(60):  # halve a step out of the domain, down to 1e-18 of it
+            if math.isfinite(trial[0]):
+                break
+            z, zz, gz, model = 0.5 * z, 0.25 * zz, 0.5 * gz, 0.25 * (model + gz)
+            trial = fun(x + z)
+        if not -model > 1e-15 * (1.0 + abs(f)):
+            # f cannot resolve this step: it is kept only if it lowers the gradient
+            better = (math.isfinite(trial[0])
+                      and float(np.max(np.abs(trial[1]))) < float(np.max(np.abs(grad))))
+            return (x + z, it + 1) if better else (x, it)
+        rho = (trial[0] - f) / model if np.all(np.isfinite(trial[1])) else -math.inf
+        if not rho >= 0.25:
+            radius = 0.25 * math.sqrt(zz)
+        elif rho > 0.75 and zz >= 0.99 * radius * radius:
+            radius *= 2.0
+        if rho > 1e-4:
+            x, (f, grad, hessp) = x + z, trial
+    return x, _MAX_ITER_NEWTON
 
 
 def _seeded_restarts(op, rng):
@@ -414,8 +467,9 @@ def _system_matrix(g, op, phi, rank_one=()):
     """X = energy matrix + diag(mu phi) + alpha x x^T for each (alpha, x) in
     ``rank_one``, in one column-major copy, or None where X is not finite:
     the one matrix of every linear system the solver forms. Damped Newton
-    passes phi = -kappa e^u, making X mu times the Jacobian, and the
-    positive-c polish adds its reduced Hessian's two rank-one terms.
+    passes phi = -kappa e^u, making X mu times the Jacobian; the
+    trust-region preconditioner and the positive-c certificate add rank-one
+    terms.
 
     No factorization scans its matrix, since LAPACK would factor a NaN
     through: the energy matrix is tested once per operator, and X here only
@@ -429,7 +483,7 @@ def _system_matrix(g, op, phi, rank_one=()):
     x = op.energy_matrix.T.copy(order="K")
     with np.errstate(over="ignore"):
         x.flat[:: g.n + 1] += g.mu * phi
-    for alpha, v in rank_one:  # BLAS ger, in place on both triangles: LU reads both
+    for alpha, v in rank_one:  # BLAS ger, in place on both triangles
         scipy.linalg.blas.dger(alpha, v, v, a=x, overwrite_a=1)
     return x if np.all(np.isfinite(x.diagonal())) else None
 
@@ -450,17 +504,17 @@ def _shifted_cholesky(g, op, phi, rank_one=()):
     return lambda b: scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
-def _newton_step(g, op, phi, b, rank_one=(), cholesky=True):
+def _newton_step(g, op, phi, b, cholesky=True):
     """X^{-1} b for the X of _system_matrix: by its Cholesky factor where
     ``cholesky`` is set and X is positive definite, else by LU on X built
     again (a failed factorization overwrites it). None where b or X is not
     finite or X is singular, which ends that Newton run."""
     if not np.all(np.isfinite(b)):
         return None
-    chol_solve = _shifted_cholesky(g, op, phi, rank_one) if cholesky else None
+    chol_solve = _shifted_cholesky(g, op, phi) if cholesky else None
     if chol_solve is not None:
         return chol_solve(b)
-    x = _system_matrix(g, op, phi, rank_one)
+    x = _system_matrix(g, op, phi)
     try:
         return None if x is None else np.linalg.solve(x, b)
     except np.linalg.LinAlgError:
@@ -502,11 +556,12 @@ def solve_positive_c(p, opts=None, op=None):
     shift u = v + log(c |V| / integral(kappa e^v)), leaving an unconstrained
     objective in v (plus a quadratic penalty pinning the free additive
     constant). The objective is evaluated in log space, so no e^v is formed
-    unscaled. Quasi-Newton descent is followed by a Newton polish on the
-    reduced gradient, then, if the residual is still above tol (small c), by
-    damped Newton on the equation; the result leaves through _verified.
+    unscaled. _trust_region descends it; if the residual is still above tol
+    (small c), damped Newton on the equation follows. The result leaves
+    through _verified, and only as a minimizer: its reduced Hessian
+    energy matrix + mu mu^T - c |V| (diag(w) - w w^T) must have a Cholesky
+    factor, or NotSolved is raised.
     """
-    from scipy.optimize import minimize  # imported on first use: it slows `import fraclap`
     opts = opts or SolveOptions()
     if p.c <= 0:
         raise ValueError("positive-c route requires c > 0")
@@ -517,8 +572,8 @@ def solve_positive_c(p, opts=None, op=None):
     ua = op.energy_matrix
 
     def log_mass(v):
-        """(log integral(kappa e^v), weights kappa mu e^v / integral), or
-        None where the mass is not positive."""
+        """(log integral(kappa e^v), weights w = kappa mu e^v / integral),
+        or None where the mass is not positive."""
         vmax = float(np.max(v))
         q = kappa * mu * np.exp(v - vmax)
         total = float(np.sum(q))
@@ -529,32 +584,20 @@ def solve_positive_c(p, opts=None, op=None):
     def objective(v):
         lm = log_mass(v)
         if lm is None:
-            return np.inf, np.zeros_like(v)
+            return math.inf, np.zeros_like(v), None
         log_m, w = lm
         av = ua @ v
         iv = float(np.dot(v, mu))
         val = 0.5 * float(v @ av) + c * (iv + vol * (math.log(cv) - log_m))
+
+        def hessp(d):
+            return ua @ d + float(mu @ d) * mu - cv * (w * d - float(w @ d) * w)
+
         # an overflowed c |V| leaves the gradient not finite, and the candidate fails
         with np.errstate(over="ignore", invalid="ignore"):
-            return val + 0.5 * iv * iv, av + (c + iv) * mu - cv * w
+            return val + 0.5 * iv * iv, av + (c + iv) * mu - cv * w, hessp
 
-    def gradient(v):
-        # infinite off the feasible set, so the polish never steps there
-        val, grad = objective(v)
-        return grad if np.isfinite(val) else np.full_like(v, np.inf)
-
-    def polish_step(v, r):
-        # the reduced Hessian ua - cv (diag(w) - w w^T) + mu mu^T at weights w
-        w = log_mass(v)[1]
-        return _newton_step(g, op, -cv * w / mu, -r, ((cv, w), (1.0, mu)))
-
-    res = minimize(
-        objective, _positive_start(p), jac=True, method="L-BFGS-B", options=_DESCENT_OPTIONS
-    )
-    if log_mass(res.x) is None:
-        raise NotSolved("positive-c descent left the feasible region")
-    v, extra, _ = _newton(gradient, polish_step, res.x, 40, 1e-13 * (1.0 + cv))
-    iterations = int(res.nit) + extra
+    v, iterations = _trust_region(objective, _positive_start(p), op, 1e-13 * (1.0 + cv))
     u = v + (math.log(cv) - log_mass(v)[0])
     if not np.all(np.isfinite(u)):  # c |V| overflowed, so the shift did
         raise NotSolved("positive-c candidate is not finite")
@@ -563,7 +606,12 @@ def solve_positive_c(p, opts=None, op=None):
         iterations += extra
         u = polished if ok else u
     energy = 0.5 * dirichlet_energy(op, u) + c * integral(g, u)
-    return _verified(p, op, u, "variational-positive-c", iterations, opts, float(energy))
+    report = _verified(p, op, u, "variational-positive-c", iterations, opts, float(energy))
+    w = log_mass(u)[1]
+    if _shifted_cholesky(g, op, -cv * w / mu, ((cv, w), (1.0, mu))) is None:
+        raise NotSolved("variational-positive-c did not end at a minimizer: its reduced "
+                        "Hessian has no Cholesky factor", trace=["variational-positive-c"])
+    return report
 
 
 def _positive_start(p):
@@ -595,15 +643,17 @@ def solve_zero_c(p, opts=None, op=None):
     integral(u) = 0 and integral(kappa e^u) = 0, then shift by the
     Euler-Lagrange multiplier.
 
-    Quasi-Newton descent, as for c > 0, minimizes F(v) = w^T S w / 2 with
-    w = _restore_constraint(v) on the constraint set and S the energy
-    matrix. Its gradient S w - (b^T S w / q^T b) q, with the bump b and
-    q = kappa mu e^{w - max w}, carries the implicit derivative of the bump
-    coefficient; mean removal drops out since S 1 = 0. The multiplier must
-    come out positive; the final answer is u0 + log(multiplier), polished
-    by damped Newton and returned through _verified.
+    _trust_region, as for c > 0, minimizes F(v) = z^T S z / 2 with
+    z = _restore_constraint(v) = v + beta(v) b on the constraint set, S the
+    energy matrix and b the bump. With q = kappa mu e^z, P = I - b q^T / q^T b
+    and gamma = b^T S z / q^T b, the implicit derivative of beta gives the
+    gradient P^T S z and the Hessian P^T (S - gamma diag(q)) P; mean removal
+    drops out since S 1 = 0. F is flat along 1 and b, so the penalties
+    ((mu^T v)^2 + ((mu b)^T v)^2) / 2 pin both; they vanish at every critical
+    point, as mu^T b = 0. The multiplier must come out positive; the final
+    answer is u0 + log(multiplier), polished by damped Newton and returned
+    through _verified.
     """
-    from scipy.optimize import minimize  # imported on first use: it slows `import fraclap`
     opts = opts or SolveOptions()
     if p.c != 0:
         raise ValueError("zero-c route requires c == 0")
@@ -617,20 +667,27 @@ def solve_zero_c(p, opts=None, op=None):
         raise InfeasibleStart("constraint set empty: kappa must change sign")
 
     bump = _meanzero_bump(g, kappa)
+    pin = mu * bump
     ua = op.energy_matrix
 
     def objective(v):
-        w = _restore_constraint(g, kappa, v, bump)
-        sw = ua @ w
-        q = kappa * mu * np.exp(w - np.max(w))
-        grad = sw - (float(bump @ sw) / float(q @ bump)) * q
-        return 0.5 * float(w @ sw), grad
+        z = _restore_constraint(g, kappa, v, bump)
+        sz = ua @ z
+        q = kappa * mu * np.exp(z - np.max(z))
+        qb = float(q @ bump)
+        gamma = float(bump @ sz) / qb
+        iv, ib = float(mu @ v), float(pin @ v)
 
-    res = minimize(
-        objective, np.zeros(g.n), jac=True, method="L-BFGS-B", options=_DESCENT_OPTIONS
-    )
-    u = _restore_constraint(g, kappa, res.x, bump)
-    iterations = int(res.nit)
+        def hessp(d):
+            pd = d - (float(q @ d) / qb) * bump
+            t = ua @ pd - gamma * q * pd
+            return t - (float(bump @ t) / qb) * q + float(mu @ d) * mu + float(pin @ d) * pin
+
+        val = 0.5 * (float(z @ sz) + iv * iv + ib * ib)
+        return val, sz - gamma * q + iv * mu + ib * pin, hessp
+
+    v, iterations = _trust_region(objective, np.zeros(g.n), op, 1e-13)
+    u = _restore_constraint(g, kappa, v, bump)
 
     theta = 0.5 * float(u @ ua @ u)
     with np.errstate(over="ignore"):
@@ -667,13 +724,12 @@ def _restore_constraint(g, kappa, u, bump):
 
     The bump raises u at the most negative kappa vertex and lowers it at the
     most positive one, so integral(kappa e^u) falls strictly from + to -
-    along +bump and a doubling bracket always finds the root. The root is
-    sought on the mass relative to e^{max}, which has the same sign and
-    never overflows. The bump touches two vertices, so the mass of the rest
-    is summed once, and each evaluation costs O(1).
+    along +bump and a doubling bracket always finds the root, which
+    safeguarded Newton then pins (a step leaving the bracket bisects it).
+    The root is sought on the mass relative to e^{max}, which has the same
+    sign and never overflows. The bump touches two vertices, so the mass of
+    the rest is summed once, and each evaluation costs O(1).
     """
-    from scipy.optimize import brentq  # imported on first use: it slows `import fraclap`
-
     (a_i, b_i, u_i), (a_j, b_j, u_j) = (
         (float(kappa[k] * g.mu[k]), float(bump[k]), float(u[k])) for k in np.flatnonzero(bump))
     rest = bump == 0
@@ -683,17 +739,28 @@ def _restore_constraint(g, kappa, u, bump):
         mass_rest = float(np.dot(kappa[rest] * np.exp(u[rest] - top_rest), g.mu[rest]))
 
     def h(beta):
+        """The relative mass at u + beta bump and its derivative in beta."""
         x_i, x_j = u_i + beta * b_i, u_j + beta * b_j
         top = max(x_i, x_j, top_rest)
-        return (a_i * math.exp(x_i - top) + a_j * math.exp(x_j - top)
-                + mass_rest * math.exp(top_rest - top))
+        m_i, m_j = a_i * math.exp(x_i - top), a_j * math.exp(x_j - top)
+        return m_i + m_j + mass_rest * math.exp(top_rest - top), b_i * m_i + b_j * m_j
 
-    lo, hi = (0.0, 1.0) if h(0.0) > 0 else (-1.0, 0.0)
-    while h(hi) > 0:
+    lo, hi = (0.0, 1.0) if h(0.0)[0] > 0 else (-1.0, 0.0)
+    while h(hi)[0] > 0:
         hi *= 2.0
-    while h(lo) < 0:
+    while h(lo)[0] < 0:
         lo *= 2.0
-    out = u + brentq(h, lo, hi, xtol=1e-14) * bump
+    beta, step = 0.5 * (lo + hi), math.inf
+    # xtol 1e-14 plus four machine epsilons of beta, below which steps are round-off
+    while min(abs(step), hi - lo) > 1e-14 + 8.9e-16 * abs(beta):
+        mass, slope = h(beta)
+        if mass == 0:
+            break
+        lo, hi = (beta, hi) if mass > 0 else (lo, beta)
+        nxt = beta - mass / slope if slope < 0 else math.nan  # a NaN step bisects
+        nxt = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        beta, step = nxt, nxt - beta
+    out = u + beta * bump
     # mean removal is free: scaling e^u by a constant preserves a zero mass
     return out - mean(g, out)
 

@@ -9,6 +9,7 @@ import scipy.linalg
 from fraclap import kazdan_warner as kw
 from fraclap.errors import (
     CertificateUnsolvable,
+    FraclapError,
     InfeasibleStart,
     InvalidExponent,
     NotAnUpperSolution,
@@ -90,6 +91,17 @@ class TestScreen:
         for c, kap in ((1.0, [1.0, 1.0]), (0.0, [1.0, -2.0]), (-1.0, [-1.0, -1.0])):
             v = kw.screen(problem(p2, c, kap))
             assert all(isinstance(r, str) and r for r in v.reasons)
+
+
+def reduced_hessian_is_definite(p, op, u):
+    """Whether the positive-c reduced Hessian energy + mu mu^T - c|V| (diag(w)
+    - w w^T), w = kappa mu e^u / integral(kappa e^u), is positive definite
+    at u, by the eigenvalues of the explicitly assembled matrix."""
+    g = p.graph
+    q = p.kappa * g.mu * np.exp(u - np.max(u))
+    w, cv = q / np.sum(q), p.c * g.volume
+    h = op.energy_matrix + np.outer(g.mu, g.mu) - cv * (np.diag(w) - np.outer(w, w))
+    return bool(np.linalg.eigvalsh(h)[0] > 0)
 
 
 def positive_c_benchmark_problem(make_graph, seed, n, draw):
@@ -235,24 +247,27 @@ class TestSolveDispatcher:
         assert rep.iterations <= 10
         assert rep.residual_inf <= 1e-8
 
-    def test_variational_stall_is_rescued_by_newton(self, random_connected):
-        rng = np.random.default_rng(316)
-        n = int(rng.integers(10, 60))
-        g = random_connected(rng, n)
-        s = float(rng.choice([0.5, 1, 1.5, 2, 2.5]))
-        kappa = rng.normal(size=n) * rng.choice([1, 3, 10]) - rng.uniform(0, 1)
-        c = float(rng.choice([0, 1]) * 10 ** rng.uniform(-3, 1))
-        assert (n, s) == (10, 2.0) and c == pytest.approx(4.7412, abs=1e-4)
-        p = problem(g, c, kappa, s=s)
+    @pytest.mark.parametrize("seed, n, s, c", [
+        (316, 10, 2.0, 4.7412),  # L-BFGS-B stopped at residual 1.4; Newton took over
+        # the minimizer's mass is 3.4e-3 of its absolute mass: trial steps
+        # cross mass zero and are halved back
+        (706, 51, 2.0, 0.0041),
+    ], ids=["seed316", "seed706"])
+    def test_former_variational_stall_is_solved_by_descent(self, random_connected, seed, n,
+                                                             s, c):
+        rng = np.random.default_rng(seed)
+        g = random_connected(rng, int(rng.integers(10, 60)))
+        s_drawn = float(rng.choice([0.5, 1, 1.5, 2, 2.5]))
+        kappa = rng.normal(size=g.n) * rng.choice([1, 3, 10]) - rng.uniform(0, 1)
+        c_drawn = float(rng.choice([0, 1]) * 10 ** rng.uniform(-3, 1))
+        assert (g.n, s_drawn) == (n, s) and c_drawn == pytest.approx(c, abs=1e-4)
+        p = problem(g, c_drawn, kappa, s=s)
         assert kw.screen(p).status == kw.SOLVABLE
         op = build_operator(decompose(g), s)
-        rep = kw.solve(p, op=op)
-        assert rep.method == "newton-continuation"
-        assert rep.residual_inf <= 1e-8
-        match = "^variational-positive-c stopped at residual"
-        with pytest.raises(NotSolved, match=match) as exc:
-            kw.solve(p, kw.SolveOptions(method="variational"), op=op)
-        assert exc.value.trace == ["variational-positive-c"]
+        rep = kw.solve(p, kw.SolveOptions(method="variational"), op=op)
+        assert rep.method == "variational-positive-c"
+        assert kw.check_solution(p, rep.solution, op).residual_inf <= 1e-8
+        assert reduced_hessian_is_definite(p, op, rep.solution)
 
     def test_infeasible_start_ends_the_route(self, p2):
         # s > 1 leaves c = 0 unscreened; kappa > 0 empties the constraint set
@@ -265,7 +280,7 @@ class TestSolveDispatcher:
 class TestSolvePositiveC:
     @pytest.mark.parametrize("c, tol", [(1e-5, 1e-12), (1e-7, 1e-10)])
     def test_small_c_reaches_tight_tol(self, p2, op_p2, c, tol):
-        # the reduced polish stalls just above tol; the equation polish finishes
+        # the descent stops just above tol; equation Newton finishes
         p = problem(p2, c, [1.0, -3.0])
         assert kw.screen(p).status == kw.SOLVABLE
         rep = kw.solve(p, kw.SolveOptions(tol=tol), op=op_p2)
@@ -273,7 +288,9 @@ class TestSolvePositiveC:
         assert kw.check_solution(p, rep.solution, op_p2).residual_inf <= tol
 
     def test_small_c_at_scale(self, random_connected):
-        # the reduced polish stops at residual 1.48 on this n=200 problem
+        # the minimizer of this n=200 problem lies near zero mass: the descent
+        # takes 149 steps and ends at residual 4e-10 (L-BFGS-B and its polish
+        # stopped at 1.48)
         rng = np.random.default_rng(5)
         g = random_connected(rng, 200)
         p = problem(g, 1e-7, rng.normal(size=g.n) - 0.5)
@@ -374,9 +391,10 @@ class TestSolvePositiveC:
         assert math.isfinite(defect) and defect <= 1e-7 * p.c * g.volume
         assert math.isfinite(rep.energy)
 
-    def test_definite_polish_is_a_cholesky_solve(self, random_connected, monkeypatch):
-        # the reduced Hessian of this problem is positive definite at its
-        # one polish step, and the polish leaves the residual within tol
+    def test_descent_factors_only_its_preconditioner_and_certificate(self, random_connected,
+                                                                       monkeypatch):
+        # the descent leaves the residual within tol, so no equation Newton
+        # step runs: one factor of energy + mu mu^T, one of the reduced Hessian
         rng = np.random.default_rng(0)
         g = random_connected(rng, 60)
         op = build_operator(decompose(g), 0.5)
@@ -385,7 +403,23 @@ class TestSolvePositiveC:
         lu = counting(monkeypatch, np.linalg, "solve")
         rep = kw.solve_positive_c(p, op=op)
         assert rep.residual_inf <= 1e-8
-        assert len(chol) > 0 and lu == []
+        assert len(chol) == 2 and lu == []
+        assert reduced_hessian_is_definite(p, op, rep.solution)
+
+    def test_end_point_without_a_factor_is_not_returned(self, p2, op_p2, monkeypatch):
+        # the certificate is the last factorization; failing it fails the route
+        real = scipy.linalg.cho_factor
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs) if len(calls) == 1 else fail_cholesky()
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_second)
+        with pytest.raises(NotSolved, match="^variational-positive-c did not end at a "
+                                            "minimizer") as exc:
+            kw.solve_positive_c(problem(p2, 1.0, [2.0, -1.0]), op=op_p2)
+        assert exc.value.trace == ["variational-positive-c"]
 
 
 class TestSolveZeroC:
@@ -504,6 +538,56 @@ class TestSolveZeroC:
             kw.solve(p, op=build_operator(decompose(g), 1.5))
 
 
+class TestTrustRegion:
+    """The one trust-region Newton-CG descent of both variational routes."""
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    @pytest.mark.parametrize("graph", ["p2", "er20"])
+    def test_hessian_product_matches_gradient_differences(self, request, monkeypatch,
+                                                          graph, c):
+        g = request.getfixturevalue(graph)
+        op = build_operator(decompose(g), 0.5)
+        rng = np.random.default_rng(4)
+        kappa = np.array([2.0, -3.0]) if g.n == 2 else rng.normal(size=g.n) - 0.3
+        funs = []
+        real = kw._trust_region
+        monkeypatch.setattr(kw, "_trust_region",
+                            lambda fun, *args: funs.append(fun) or real(fun, *args))
+        (kw.solve_zero_c if c == 0 else kw.solve_positive_c)(problem(g, c, kappa), op=op)
+        objective, h = funs[0], 1e-6
+        for _ in range(3):
+            f, d = math.inf, rng.normal(size=g.n)
+            while not math.isfinite(f):  # c > 0 needs integral(kappa e^v) > 0
+                v = rng.normal(size=g.n)
+                f, grad, hessp = objective(v)
+            central = (objective(v + h * d)[1] - objective(v - h * d)[1]) / (2.0 * h)
+            scale = np.max(np.abs(central)) + np.max(np.abs(grad))
+            assert np.max(np.abs(hessp(d) - central)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("n", [30, 60])
+    @pytest.mark.parametrize("k", range(8))
+    def test_sweep_ends_verified_or_typed(self, random_connected, k, n):
+        # kappa of negative mean at even k, positive at odd k, where c = 0
+        # has no solution or none that screening certifies
+        rng = np.random.default_rng((k, 7))
+        g = random_connected(rng, n)
+        kappa = rng.normal(size=n) + (-0.5, 0.3)[k % 2]
+        sd = decompose(g)
+        for s in (0.5, 1.5, 2.5):
+            op = build_operator(sd, s)
+            for c in (0.0, 0.5, 2.0):
+                p = problem(g, c, kappa, s=s)
+                try:
+                    rep = kw.solve(p, op=op)
+                except FraclapError:
+                    assert c == 0.0, (s, c)  # kappa > 0 somewhere: c > 0 solves
+                    continue
+                assert kw.check_solution(p, rep.solution, op).residual_inf <= 1e-8
+                if c > 0:
+                    assert rep.method == "variational-positive-c", (s, c)
+                    assert reduced_hessian_is_definite(p, op, rep.solution), (s, c)
+
+
 class TestResolvent:
     def test_constants(self, p2, op_p2):
         u = kw.resolvent_solve(p2, op_p2, np.ones(2), np.ones(2))
@@ -565,9 +649,9 @@ def fail_cholesky(*args, **kwargs):
 
 
 class TestNewtonLinearAlgebra:
-    """Every Newton step solves one matrix, mu times the Jacobian (or the
-    positive-c polish's reduced Hessian): by Cholesky at c < 0 and in the
-    polish, by LU on the same matrix where that fails and at c >= 0."""
+    """Every Newton step solves one matrix, mu times the Jacobian: by
+    Cholesky at c < 0, by LU on the same matrix where that fails and at
+    c >= 0."""
 
     def test_negative_c_steps_use_cholesky_only(self, random_connected, monkeypatch):
         rng = np.random.default_rng(60)
@@ -591,40 +675,46 @@ class TestNewtonLinearAlgebra:
         assert ok and its > 0
         assert np.max(np.abs(kw._residual(op_p2, kappa, c, u))) < 1e-8 * start
 
-    @pytest.mark.parametrize("system", ["0.5", "1.5", "polish-definite", "polish-indefinite"])
-    def test_cholesky_step_equals_lu_step(self, random_connected, er20, op_er20, monkeypatch,
-                                          system):
-        # one matrix X per step: a Newton step's (mu J) s = -mu r at s = 0.5,
-        # 1.5, and a polish step's H s = -r, whose weights split over two
-        # vertices make -cv (diag(w) - w w^T) indefinite for a large cv
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    def test_cholesky_step_equals_lu_step(self, random_connected, monkeypatch, s):
+        # one matrix X per step: a Newton step's (mu J) s = -mu r
         rng = np.random.default_rng(15)
-        if system.startswith("polish"):
-            g, op, cv = er20, op_er20, 0.5 if system == "polish-definite" else 1e3
-            w = np.zeros(g.n)
-            w[[0, 1]] = 0.5
-            phi, b, rank_one = -cv * w / g.mu, -rng.normal(size=g.n), ((cv, w), (1.0, g.mu))
-            reference = (op.energy_matrix - cv * (np.diag(w) - np.outer(w, w))
-                         + np.outer(g.mu, g.mu))
-        else:
-            g = random_connected(rng, 200)
-            op = build_operator(decompose(g), float(system))
-            kappa = -np.abs(rng.normal(size=g.n)) - 0.1
-            u = rng.normal(size=g.n)
-            ke = kappa * np.exp(u)
-            phi, b, rank_one = -ke, -g.mu * kw._residual(op, kappa, -1.0, u), ()
-            reference = g.mu[:, None] * (op.op_matrix - np.diag(ke))
-        definite = system != "polish-indefinite"
-        assert (np.linalg.eigvalsh(0.5 * (reference + reference.T))[0] > 0) == definite
+        g = random_connected(rng, 200)
+        op = build_operator(decompose(g), s)
+        kappa = -np.abs(rng.normal(size=g.n)) - 0.1
+        u = rng.normal(size=g.n)
+        ke = kappa * np.exp(u)
+        phi, b = -ke, -g.mu * kw._residual(op, kappa, -1.0, u)
+        reference = g.mu[:, None] * (op.op_matrix - np.diag(ke))
+        assert np.linalg.eigvalsh(0.5 * (reference + reference.T))[0] > 0
         expected = np.linalg.solve(reference, b)
         lu = counting(monkeypatch, np.linalg, "solve")
-        step = kw._newton_step(g, op, phi, b, rank_one)
-        assert len(lu) == (0 if definite else 1)
+        step = kw._newton_step(g, op, phi, b)
+        assert len(lu) == 0
         monkeypatch.setattr(scipy.linalg, "cho_factor", fail_cholesky)
-        via_lu = kw._newton_step(g, op, phi, b, rank_one)
-        assert len(lu) == (1 if definite else 2)
+        via_lu = kw._newton_step(g, op, phi, b)
+        assert len(lu) == 1
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(step - via_lu)) <= 1e-12 * scale
         assert np.max(np.abs(step - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("definite", [True, False], ids=["definite", "indefinite"])
+    def test_reduced_hessian_factor_matches_assembly(self, er20, op_er20, definite):
+        # the positive-c certificate: weights split over two vertices make
+        # -cv (diag(w) - w w^T) indefinite for a large cv
+        rng = np.random.default_rng(15)
+        g, op, cv = er20, op_er20, 0.5 if definite else 1e3
+        w = np.zeros(g.n)
+        w[[0, 1]] = 0.5
+        reference = (op.energy_matrix - cv * (np.diag(w) - np.outer(w, w))
+                     + np.outer(g.mu, g.mu))
+        assert (np.linalg.eigvalsh(reference)[0] > 0) == definite
+        solve = kw._shifted_cholesky(g, op, -cv * w / g.mu, ((cv, w), (1.0, g.mu)))
+        assert (solve is not None) == definite
+        if definite:
+            b = rng.normal(size=g.n)
+            expected = np.linalg.solve(reference, b)
+            assert np.max(np.abs(solve(b) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_failed_factor_falls_back_to_lu_with_the_same_run(self, random_connected,
                                                                monkeypatch):
