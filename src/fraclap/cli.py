@@ -230,13 +230,11 @@ def _flag_at_least(flag, value, low):
 
 def _cmd_kw(args):
     _flag_at_least("--max-iter", args.max_iter, 1)
-    _flag_at_least("--seed", args.seed, 0)
     g = _graph(args)
     _warn_integer_order(args.s)
     kappa = load_function(g, _read(args.kappa))
     problem = kw.KWProblem(graph=g, s=args.s, c=args.c, kappa=kappa)
-    opts = kw.SolveOptions(tol=args.tol, max_iter_monotone=args.max_iter,
-                           seed=args.seed, method=args.method)
+    opts = kw.SolveOptions(tol=args.tol, max_iter_monotone=args.max_iter, method=args.method)
     try:
         report = kw.solve(problem, opts)
     except CertificateUnsolvable as exc:
@@ -319,7 +317,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=10_000,
                    help="monotone sweep cap")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("threshold", _cmd_threshold, "bracket the negative-c solvability threshold")
     p.add_argument("--s", type=float, required=True)

@@ -63,7 +63,6 @@ class KWProblem:
 
 _STEP_TOL = 1e-10  # a monotone step this small triggers a residual check
 _MAX_ITER_NEWTON = 200  # cap on each damped-Newton and trust-region run
-_NEWTON_RESTARTS = 8  # seeded random starts after the fixed ones
 _DRIFT_REL = 1e-3  # a residual above this times the equation's scale is not a solution
 
 
@@ -71,13 +70,12 @@ _DRIFT_REL = 1e-3  # a residual above this times the equation's scale is not a s
 class SolveOptions:
     """The settings a caller chooses: ``tol``, the sup-norm residual every
     returned solution is verified to (finite, positive); ``max_iter_monotone``,
-    the monotone sweep cap; ``seed``, the nonnegative seed of the restart
-    draws; ``method``, "auto", "variational", "monotone" or "newton";
-    ``override_screen``, solve even where the screen certifies unsolvable."""
+    the monotone sweep cap; ``method``, "auto", "variational", "monotone" or
+    "newton"; ``override_screen``, solve even where the screen certifies
+    unsolvable."""
 
     tol: float = 1e-8
     max_iter_monotone: int = 10_000
-    seed: int = 0
     method: str = "auto"
     override_screen: bool = False
 
@@ -271,12 +269,6 @@ def _verified(p, op, u, method, iterations, opts, energy=None):
     return SolveReport(u, residual, method, iterations, energy)
 
 
-def check_seed(seed):
-    """Reject a restart seed that is not a nonnegative Python or NumPy integer."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be nonnegative and an integer, got {seed!r}")
-
-
 def _ensure_operator(g, s, op):
     """op once it is checked to be the operator of (-Delta)^s on g, or that
     operator built when op is None; s None checks the graph only."""
@@ -404,11 +396,6 @@ def _trust_region(fun, x, op, gtol):
     return x, _MAX_ITER_NEWTON
 
 
-def _seeded_restarts(op, rng):
-    for _ in range(_NEWTON_RESTARTS):
-        yield rng.normal(scale=1.0, size=op.graph.n)
-
-
 def _newton_attempts(op, kappa, c, starts, opts):
     """Damped Newton at c from each start in turn, drawn lazily. A converged
     run counts where its residual is small against the equation's scale, so
@@ -416,21 +403,25 @@ def _newton_attempts(op, kappa, c, starts, opts):
     the first stable root wins (mu J positive definite, as at the maximal
     solution), and the first unstable one only where no start gives a
     stable one; kappa <= 0 makes mu J positive definite by construction.
-    Returns (u or None, total iterations)."""
+    Returns (u, total iterations), or raises NotSolved naming the number of
+    starts run and the smallest sup-norm residual they reached."""
     test_stability = c < 0 and float(np.max(kappa)) > 0
-    total, unstable = 0, None
+    total, runs, smallest, unstable = 0, 0, math.inf, None
     for u0 in starts:
         u, its, ok = _damped_newton(op, kappa, c, u0, opts)
-        total += its
-        if not ok:
-            continue
+        total, runs = total + its, runs + 1
         residual = float(np.max(np.abs(_residual(op, kappa, c, u))))
-        if not residual <= _DRIFT_REL * _equation_scale(op, kappa, c, u):
+        smallest = min(smallest, residual)  # a NaN residual is passed over
+        if not (ok and residual <= _DRIFT_REL * _equation_scale(op, kappa, c, u)):
             continue
         if not test_stability or _stability_solve(op, kappa, u) is not None:
             return u, total
         if unstable is None:
             unstable = u
+    if unstable is None:
+        raise NotSolved(f"newton-continuation: all starts failed ({runs} start"
+                        f"{'s' if runs != 1 else ''}; smallest residual {smallest:.1e})",
+                        trace=["newton-continuation"])
     return unstable, total
 
 
@@ -815,14 +806,20 @@ def _affine_upper_solution(p, op):
 
 def _continuation_solution(p, opts, op):
     """The stable walk from near c/2 down to (slightly past) c: the last
-    solution at or below c, or None."""
+    solution at or below c, or None. A walk that stops short runs Newton at
+    its target once more from its last solution: a tangent step can fail
+    where a start that close succeeds, and bisection never probes the
+    target again."""
     start = _stable_start(op, p.kappa, p.c / 2.0, opts)
     if start is None:
         return None
     # overshoot c by a relative margin so the final slack is strictly positive
-    c_end, u, _ = _stable_walk(op, p.kappa, start, p.c * (1.0 + 1e-6), opts,
-                               abs(p.c) * 1e-9, [], math.inf)
-    return u if c_end <= p.c else None
+    target = p.c * (1.0 + 1e-6)
+    c_end, u, _ = _stable_walk(op, p.kappa, start, target, opts, abs(p.c) * 1e-9, [], math.inf)
+    if c_end <= p.c:
+        return u
+    point = _stable_point(op, p.kappa, target, u, opts)
+    return None if point is None else point[0]
 
 
 def _stable_point(op, kappa, c, u0, opts):
@@ -992,7 +989,6 @@ def solve(p, opts=None, op=None):
     """
     opts = opts or SolveOptions()
     check_tol(opts.tol)
-    check_seed(opts.seed)
     verdict = screen(p)
     if verdict.status == UNSOLVABLE and not opts.override_screen:
         raise CertificateUnsolvable(
@@ -1031,10 +1027,11 @@ def _route(p, opts, op, trace):
        c >= 0; for c < 0 and s <= 1, monotone iteration from the affine
        upper solution, then under "monotone" from the continuation point.
     2. Unless the method is "variational" or "monotone", damped Newton at c
-       from zero, each upper solution (the continuation point, a stable
-       solution just past c) and the seeded restarts, in that order; the
-       first root found wins, except that at c < 0 with kappa positive
-       somewhere a stable root wins over an unstable one found earlier.
+       from zero and, at c < 0, from each upper solution (the affine one,
+       then the continuation point, a stable solution just past c), in that
+       order; the first root found wins, except that at c < 0 with kappa
+       positive somewhere a stable root wins over an unstable one found
+       earlier.
 
     Step 1's last error is raised under a method that stops after it, and
     InfeasibleStart, a certificate, always; any other goes to ``trace``.
@@ -1059,12 +1056,9 @@ def _route(p, opts, op, trace):
         raise failure or NotSolved("no upper solution found", trace=["monotone-iteration"])
     if failure is not None:
         trace.append(str(failure))
-    rng = np.random.default_rng((opts.seed, 0x7E57))
     uppers = _upper_solutions(p, opts, op, affine) if p.c < 0 else ()
-    starts = itertools.chain([np.zeros(p.graph.n)], uppers, _seeded_restarts(op, rng))
+    starts = itertools.chain([np.zeros(p.graph.n)], uppers)
     u, iterations = _newton_attempts(op, p.kappa, p.c, starts, opts)
-    if u is None:
-        raise NotSolved("newton-continuation: all starts failed", trace=["newton-continuation"])
     return _verified(p, op, u, "newton-continuation", iterations, opts)
 
 
@@ -1085,11 +1079,11 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
     failures before it.
 
     The bracket ``tol`` and the residual tolerance ``opts.tol`` must be
-    finite and positive and ``cap`` at least 1; ``opts.seed`` is not used.
-    The walk starts below zero, so integral(kappa) < 0 is required
-    (ValueError otherwise, kappa identically zero included). Where screening
-    certifies c = -1 solvable, its clause covers every c < 0 and
-    ThresholdIsMinusInfinity is raised; every other kappa is bracketed.
+    finite and positive and ``cap`` at least 1. The walk starts below zero,
+    so integral(kappa) < 0 is required (ValueError otherwise, kappa
+    identically zero included). Where screening certifies c = -1 solvable,
+    its clause covers every c < 0 and ThresholdIsMinusInfinity is raised;
+    every other kappa is bracketed.
     """
     check_tol(tol)
     if not cap >= 1:

@@ -148,21 +148,24 @@ class TestSolveDispatcher:
         with pytest.raises(NotSolved):
             kw.solve(problem(p2, 1.0, [-1.0, -2.0]), opts, op=op_p2)
 
-    @pytest.mark.parametrize("c, kappa, first, trace", [
+    @pytest.mark.parametrize("c, kappa, first, trace, match", [
         # the paper's method stalls, then Newton from zero stalls
         (1.0, [2.0, -1.0], "variational-positive-c", [
             "variational-positive-c stopped at residual", "newton-continuation",
-        ]),
+        ], "^newton-continuation stopped at residual .* > tol"),
+        # Newton from zero, its one start, drifts to u = (-32, -32): a
+        # residual of about 1e-13 is not small against the equation's terms
         (0.0, [2.0, -3.0], "variational-zero-c", [
             "variational-zero-c stopped at residual", "newton-continuation",
-        ]),
+        ], r"^newton-continuation: all starts failed \(1 start; smallest residual "
+           r"\d\.\de-1[34]\)$"),
         # kappa > 0 somewhere: no affine upper solution, so Newton runs first
-        (-0.05, [1.0, -3.0], "newton-continuation", ["newton-continuation"]),
+        (-0.05, [1.0, -3.0], "newton-continuation", ["newton-continuation"],
+         "^newton-continuation stopped at residual .* > tol"),
     ])
     def test_stalled_route_names_route_and_residual(self, p2, op_p2, c, kappa, first,
-                                                    trace):
+                                                    trace, match):
         # no double reaches a residual of 1e-300 here, so every route stalls
-        match = "^newton-continuation stopped at residual .* > tol"
         with pytest.raises(NotSolved, match=match) as exc:
             kw.solve(problem(p2, c, kappa), kw.SolveOptions(tol=1e-300), op=op_p2)
         assert exc.value.trace[0].startswith(first)
@@ -204,7 +207,7 @@ class TestSolveDispatcher:
 
     @pytest.mark.parametrize("method", ["auto", "newton"])
     def test_continuation_point_polished_at_c(self, random_connected, method):
-        # Newton from zero and the restarts fail here; the continuation point
+        # Newton from zero fails here; the continuation point
         # solves the equation at c (1 + 1e-6), a residual of 8e-8 at c
         rng = np.random.default_rng(8)
         g = random_connected(rng, 40)
@@ -268,6 +271,27 @@ class TestSolveDispatcher:
         assert rep.method == "variational-positive-c"
         assert kw.check_solution(p, rep.solution, op).residual_inf <= 1e-8
         assert reduced_hessian_is_definite(p, op, rep.solution)
+
+    def test_failed_negative_c_runs_newton_from_fixed_starts_only(self, random_connected,
+                                                                   monkeypatch):
+        # no start reaches a root at c here: Newton at c runs from zero and
+        # from each upper solution, and from no random start
+        rng = np.random.default_rng((37, 7))
+        g = random_connected(rng, 30)
+        p = problem(g, -0.2, rng.normal(size=g.n) - 0.5)
+        op = build_operator(decompose(g), 0.5)
+        affine = kw._affine_upper_solution(p, op)
+        uppers = list(kw._upper_solutions(p, kw.SolveOptions(), op, affine))
+        runs, real = [], kw._newton_attempts
+
+        def counted(op_, kappa, c, starts, opts):  # one damped-Newton run per start
+            return real(op_, kappa, c, (runs.append(c) or u0 for u0 in starts), opts)
+
+        monkeypatch.setattr(kw, "_newton_attempts", counted)
+        with pytest.raises(NotSolved, match="^newton-continuation: all starts failed"):
+            kw.solve(p, op=op)
+        assert runs.count(p.c) == len(runs)
+        assert 1 <= len(runs) <= 1 + len(uppers)
 
     def test_infeasible_start_ends_the_route(self, p2):
         # s > 1 leaves c = 0 unscreened; kappa > 0 empties the constraint set
@@ -502,14 +526,18 @@ class TestSolveZeroC:
             assert beta[0] == pytest.approx(beta[1], rel=1e-12)
 
     def test_newton_rejects_drift_to_minus_infinity(self, random_connected):
-        # Newton from zero drifts to the constant -27, where kappa e^u is
-        # 4.7e-12 and the residual alone cannot tell it from a solution
+        # Newton from zero, the one start at c = 0, drifts to the constant
+        # -27, where kappa e^u is 4.7e-12 and the residual alone cannot tell
+        # it from a solution
         rng = np.random.default_rng(3)
         g = random_connected(rng, 40)
         p = problem(g, 0.0, rng.normal(size=g.n) - 0.3)
         op = build_operator(decompose(g), 0.5)
-        newton = kw.solve(p, kw.SolveOptions(method="newton"), op=op)
-        assert np.allclose(newton.solution, kw.solve(p, op=op).solution, atol=1e-8)
+        u, _, ok = kw._damped_newton(op, p.kappa, 0.0, np.zeros(g.n), kw.SolveOptions())
+        assert ok and np.all(u < -20.0)
+        with pytest.raises(NotSolved, match=r"^newton-continuation: all starts failed \(1 start;"):
+            kw.solve(p, kw.SolveOptions(method="newton"), op=op)
+        assert kw.solve(p, op=op).method == "variational-zero-c"
 
     @pytest.mark.parametrize("s", [2.0, 3.0, 4.0])
     def test_drift_without_solution_is_not_solved(self, p2, s):
@@ -887,6 +915,20 @@ class TestUpperSolutions:
         assert up is not None
         assert kw.check_solution(p, up, op_p2).slack_min >= -1e-10
 
+    @pytest.mark.parametrize("k, n, s, c", [(15, 60, 1.5, -0.2), (36, 30, 2.5, -1.0)])
+    def test_walk_stopped_short_retries_its_target(self, random_connected, k, n, s, c):
+        # the walk's first step, from c/2, lands on c and fails from its long
+        # tangent step, and bisection stops 2e-10 to 1e-9 above c; Newton at
+        # the target from that last solution gives a stable point past c
+        rng = np.random.default_rng((k, 7))
+        g = random_connected(rng, n)
+        p = problem(g, c, rng.normal(size=n) - 0.5, s=s)
+        op = build_operator(decompose(g), s)
+        up = kw.construct_upper_solution(p, op=op)
+        assert up is not None
+        assert kw.check_solution(p, up, op).slack_min >= 0.0
+        assert kw._stability_solve(op, p.kappa, up) is not None
+
     def test_continuation_below_threshold_absent(self, p2, op_p2):
         # threshold for this kappa sits near -0.104; far below nothing exists
         opts = kw.SolveOptions()
@@ -1245,7 +1287,7 @@ class TestScreenSolveConsistency:
 class TestSettingsAndOperatorChecks:
     def test_solve_options_holds_only_caller_settings(self):
         assert [f.name for f in dataclasses.fields(kw.SolveOptions)] == [
-            "tol", "max_iter_monotone", "seed", "method", "override_screen",
+            "tol", "max_iter_monotone", "method", "override_screen",
         ]
 
     def test_solve_rejects_operator_for_another_exponent(self, er20, op_er20):
@@ -1269,34 +1311,7 @@ class TestSettingsAndOperatorChecks:
         with pytest.raises(ValueError, match="does not belong"):
             kw.resolvent_solve(p2, op, np.ones(2), np.array([1.0, -1.0]))
 
-    def test_negative_seed_rejected(self, p2):
-        opts = kw.SolveOptions(seed=-1)
-        # the monotone route draws no restarts, so only the check stops it
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
-            kw.solve(problem(p2, -2.0, [-1.0, -1.0]), opts)
-
-    @pytest.mark.parametrize("c, kappa, method", [
-        (-0.05, [1.0, -3.0], "newton"),  # draws seeded restarts
-        (-2.0, [-1.0, -1.0], "auto"),  # monotone iteration, no draws
-    ])
-    def test_solve_rejects_non_integer_seed(self, p2, op_p2, c, kappa, method):
-        p = problem(p2, c, kappa)
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
-            kw.solve(p, kw.SolveOptions(seed=1.5, method=method), op=op_p2)
-        rep = kw.solve(p, kw.SolveOptions(seed=np.int64(3), method=method), op=op_p2)
-        assert rep.residual_inf <= 1e-8
-
     @pytest.mark.parametrize("s", [0.0, math.nan])
     def test_problem_exponent_is_checked_by_split_exponent(self, p2, s):
         with pytest.raises(InvalidExponent, match="exponent must be a positive real"):
             problem(p2, 1.0, [1.0, 1.0], s=s)
-
-    def test_threshold_draws_no_seed(self, p2):
-        # the stable walk has no random starts, so the seed neither changes
-        # the bracket nor is checked
-        kappa = np.array([1.0, -3.0])
-        base = kw.estimate_threshold(p2, 0.5, kappa, tol=1e-3)
-        for seed in (1.5, -1, 7):
-            est = kw.estimate_threshold(p2, 0.5, kappa, tol=1e-3,
-                                        opts=kw.SolveOptions(seed=seed))
-            assert est.probes == base.probes
