@@ -6,11 +6,10 @@ Sign screening certifies solvability or unsolvability where the sign of
 (c, kappa) decides it outright; the remaining cases run one route: constrained
 minimization by one trust-region Newton-CG descent (c >= 0) or monotone
 iteration bracketed by upper and lower solutions (c < 0, s <= 1), then
-damped Newton where that fails. One stable
-walk in c, Newton continuation with a tangent predictor that accepts only
-points where the linearization is positive definite, builds the continuation
-upper solution and drives the estimate of the negative-c solvability
-threshold.
+damped Newton where that fails. One stable walk in c, Newton continuation
+with a tangent predictor that accepts only points where the linearization
+is positive definite, builds the continuation upper solution and drives
+the estimate of the negative-c solvability threshold.
 """
 
 from __future__ import annotations
@@ -330,16 +329,14 @@ def _trust_region(fun, x, op, gtol):
     Optimization, 2nd ed., ch. 4 and Alg. 7.2; Steihaug 1983). fun(x)
     returns (f, gradient, hessp), hessp(d) the Hessian times d, with f not
     finite off the domain. Each step is truncated CG on the quadratic model,
-    preconditioned by the Cholesky factor of M = energy matrix + mu mu^T
-    and bounded in the M-norm. CG goes to the boundary along negative
-    curvature, so the descent does not settle on a saddle, and a step that
-    leaves the domain is halved back into it. Stops at a sup-norm gradient
-    within gtol, once the model predicts a decrease below 1e-15 (1 + |f|),
-    where round-off takes over (that last step is kept if it lowers the
-    gradient), or after _MAX_ITER_NEWTON steps. Returns (x, steps taken)."""
-    precondition = _shifted_cholesky(op.graph, op, 0.0, ((1.0, op.graph.mu),))
-    if precondition is None:
-        raise NotSolved("trust-region preconditioner has no Cholesky factor")
+    preconditioned by the M^{-1} of _spectral_inverse and bounded in the
+    M-norm. CG goes to the boundary along negative curvature, so the descent
+    does not settle on a saddle, and a step that leaves the domain is halved
+    back into it. Stops at a sup-norm gradient within gtol, once the model
+    predicts a decrease below 1e-15 (1 + |f|), where round-off takes over
+    (that last step is kept if it lowers the gradient), or after
+    _MAX_ITER_NEWTON steps. Returns (x, steps taken)."""
+    precondition = _spectral_inverse(op)
     f, grad, hessp = fun(x)
     if not (math.isfinite(f) and np.all(np.isfinite(grad))):
         return x, 0
@@ -396,6 +393,14 @@ def _trust_region(fun, x, op, gtol):
     return x, _MAX_ITER_NEWTON
 
 
+def _spectral_inverse(op):
+    """r -> Phi ((Phi^T r) / D), D = lambda^s with |V| on the zero mode: the
+    inverse of M = energy matrix + mu mu^T = diag(mu) Phi D Phi^T diag(mu)
+    where op_matrix is the spectral power, and SPD on odd orders."""
+    phis, spectrum = op.sd.phis, op.sd.lambda_power(op.s, zero=op.graph.volume)
+    return lambda r: phis @ ((phis.T @ r) / spectrum)
+
+
 def _newton_attempts(op, kappa, c, starts, opts):
     """Damped Newton at c from each start in turn, drawn lazily. A converged
     run counts where its residual is small against the equation's scale, so
@@ -403,34 +408,30 @@ def _newton_attempts(op, kappa, c, starts, opts):
     the first stable root wins (mu J positive definite, as at the maximal
     solution), and the first unstable one only where no start gives a
     stable one; kappa <= 0 makes mu J positive definite by construction.
-    Returns (u, total iterations), or raises NotSolved naming the number of
-    starts run and the smallest sup-norm residual they reached."""
+    Returns (u, total iterations), or raises NotSolved naming the starts run
+    and their smallest residual, relative to the scale too if that one drifted."""
     test_stability = c < 0 and float(np.max(kappa)) > 0
-    total, runs, smallest, unstable = 0, 0, math.inf, None
+    total, runs, smallest, unstable = 0, 0, (math.inf, math.inf), None
     for u0 in starts:
         u, its, ok = _damped_newton(op, kappa, c, u0, opts)
         total, runs = total + its, runs + 1
         residual = float(np.max(np.abs(_residual(op, kappa, c, u))))
-        smallest = min(smallest, residual)  # a NaN residual is passed over
-        if not (ok and residual <= _DRIFT_REL * _equation_scale(op, kappa, c, u)):
+        scale = _equation_scale(op, kappa, c, u) if ok else math.inf
+        smallest = min(smallest, (residual, scale))  # a NaN residual is passed over
+        if not (ok and residual <= _DRIFT_REL * scale):
             continue
-        if not test_stability or _stability_solve(op, kappa, u) is not None:
+        if not test_stability or _shifted_cholesky(op.graph, op, -kappa * np.exp(u)) is not None:
             return u, total
         if unstable is None:
             unstable = u
     if unstable is None:
+        residual, scale = smallest
+        drift = (f", a drift: {residual / scale:.1e} of the equation's scale"
+                 if residual > _DRIFT_REL * scale else "")
         raise NotSolved(f"newton-continuation: all starts failed ({runs} start"
-                        f"{'s' if runs != 1 else ''}; smallest residual {smallest:.1e})",
+                        f"{'s' if runs != 1 else ''}; smallest residual {residual:.1e}{drift})",
                         trace=["newton-continuation"])
     return unstable, total
-
-
-def _stability_solve(op, kappa, u):
-    """The solve by the Cholesky factor of mu J = energy matrix -
-    diag(mu kappa e^u), mu times the Jacobian at u, or None where mu J is not
-    positive definite (Morse index above 0). u must have a finite residual,
-    so that e^u does not overflow."""
-    return _shifted_cholesky(op.graph, op, -kappa * np.exp(u))
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +459,8 @@ def _system_matrix(g, op, phi, rank_one=()):
     """X = energy matrix + diag(mu phi) + alpha x x^T for each (alpha, x) in
     ``rank_one``, in one column-major copy, or None where X is not finite:
     the one matrix of every linear system the solver forms. Damped Newton
-    passes phi = -kappa e^u, making X mu times the Jacobian; the
-    trust-region preconditioner and the positive-c certificate add rank-one
-    terms.
+    passes phi = -kappa e^u, making X mu times the Jacobian; the positive-c
+    certificate adds rank-one terms.
 
     No factorization scans its matrix, since LAPACK would factor a NaN
     through: the energy matrix is tested once per operator, and X here only
@@ -826,9 +826,10 @@ def _stable_point(op, kappa, c, u0, opts):
     """Damped Newton at c < 0 from u0, accepted only where mu J = energy
     matrix - diag(mu kappa e^u) is positive definite (Morse index 0), as at
     the maximal solution of upper and lower solutions. Returns (u, du/dc),
-    from (mu J) du/dc = -mu on that factor, or None."""
+    from (mu J) du/dc = -mu on that factor, or None. The residual of a
+    converged u is finite, so e^u does not overflow."""
     u, _, ok = _damped_newton(op, kappa, c, u0, opts)
-    chol_solve = _stability_solve(op, kappa, u) if ok else None
+    chol_solve = _shifted_cholesky(op.graph, op, -kappa * np.exp(u)) if ok else None
     if chol_solve is None:
         return None
     return u, chol_solve(-op.graph.mu)
@@ -991,9 +992,7 @@ def solve(p, opts=None, op=None):
     check_tol(opts.tol)
     verdict = screen(p)
     if verdict.status == UNSOLVABLE and not opts.override_screen:
-        raise CertificateUnsolvable(
-            "; ".join(verdict.reasons), verdict=verdict
-        )
+        raise CertificateUnsolvable("; ".join(verdict.reasons), verdict=verdict)
     op = _ensure_operator(p.graph, p.s, op)
 
     method = opts.method

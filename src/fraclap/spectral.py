@@ -52,11 +52,11 @@ class SpectralDecomposition:
     def synthesize(self, coeffs):
         return self.phis @ np.asarray(coeffs, dtype=float)
 
-    def lambda_power(self, s):
-        """lambda_i**s per eigenpair, taken as 0 on the zero modes for every s."""
+    def lambda_power(self, s, zero=0.0):
+        """lambda_i**s per eigenpair, taken as ``zero`` on the zero modes for every s."""
         lam = self.lambdas
         live = lam > 0
-        return np.where(live, np.where(live, lam, 1.0) ** float(s), 0.0)
+        return np.where(live, np.where(live, lam, 1.0) ** float(s), zero)
 
     def power_matrix(self, s):
         """Dense matrix of the spectral power: Phi diag(lambda^s) Phi^{-1}.

@@ -182,6 +182,21 @@ class TestHugeWeight:
         assert np.array_equal(_laplacian_draws(er20, draws.copy()), draws)
 
 
+class TestTinyWeight:
+    """Weights scaled by t << 1 blow up the unit-energy draws, so the sampled
+    Moser integrals leave the double range: they count as inf, with no raw
+    overflow warning, and every entry keeps its unscaled outcome."""
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-12])
+    def test_every_flag_matches_the_unscaled_graph(self, random_connected, t):
+        g = random_connected(np.random.default_rng(5), 60)
+        rows, cols, w, d = g.edge_pattern
+        scaled = dataclasses.replace(g, edge_pattern=(rows, cols, w * t, d * t))
+        flags = [(e.name, e.passed) for e in run_suite(g, [0.5, 1.5], seed=7).entries]
+        assert [(e.name, e.passed) for e in run_suite(scaled, [0.5, 1.5], seed=7).entries] \
+            == flags
+
+
 class TestSuiteSolveFailures:
     """A Kazdan-Warner solve inside the suite that raises CertificateUnsolvable
     or NotSolved fails its entry, and the suite goes on."""

@@ -340,13 +340,16 @@ class TestKwCmd:
     @pytest.mark.parametrize("s", ["2", "3", "4"])
     def test_zero_c_drift_exit_3(self, p2_file, tmp_path, capsys, s):
         # integrating the equation forces u1 = u2 and then kappa e^u = 0: no
-        # solution exists, and Newton's drift toward -infinity is not one
+        # solution exists, and Newton's drift toward -infinity is not one; its
+        # residual is within tol, so the message names the drift
         kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -1.0})
         code, out, err = run_cli(
             capsys, ["kw", "--graph", p2_file, "--s", s, "--c", "0", "--kappa", kap])
         assert code == 3
         assert out == ""
         assert re.search(NEWTON_FAILED + "$", err)
+        assert re.search(r"smallest residual [^,]+, a drift: \S+ of the equation's scale\)\n$",
+                         err)
 
     def test_zero_c_positive_integral_exit_3(self, random_connected, tmp_path, capsys):
         # s > 1 leaves this c = 0 problem unscreened; the solve must end in a

@@ -158,7 +158,7 @@ class TestSolveDispatcher:
         (0.0, [2.0, -3.0], "variational-zero-c", [
             "variational-zero-c stopped at residual", "newton-continuation",
         ], r"^newton-continuation: all starts failed \(1 start; smallest residual "
-           r"\d\.\de-1[34]\)$"),
+           r"\d\.\de-1[34], a drift: \d\.\de[+-]\d\d of the equation's scale\)$"),
         # kappa > 0 somewhere: no affine upper solution, so Newton runs first
         (-0.05, [1.0, -3.0], "newton-continuation", ["newton-continuation"],
          "^newton-continuation stopped at residual .* > tol"),
@@ -415,10 +415,10 @@ class TestSolvePositiveC:
         assert math.isfinite(defect) and defect <= 1e-7 * p.c * g.volume
         assert math.isfinite(rep.energy)
 
-    def test_descent_factors_only_its_preconditioner_and_certificate(self, random_connected,
-                                                                       monkeypatch):
+    def test_descent_factors_only_its_certificate(self, random_connected, monkeypatch):
         # the descent leaves the residual within tol, so no equation Newton
-        # step runs: one factor of energy + mu mu^T, one of the reduced Hessian
+        # step runs, and its preconditioner is spectral: the one factor is
+        # that of the reduced Hessian
         rng = np.random.default_rng(0)
         g = random_connected(rng, 60)
         op = build_operator(decompose(g), 0.5)
@@ -427,23 +427,19 @@ class TestSolvePositiveC:
         lu = counting(monkeypatch, np.linalg, "solve")
         rep = kw.solve_positive_c(p, op=op)
         assert rep.residual_inf <= 1e-8
-        assert len(chol) == 2 and lu == []
+        assert len(chol) == 1 and lu == []
         assert reduced_hessian_is_definite(p, op, rep.solution)
 
     def test_end_point_without_a_factor_is_not_returned(self, p2, op_p2, monkeypatch):
-        # the certificate is the last factorization; failing it fails the route
-        real = scipy.linalg.cho_factor
+        # the certificate is the route's one factorization; failing it fails the route
         calls = []
-
-        def fail_second(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs) if len(calls) == 1 else fail_cholesky()
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_second)
+        monkeypatch.setattr(scipy.linalg, "cho_factor",
+                            lambda *args, **kwargs: calls.append(1) or fail_cholesky())
         with pytest.raises(NotSolved, match="^variational-positive-c did not end at a "
                                             "minimizer") as exc:
             kw.solve_positive_c(problem(p2, 1.0, [2.0, -1.0]), op=op_p2)
         assert exc.value.trace == ["variational-positive-c"]
+        assert calls == [1]
 
 
 class TestSolveZeroC:
@@ -591,6 +587,52 @@ class TestTrustRegion:
             central = (objective(v + h * d)[1] - objective(v - h * d)[1]) / (2.0 * h)
             scale = np.max(np.abs(central)) + np.max(np.abs(grad))
             assert np.max(np.abs(hessp(d) - central)) <= 1e-6 * scale
+
+    @staticmethod
+    def graph_of(request, random_connected, graph):
+        if graph == "er20":
+            return request.getfixturevalue("er20")
+        return random_connected(np.random.default_rng(300), 300)
+
+    @pytest.mark.parametrize("s", [0.5, 2.5])
+    @pytest.mark.parametrize("graph", ["er20", "n300"])
+    def test_spectral_inverse_is_the_cholesky_solve(self, request, random_connected, graph,
+                                                    s):
+        # on the kernel and even orders op_matrix is the spectral power, so
+        # the preconditioner is exactly M^-1, M = energy matrix + mu mu^T
+        g = self.graph_of(request, random_connected, graph)
+        op = build_operator(decompose(g), s)
+        factor = scipy.linalg.cho_factor(op.energy_matrix + np.outer(g.mu, g.mu))
+        inverse = kw._spectral_inverse(op)
+        for b in np.random.default_rng(8).normal(size=(3, g.n)):
+            expected = scipy.linalg.cho_solve(factor, b)
+            assert np.max(np.abs(inverse(b) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("graph", ["er20", "n300"])
+    def test_spectral_inverse_is_definite_on_odd_orders(self, request, random_connected,
+                                                        graph):
+        # at s = 1.5 op_matrix is not the spectral power: the preconditioner
+        # is a stand-in for M^-1, and CG needs only that it is SPD
+        g = self.graph_of(request, random_connected, graph)
+        op = build_operator(decompose(g), 1.5)
+        inverse = kw._spectral_inverse(op)
+        matrix = np.column_stack([inverse(e) for e in np.eye(g.n)])
+        assert np.max(np.abs(matrix - matrix.T)) <= 1e-12 * np.max(np.abs(matrix))
+        assert np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0] > 0
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("graph", ["er20", "n300"])
+    def test_zero_c_descent_factors_nothing(self, request, random_connected, monkeypatch,
+                                            graph, s):
+        # c = 0 has no certificate, and its polish steps are LU: with every
+        # Cholesky factorization failing, the route still solves
+        g = self.graph_of(request, random_connected, graph)
+        op = build_operator(decompose(g), s)
+        p = problem(g, 0.0, np.random.default_rng(9).normal(size=g.n) - 0.5, s=s)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", fail_cholesky)
+        rep = kw.solve(p, kw.SolveOptions(method="variational"), op=op)
+        assert rep.method == "variational-zero-c"
+        assert kw.check_solution(p, rep.solution, op).residual_inf <= 1e-8
 
     @pytest.mark.parametrize("n", [30, 60])
     @pytest.mark.parametrize("k", range(8))
@@ -927,7 +969,7 @@ class TestUpperSolutions:
         up = kw.construct_upper_solution(p, op=op)
         assert up is not None
         assert kw.check_solution(p, up, op).slack_min >= 0.0
-        assert kw._stability_solve(op, p.kappa, up) is not None
+        assert kw._shifted_cholesky(p.graph, op, -p.kappa * np.exp(up)) is not None  # stable
 
     def test_continuation_below_threshold_absent(self, p2, op_p2):
         # threshold for this kappa sits near -0.104; far below nothing exists
