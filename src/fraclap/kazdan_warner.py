@@ -242,27 +242,27 @@ def check_solution(p, u, op=None):
     )
 
 
-def _equation_scale(op, kappa, c, u):
-    """T = ||A u||_inf + ||kappa e^u||_inf + |c|, the size of the equation's
-    terms at a u of finite residual, A = op_matrix. A drift toward a constant
-    -infinity drives every term, and with them the residual, to zero, so no
-    absolute tolerance tells it from a solution; a residual above
-    _DRIFT_REL T is not one."""
-    terms = np.max(np.abs(op.op_matrix @ u)) + np.max(np.abs(kappa * np.exp(u)))
-    return float(terms) + abs(c)
+def _accepted(op, kappa, c, u, tol):
+    """The one test of a candidate u, for every route: (accepted, R, T), R the
+    sup-norm residual, T = ||A u||_inf + ||kappa e^u||_inf + |c| the size of
+    the equation's terms (A = op_matrix, applied once). Accepted where
+    R <= tol and R <= _DRIFT_REL T: a drift toward a constant -infinity, or a
+    kappa so small that every term is round-off, meets any absolute tol."""
+    au = op.op_matrix @ u
+    with np.errstate(over="ignore", invalid="ignore"):
+        ke = kappa * np.exp(u)
+        residual = float(np.max(np.abs(au - ke + c)))
+        scale = float(np.max(np.abs(au)) + np.max(np.abs(ke))) + abs(c)
+    return residual <= tol and residual <= _DRIFT_REL * scale, residual, scale
 
 
 def _verified(p, op, u, method, iterations, opts, energy=None):
-    """The one exit of every solve: the report of u if its re-checked residual
-    is within opts.tol and small against the equation's scale, else NotSolved
-    naming the route and the residual."""
-    residual = check_solution(p, u, op).residual_inf
-    if not residual <= opts.tol:  # a NaN residual fails too
-        message = f"{method} stopped at residual {residual:.3e} > tol {opts.tol:.3e}"
-        raise NotSolved(message, trace=[method])
-    scale = _equation_scale(op, p.kappa, p.c, u)
-    if not residual <= _DRIFT_REL * scale:
-        message = (f"{method} drifted: residual {residual:.3e} is not small against "
+    """Every solve's one exit: u's report where _accepted accepts u, else NotSolved."""
+    accepted, residual, scale = _accepted(op, p.kappa, p.c, u, opts.tol)
+    if not accepted:  # a NaN residual fails the tol test
+        message = (f"{method} stopped at residual {residual:.3e} > tol {opts.tol:.3e}"
+                   if not residual <= opts.tol else
+                   f"{method} drifted: residual {residual:.3e} is not small against "
                    f"the scale {scale:.3e} of the equation's terms")
         raise NotSolved(message, trace=[method])
     return SolveReport(u, residual, method, iterations, energy)
@@ -287,14 +287,13 @@ def _damped_newton(op, kappa, c, u0, opts):
     at c < 0 only (mu J has form -integral(kappa e^u) = -c |V| on constants
     at a solution). A step that is singular or not finite ends the run
     where it stands, and a start of non-finite residual runs no step.
-    Returns (u, iterations, converged): converged when the residual reached
-    the Newton target or is within opts.tol."""
+    Returns (u, iterations); _accepted judges u."""
     g = op.graph
     target = max(1e-13, 1e-3 * opts.tol)
     u = np.array(u0, dtype=float)
     r = _residual(op, kappa, c, u)
     if not np.all(np.isfinite(r)):
-        return u, 0, False
+        return u, 0
     with np.errstate(over="ignore"):
         phi = 0.5 * float(r @ r)
     its, stalls = 0, 0
@@ -321,9 +320,10 @@ def _damped_newton(op, kappa, c, u0, opts):
             t *= 0.5
         if t < 1e-12 or stalls >= 3:  # no step accepted, or a crawl
             break
-    return u, its, float(np.max(np.abs(r))) <= max(target, opts.tol)
+    return u, its
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _trust_region(fun, x, op, gtol):
     """Minimize by Newton-CG in a trust region (Nocedal & Wright, Numerical
     Optimization, 2nd ed., ch. 4 and Alg. 7.2; Steihaug 1983). fun(x)
@@ -335,7 +335,8 @@ def _trust_region(fun, x, op, gtol):
     back into it. Stops at a sup-norm gradient within gtol, once the model
     predicts a decrease below 1e-15 (1 + |f|), where round-off takes over
     (that last step is kept if it lowers the gradient), or after
-    _MAX_ITER_NEWTON steps. Returns (x, steps taken)."""
+    _MAX_ITER_NEWTON steps. A CG inner product that is not finite, as at an
+    extreme c, ends the descent where it stands. Returns (x, steps taken)."""
     precondition = _spectral_inverse(op)
     f, grad, hessp = fun(x)
     if not (math.isfinite(f) and np.all(np.isfinite(grad))):
@@ -344,7 +345,7 @@ def _trust_region(fun, x, op, gtol):
     for it in range(_MAX_ITER_NEWTON):
         y = precondition(grad)
         ry = float(grad @ y)
-        if not (float(np.max(np.abs(grad))) > gtol and ry > 0):
+        if not (float(np.max(np.abs(grad))) > gtol and 0 < ry < math.inf):
             return x, it
         radius = math.sqrt(ry) if radius is None else radius
         cg_tol = min(0.1, ry ** 0.25) * math.sqrt(ry)  # superlinear forcing
@@ -354,14 +355,16 @@ def _trust_region(fun, x, op, gtol):
         zz, zd, dd, model = 0.0, 0.0, ry, 0.0
         for _ in range(x.size):
             hd = hessp(d)
-            dhd = float(d @ hd)
+            dhd, rd = float(d @ hd), float(r @ d)
+            if not (math.isfinite(dhd) and math.isfinite(rd)):
+                return x, it
             alpha = ry / dhd if dhd > 0 else math.inf
             boundary = not zz + alpha * (2.0 * zd + alpha * dd) < radius * radius
             if boundary:  # the region binds, or the curvature is not positive
                 alpha = (math.sqrt(zd * zd + dd * (radius * radius - zz)) - zd) / dd
             z = z + alpha * d
             zz += alpha * (2.0 * zd + alpha * dd)
-            model += alpha * float(r @ d) + 0.5 * alpha * alpha * dhd
+            model += alpha * rd + 0.5 * alpha * alpha * dhd
             if boundary:
                 break
             r = r + alpha * hd
@@ -402,23 +405,22 @@ def _spectral_inverse(op):
 
 
 def _newton_attempts(op, kappa, c, starts, opts):
-    """Damped Newton at c from each start in turn, drawn lazily. A converged
-    run counts where its residual is small against the equation's scale, so
-    a drift does not stop the search. At c < 0 with kappa positive somewhere
-    the first stable root wins (mu J positive definite, as at the maximal
-    solution), and the first unstable one only where no start gives a
-    stable one; kappa <= 0 makes mu J positive definite by construction.
-    Returns (u, total iterations), or raises NotSolved naming the starts run
-    and their smallest residual, relative to the scale too if that one drifted."""
+    """Damped Newton at c from each start in turn, drawn lazily; a run counts
+    where _accepted accepts it, so a drift does not stop the search. At c < 0
+    with kappa positive somewhere the first stable root wins (mu J positive
+    definite, as at the maximal solution), and the first unstable one only
+    where no start gives a stable one; kappa <= 0 makes mu J positive definite
+    by construction. Returns (u, total iterations), or raises NotSolved naming
+    the starts run and their smallest residual, relative to the scale too if
+    that one failed on the scale alone (a drift)."""
     test_stability = c < 0 and float(np.max(kappa)) > 0
     total, runs, smallest, unstable = 0, 0, (math.inf, math.inf), None
     for u0 in starts:
-        u, its, ok = _damped_newton(op, kappa, c, u0, opts)
+        u, its = _damped_newton(op, kappa, c, u0, opts)
         total, runs = total + its, runs + 1
-        residual = float(np.max(np.abs(_residual(op, kappa, c, u))))
-        scale = _equation_scale(op, kappa, c, u) if ok else math.inf
+        ok, residual, scale = _accepted(op, kappa, c, u, opts.tol)
         smallest = min(smallest, (residual, scale))  # a NaN residual is passed over
-        if not (ok and residual <= _DRIFT_REL * scale):
+        if not ok:
             continue
         if not test_stability or _shifted_cholesky(op.graph, op, -kappa * np.exp(u)) is not None:
             return u, total
@@ -427,7 +429,7 @@ def _newton_attempts(op, kappa, c, starts, opts):
     if unstable is None:
         residual, scale = smallest
         drift = (f", a drift: {residual / scale:.1e} of the equation's scale"
-                 if residual > _DRIFT_REL * scale else "")
+                 if residual <= opts.tol else "")
         raise NotSolved(f"newton-continuation: all starts failed ({runs} start"
                         f"{'s' if runs != 1 else ''}; smallest residual {residual:.1e}{drift})",
                         trace=["newton-continuation"])
@@ -592,10 +594,10 @@ def solve_positive_c(p, opts=None, op=None):
     u = v + (math.log(cv) - log_mass(v)[0])
     if not np.all(np.isfinite(u)):  # c |V| overflowed, so the shift did
         raise NotSolved("positive-c candidate is not finite")
-    if check_solution(p, u, op).residual_inf > opts.tol:
-        polished, extra, ok = _damped_newton(op, kappa, c, u, opts)
+    if not _accepted(op, kappa, c, u, opts.tol)[0]:
+        polished, extra = _damped_newton(op, kappa, c, u, opts)
         iterations += extra
-        u = polished if ok else u
+        u = polished if _accepted(op, kappa, c, polished, opts.tol)[0] else u
     energy = 0.5 * dirichlet_energy(op, u) + c * integral(g, u)
     report = _verified(p, op, u, "variational-positive-c", iterations, opts, float(energy))
     w = log_mass(u)[1]
@@ -692,9 +694,9 @@ def solve_zero_c(p, opts=None, op=None):
         )
     shifted = u + math.log(multiplier)
 
-    polished, extra, ok = _damped_newton(op, kappa, 0.0, shifted, opts)
+    polished, extra = _damped_newton(op, kappa, 0.0, shifted, opts)
     iterations += extra
-    candidate = polished if ok else shifted
+    candidate = polished if _accepted(op, kappa, 0.0, polished, opts.tol)[0] else shifted
     energy = 0.5 * dirichlet_energy(op, candidate)
     return _verified(p, op, candidate, "variational-zero-c", iterations, opts, energy)
 
@@ -826,25 +828,28 @@ def _stable_point(op, kappa, c, u0, opts):
     """Damped Newton at c < 0 from u0, accepted only where mu J = energy
     matrix - diag(mu kappa e^u) is positive definite (Morse index 0), as at
     the maximal solution of upper and lower solutions. Returns (u, du/dc),
-    from (mu J) du/dc = -mu on that factor, or None. The residual of a
-    converged u is finite, so e^u does not overflow."""
-    u, _, ok = _damped_newton(op, kappa, c, u0, opts)
-    chol_solve = _shifted_cholesky(op.graph, op, -kappa * np.exp(u)) if ok else None
-    if chol_solve is None:
+    from (mu J) du/dc = -mu on that factor, or None. The residual of an
+    accepted u is finite, so e^u does not overflow."""
+    u, _ = _damped_newton(op, kappa, c, u0, opts)
+    if not _accepted(op, kappa, c, u, opts.tol)[0]:
         return None
-    return u, chol_solve(-op.graph.mu)
+    chol_solve = _shifted_cholesky(op.graph, op, -kappa * np.exp(u))
+    return None if chol_solve is None else (u, chol_solve(-op.graph.mu))
 
 
 def _stable_start(op, kappa, c, opts):
     """Where the stable walk toward c < 0 starts: the first (c_k, u, du/dc)
     with c_k = c / 2^k, k = 0, ..., 15, that Newton solves stably from the
     constant log(c_k / kbar), the limit of the stable branch as c -> 0-.
-    None when kbar >= 0 or every start fails."""
+    None when kbar >= 0 or every start fails; the halving stops where c_k
+    underflows to zero, which has no start."""
     kbar = mean(op.graph, kappa)
     if kbar >= 0:
         return None
     for k in range(16):
         ck = c / 2.0**k
+        if ck == 0:
+            return None
         point = _stable_point(op, kappa, ck, np.full(op.graph.n, math.log(ck / kbar)), opts)
         if point is not None:
             return (ck, *point)
@@ -957,8 +962,8 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
             trace.append(u.copy())
         if step <= _STEP_TOL:
             # round-off floors the residual: stop once it no longer falls
-            residual = check_solution(p, u, op).residual_inf
-            if residual <= opts.tol or residual >= floor:
+            accepted, residual, _ = _accepted(op, kappa, c, u, opts.tol)
+            if accepted or residual >= floor:
                 return _verified(p, op, u, "monotone-iteration", it, opts)
             floor = residual
         if float(np.max(level - u)) > math.log(2.0):
@@ -1066,8 +1071,8 @@ def _route(p, opts, op, trace):
 
 
 def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
-    """Bracket the negative-c solvability threshold by the stable walk in c
-    from near kbar/16, with no lower target.
+    """Bracket the negative-c threshold by the stable walk in c from near
+    kbar / max|kappa| / 16, free of kappa's amplitude like the threshold.
 
     c_high is the walk's last solution and c_low its last failure: the fold
     as the walk finds it, reported, not certified. width exceeds tol only
@@ -1100,7 +1105,8 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
         raise ThresholdIsMinusInfinity("; ".join(verdict.reasons) + "; threshold is -infinity")
 
     op = _ensure_operator(g, s, op)
-    start = _stable_start(op, kappa, kint / g.volume / 16.0, opts)
+    start = _stable_start(op, kappa, kint / g.volume / float(np.max(np.abs(kappa))) / 16.0,
+                          opts)
     if start is None:
         raise NotSolved("no solvable c found near zero", trace=["threshold"])
     probes = [(start[0], True)]

@@ -337,6 +337,29 @@ class TestKwCmd:
         assert out == ""
         assert re.fullmatch(NEWTON_FAILED, err)
 
+    def test_subnormal_negative_c_exit_3(self, p2_file, tmp_path, capsys):
+        # c / 2 underflows to -0.0, where the stable walk has no start
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        code, out, err = run_cli(
+            capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "-5e-324", "--kappa", kap])
+        assert (code, out) == (3, "")
+        assert re.fullmatch(NEWTON_FAILED, err)
+
+    @pytest.mark.parametrize("s", ["0.5", "1.5", "2.5"])
+    @pytest.mark.parametrize("c", ["1e150", "1e300"])
+    def test_overflowing_descent_exit_3_without_warnings(self, p2_file, tmp_path, capsys,
+                                                         c, s):
+        # the descent's CG inner products overflow at this c: one error line,
+        # and no raw RuntimeWarning
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, ["kw", "--graph", p2_file, "--s", s, "--c", c, "--kappa", kap])
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (3, "")
+        assert re.fullmatch(NEWTON_FAILED, err)
+
     @pytest.mark.parametrize("s", ["2", "3", "4"])
     def test_zero_c_drift_exit_3(self, p2_file, tmp_path, capsys, s):
         # integrating the equation forces u1 = u2 and then kappa e^u = 0: no
@@ -427,8 +450,8 @@ class TestThresholdCmd:
 
     def test_no_solvable_start_exit_3(self, p2_file, tmp_path, capsys, monkeypatch):
         # every one of the 16 starts near zero fails, as it does unpatched
-        # on P2 with mu = (1e9, 1) and kappa = (1, -3e9)
-        monkeypatch.setattr(kw, "_damped_newton", lambda op, kappa, c, u0, opts: (u0, 0, False))
+        # on P2 with w = 1e-12, whose threshold -1.0e-7 lies above them all
+        monkeypatch.setattr(kw, "_damped_newton", lambda op, kappa, c, u0, opts: (u0, 0))
         kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
         code, out, err = run_cli(
             capsys, ["threshold", "--graph", p2_file, "--s", "0.5", "--kappa", kap])

@@ -152,16 +152,20 @@ class TestSolveDispatcher:
         # the paper's method stalls, then Newton from zero stalls
         (1.0, [2.0, -1.0], "variational-positive-c", [
             "variational-positive-c stopped at residual", "newton-continuation",
-        ], "^newton-continuation stopped at residual .* > tol"),
-        # Newton from zero, its one start, drifts to u = (-32, -32): a
-        # residual of about 1e-13 is not small against the equation's terms
+        ], r"^newton-continuation: all starts failed \(1 start; smallest residual "
+           r"\d\.\de-1[67]\)$"),
+        # Newton from zero, its one start, drifts to u = (-32, -32), at a
+        # residual of about 1e-13, which is above this tol as well
         (0.0, [2.0, -3.0], "variational-zero-c", [
             "variational-zero-c stopped at residual", "newton-continuation",
         ], r"^newton-continuation: all starts failed \(1 start; smallest residual "
-           r"\d\.\de-1[34], a drift: \d\.\de[+-]\d\d of the equation's scale\)$"),
-        # kappa > 0 somewhere: no affine upper solution, so Newton runs first
+           r"\d\.\de-1[34]\)$"),
+        # kappa > 0 somewhere: no affine upper solution, so Newton runs
+        # first; the stable walk accepts no point either, so the continuation
+        # point adds no start
         (-0.05, [1.0, -3.0], "newton-continuation", ["newton-continuation"],
-         "^newton-continuation stopped at residual .* > tol"),
+         r"^newton-continuation: all starts failed \(1 start; smallest residual "
+         r"\d\.\de-1[67]\)$"),
     ])
     def test_stalled_route_names_route_and_residual(self, p2, op_p2, c, kappa, first,
                                                     trace, match):
@@ -292,6 +296,25 @@ class TestSolveDispatcher:
             kw.solve(p, op=op)
         assert runs.count(p.c) == len(runs)
         assert 1 <= len(runs) <= 1 + len(uppers)
+
+    def test_subnormal_negative_c_is_not_solved(self, p2, op_p2):
+        # c / 2 underflows to -0.0, where the stable walk has no start: the
+        # halving stops there, and the route ends in NotSolved, not in a
+        # math domain error
+        kappa = np.array([1.0, -3.0])
+        assert kw._stable_start(op_p2, kappa, -5e-324 / 2.0, kw.SolveOptions()) is None
+        with pytest.raises(NotSolved, match="^newton-continuation: all starts failed"):
+            kw.solve(problem(p2, -5e-324, kappa), op=op_p2)
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("c", [1e150, 1e300])
+    def test_overflowing_descent_is_not_solved(self, p2, c, s):
+        # the descent's CG inner products overflow at this c; pyproject makes
+        # a raw RuntimeWarning from fraclap an error, so this also checks
+        # that the descent ends without one
+        op = build_operator(decompose(p2), s)
+        with pytest.raises(NotSolved, match="^newton-continuation: all starts failed"):
+            kw.solve(problem(p2, c, [1.0, -3.0], s=s), op=op)
 
     def test_infeasible_start_ends_the_route(self, p2):
         # s > 1 leaves c = 0 unscreened; kappa > 0 empties the constraint set
@@ -529,8 +552,9 @@ class TestSolveZeroC:
         g = random_connected(rng, 40)
         p = problem(g, 0.0, rng.normal(size=g.n) - 0.3)
         op = build_operator(decompose(g), 0.5)
-        u, _, ok = kw._damped_newton(op, p.kappa, 0.0, np.zeros(g.n), kw.SolveOptions())
-        assert ok and np.all(u < -20.0)
+        u, _ = kw._damped_newton(op, p.kappa, 0.0, np.zeros(g.n), kw.SolveOptions())
+        accepted, residual, _ = kw._accepted(op, p.kappa, 0.0, u, 1e-8)
+        assert residual <= 1e-8 and not accepted and np.all(u < -20.0)
         with pytest.raises(NotSolved, match=r"^newton-continuation: all starts failed \(1 start;"):
             kw.solve(p, kw.SolveOptions(method="newton"), op=op)
         assert kw.solve(p, op=op).method == "variational-zero-c"
@@ -544,8 +568,9 @@ class TestSolveZeroC:
         p = problem(p2, 0.0, [1.0, -1.0], s=s)
         with pytest.raises(NotSolved, match="all starts failed"):
             kw.solve(p, op=op)
-        u, its, ok = kw._damped_newton(op, p.kappa, 0.0, np.zeros(2), kw.SolveOptions())
-        assert ok and np.all(u < -17.0)
+        u, its = kw._damped_newton(op, p.kappa, 0.0, np.zeros(2), kw.SolveOptions())
+        accepted, residual, _ = kw._accepted(op, p.kappa, 0.0, u, 1e-8)
+        assert residual <= 1e-8 and not accepted and np.all(u < -17.0)
         with pytest.raises(NotSolved, match="^newton-continuation drifted: residual .* is not "
                                             "small against the scale .* of the equation's"):
             kw._verified(p, op, u, "newton-continuation", its, kw.SolveOptions())
@@ -619,6 +644,18 @@ class TestTrustRegion:
         matrix = np.column_stack([inverse(e) for e in np.eye(g.n)])
         assert np.max(np.abs(matrix - matrix.T)) <= 1e-12 * np.max(np.abs(matrix))
         assert np.linalg.eigvalsh(0.5 * (matrix + matrix.T))[0] > 0
+
+    @pytest.mark.parametrize("curvature", [math.inf, math.nan])
+    def test_nonfinite_inner_product_ends_the_descent_where_it_stands(self, op_p2,
+                                                                     curvature):
+        def fun(x):
+            return float(x @ x), 2.0 * x, lambda d: np.full_like(d, curvature)
+
+        x0 = np.array([1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, steps = kw._trust_region(fun, x0, op_p2, 1e-13)
+        assert steps == 0 and np.array_equal(x, x0)
 
     @pytest.mark.parametrize("s", [0.5, 1.5, 2.5])
     @pytest.mark.parametrize("graph", ["er20", "n300"])
@@ -740,9 +777,9 @@ class TestNewtonLinearAlgebra:
         kappa, c, u0 = np.array([1.0, -3.0]), -0.05, np.array([3.0, 0.0])
         start = np.max(np.abs(kw._residual(op_p2, kappa, c, u0)))
         lu = counting(monkeypatch, np.linalg, "solve")
-        u, its, ok = kw._damped_newton(op_p2, kappa, c, u0, kw.SolveOptions())
+        u, its = kw._damped_newton(op_p2, kappa, c, u0, kw.SolveOptions())
         assert len(lu) > 0
-        assert ok and its > 0
+        assert kw._accepted(op_p2, kappa, c, u, 1e-8)[0] and its > 0
         assert np.max(np.abs(kw._residual(op_p2, kappa, c, u))) < 1e-8 * start
 
     @pytest.mark.parametrize("s", [0.5, 1.5])
@@ -794,11 +831,12 @@ class TestNewtonLinearAlgebra:
         kappa = -np.abs(rng.normal(size=g.n)) - 0.1
         u0 = rng.normal(size=g.n)
         opts = kw.SolveOptions()
-        u_chol, its_chol, ok_chol = kw._damped_newton(op, kappa, -1.0, u0, opts)
+        u_chol, its_chol = kw._damped_newton(op, kappa, -1.0, u0, opts)
         monkeypatch.setattr(scipy.linalg, "cho_factor", fail_cholesky)
         lu = counting(monkeypatch, np.linalg, "solve")
-        u_lu, its_lu, ok_lu = kw._damped_newton(op, kappa, -1.0, u0, opts)
-        assert ok_chol and ok_lu and its_chol == its_lu == len(lu)
+        u_lu, its_lu = kw._damped_newton(op, kappa, -1.0, u0, opts)
+        assert all(kw._accepted(op, kappa, -1.0, u, opts.tol)[0] for u in (u_chol, u_lu))
+        assert its_chol == its_lu == len(lu)
         assert np.max(np.abs(u_chol - u_lu)) <= 1e-12 * (1.0 + np.max(np.abs(u_lu)))
 
     def test_overflowed_shift_ends_the_run(self, monkeypatch):
@@ -811,9 +849,10 @@ class TestNewtonLinearAlgebra:
         u0 = np.array([700.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u, its, ok = kw._damped_newton(op, np.array([-1.0, -1.0]), -1.0, u0,
-                                           kw.SolveOptions())
-        assert (its, ok) == (0, False) and np.array_equal(u, u0)
+            u, its = kw._damped_newton(op, np.array([-1.0, -1.0]), -1.0, u0,
+                                       kw.SolveOptions())
+            assert not kw._accepted(op, np.array([-1.0, -1.0]), -1.0, u, 1e-8)[0]
+        assert its == 0 and np.array_equal(u, u0)
         assert chol == [] and lu == []
 
     def test_failed_factor_stays_typed(self, p2, op_p2, monkeypatch):
@@ -845,8 +884,9 @@ class TestNewtonLinearAlgebra:
         lu = counting(monkeypatch, np.linalg, "solve")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u, its, ok = kw._damped_newton(op, p.kappa, p.c, np.ones(2), kw.SolveOptions())
-        assert (its, ok) == (0, False) and np.array_equal(u, np.ones(2))
+            u, its = kw._damped_newton(op, p.kappa, p.c, np.ones(2), kw.SolveOptions())
+            assert not kw._accepted(op, p.kappa, p.c, u, 1e-8)[0]
+        assert its == 0 and np.array_equal(u, np.ones(2))
         assert chol == [] and lu == []
 
     def test_singular_step_ends_the_run(self, p2, op_p2, monkeypatch):
@@ -865,9 +905,10 @@ class TestNewtonLinearAlgebra:
         # the start's residual is not finite, so no factorization may see it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u, its, ok = kw._damped_newton(op_p2, np.array([1.0, -3.0]), -0.05,
-                                           np.array(u0), kw.SolveOptions())
-        assert (its, ok) == (0, False)
+            u, its = kw._damped_newton(op_p2, np.array([1.0, -3.0]), -0.05,
+                                       np.array(u0), kw.SolveOptions())
+            assert not kw._accepted(op_p2, np.array([1.0, -3.0]), -0.05, u, 1e-8)[0]
+        assert its == 0
         assert np.array_equal(u, u0, equal_nan=True)
         assert capfd.readouterr().err == ""
 
@@ -1069,6 +1110,35 @@ class TestThreshold:
         assert kw.check_solution(p, est.attained_solution_at_threshold).residual_inf <= 1e-8
         assert_probes_below_earlier_successes(est)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e300])
+    def test_p2_bracket_does_not_depend_on_kappas_amplitude(self, p2, op_p2, p2_threshold, t):
+        # kappa -> t kappa, u -> u - log t leaves the equation as it is, so
+        # the threshold, its bracket and the shifted solution stay put
+        kappa = t * np.array([1.0, -3.0])
+        est = kw.estimate_threshold(p2, 0.5, kappa, tol=1e-6, op=op_p2)
+        assert not est.cap_reached
+        assert est.c_low <= p2_threshold <= est.c_high
+        assert (est.c_low, est.c_high) == pytest.approx(
+            (-0.10413678487141927, -0.10413614908854166), rel=1e-15)
+        u = est.attained_solution_at_threshold
+        assert kw._accepted(op_p2, kappa, est.c_high, u, 1e-8)[0]
+        assert u + math.log(t) == pytest.approx([-1.2276752, -1.7892722], abs=1e-7)
+
+    def test_walk_accepts_no_round_off_point(self, p2, op_p2, p2_threshold):
+        # at kappa = 1e-20 (1, -3) and c = -3.3e-16 every term of the
+        # equation at the constant start log(c / kbar) is about 1e-16: it
+        # meets the 1e-8 tolerance without being a solution. A walk that took
+        # such points bracketed the threshold at [-6.6e-16, -3.3e-16]
+        kappa, c = 1e-20 * np.array([1.0, -3.0]), -3.2768e-16
+        u0 = np.full(2, math.log(c / -1e-20))
+        accepted, residual, scale = kw._accepted(op_p2, kappa, c, u0, 1e-8)
+        assert residual <= 1e-8 and residual > 0.1 * scale and not accepted
+        assert kw._stable_point(op_p2, kappa, c, u0, kw.SolveOptions()) is None
+        est = kw.estimate_threshold(p2, 0.5, kappa, op=op_p2)
+        assert est.c_low <= p2_threshold <= est.c_high
+        for c_probe, solved in est.probes:
+            assert not solved or c_probe < -1e-3
+
     @pytest.mark.parametrize("s", [0.5, 1.5])
     def test_bracket_at_scale(self, random_connected, s):
         rng = np.random.default_rng(60)
@@ -1147,13 +1217,14 @@ class TestThreshold:
         est = kw.estimate_threshold(p2, 0.5, np.array([1.0, -3.0]), tol=1e-3)
         for (c0, u0), (c1, u1) in zip(calls, calls[1:]):
             assert not (c0 == c1 and np.array_equal(u0, u1))
-        assert (est.c_low, est.c_high) == (-0.1044921875, -0.103515625)
+        assert (est.c_low, est.c_high) == (-0.10416666666666666, -0.103515625)
         assert est.probes == (
-            (-0.0625, True), (-0.125, False), (-0.09375, True), (-0.109375, False),
-            (-0.1015625, True), (-0.10546875, False), (-0.103515625, True),
-            (-0.1044921875, False))
+            (-0.020833333333333332, True), (-0.041666666666666664, True),
+            (-0.08333333333333333, True), (-0.16666666666666666, False), (-0.125, False),
+            (-0.10416666666666666, False), (-0.09375, True), (-0.09895833333333333, True),
+            (-0.1015625, True), (-0.10286458333333333, True), (-0.103515625, True))
         assert est.attained_solution_at_threshold.tolist() == [
-            -1.3301518150722764, -1.8505155670582292]
+            -1.3301518150723772, -1.8505155670582878]
 
     def test_bisection_never_probes_below_a_failure(self, op_p2, monkeypatch):
         # scripted outcomes: two doublings solve, then failures and successes
