@@ -44,12 +44,12 @@ class MonotonicityViolation(NumericalError):
 class NotSolved(FraclapError):
     """All solution routes failed within their iteration caps.
 
-    Carries the trace of attempted methods for diagnostics.
+    The message starts with the tag of the route that raised it. ``trace``,
+    which ``solve`` fills, holds one message per failed attempt, in order,
+    this one last.
     """
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = list(trace) if trace else []
+    trace = ()
 
 
 class CertificateUnsolvable(FraclapError):

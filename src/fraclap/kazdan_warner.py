@@ -70,13 +70,11 @@ class SolveOptions:
     """The settings a caller chooses: ``tol``, the sup-norm residual every
     returned solution is verified to (finite, positive); ``max_iter_monotone``,
     the monotone sweep cap; ``method``, "auto", "variational", "monotone" or
-    "newton"; ``override_screen``, solve even where the screen certifies
-    unsolvable."""
+    "newton"."""
 
     tol: float = 1e-8
     max_iter_monotone: int = 10_000
     method: str = "auto"
-    override_screen: bool = False
 
 
 @dataclass(frozen=True)
@@ -256,15 +254,21 @@ def _accepted(op, kappa, c, u, tol):
     return residual <= tol and residual <= _DRIFT_REL * scale, residual, scale
 
 
+def _miss(residual, scale, tol):
+    """How a candidate that _accepted rejects missed: its residual against
+    tol, or, where the residual is within tol, against the scale of the
+    equation's terms (a drift)."""
+    if not residual <= tol:  # a NaN residual misses tol
+        return f"residual {residual:.3e} > tol {tol:.3e}"
+    return (f"residual {residual:.3e}, a drift: {residual / scale:.3e} of the "
+            f"equation's scale {scale:.3e}")
+
+
 def _verified(p, op, u, method, iterations, opts, energy=None):
     """Every solve's one exit: u's report where _accepted accepts u, else NotSolved."""
     accepted, residual, scale = _accepted(op, p.kappa, p.c, u, opts.tol)
-    if not accepted:  # a NaN residual fails the tol test
-        message = (f"{method} stopped at residual {residual:.3e} > tol {opts.tol:.3e}"
-                   if not residual <= opts.tol else
-                   f"{method} drifted: residual {residual:.3e} is not small against "
-                   f"the scale {scale:.3e} of the equation's terms")
-        raise NotSolved(message, trace=[method])
+    if not accepted:
+        raise NotSolved(f"{method} stopped at {_miss(residual, scale, opts.tol)}")
     return SolveReport(u, residual, method, iterations, energy)
 
 
@@ -411,8 +415,7 @@ def _newton_attempts(op, kappa, c, starts, opts):
     definite, as at the maximal solution), and the first unstable one only
     where no start gives a stable one; kappa <= 0 makes mu J positive definite
     by construction. Returns (u, total iterations), or raises NotSolved naming
-    the starts run and their smallest residual, relative to the scale too if
-    that one failed on the scale alone (a drift)."""
+    the starts run and how the one of smallest residual missed (_miss)."""
     test_stability = c < 0 and float(np.max(kappa)) > 0
     total, runs, smallest, unstable = 0, 0, (math.inf, math.inf), None
     for u0 in starts:
@@ -427,12 +430,8 @@ def _newton_attempts(op, kappa, c, starts, opts):
         if unstable is None:
             unstable = u
     if unstable is None:
-        residual, scale = smallest
-        drift = (f", a drift: {residual / scale:.1e} of the equation's scale"
-                 if residual <= opts.tol else "")
         raise NotSolved(f"newton-continuation: all starts failed ({runs} start"
-                        f"{'s' if runs != 1 else ''}; smallest residual {residual:.1e}{drift})",
-                        trace=["newton-continuation"])
+                        f"{'s' if runs != 1 else ''}; smallest {_miss(*smallest, opts.tol)})")
     return unstable, total
 
 
@@ -593,7 +592,7 @@ def solve_positive_c(p, opts=None, op=None):
     v, iterations = _trust_region(objective, _positive_start(p), op, 1e-13 * (1.0 + cv))
     u = v + (math.log(cv) - log_mass(v)[0])
     if not np.all(np.isfinite(u)):  # c |V| overflowed, so the shift did
-        raise NotSolved("positive-c candidate is not finite")
+        raise NotSolved("variational-positive-c: candidate is not finite")
     if not _accepted(op, kappa, c, u, opts.tol)[0]:
         polished, extra = _damped_newton(op, kappa, c, u, opts)
         iterations += extra
@@ -603,7 +602,7 @@ def solve_positive_c(p, opts=None, op=None):
     w = log_mass(u)[1]
     if _shifted_cholesky(g, op, -cv * w / mu, ((cv, w), (1.0, mu))) is None:
         raise NotSolved("variational-positive-c did not end at a minimizer: its reduced "
-                        "Hessian has no Cholesky factor", trace=["variational-positive-c"])
+                        "Hessian has no Cholesky factor")
     return report
 
 
@@ -617,7 +616,7 @@ def _positive_start(p):
         return v
     best = int(np.argmax(kappa))
     if kappa[best] <= 0:
-        raise InfeasibleStart("kappa is nowhere positive; constraint set is empty")
+        raise InfeasibleStart("variational-positive-c: kappa is nowhere positive")
     rest = float(np.dot(kappa, mu)) - kappa[best] * mu[best]
     with np.errstate(over="ignore", divide="ignore"):
         ratio = (1.0 + abs(rest)) / (kappa[best] * mu[best])
@@ -657,7 +656,7 @@ def solve_zero_c(p, opts=None, op=None):
         # every constant solves, and every mean-zero u meets the constraints
         return _verified(p, op, np.zeros(g.n), "variational-zero-c", 0, opts, 0.0)
     if float(np.max(kappa)) <= 0 or float(np.min(kappa)) >= 0:
-        raise InfeasibleStart("constraint set empty: kappa must change sign")
+        raise InfeasibleStart("variational-zero-c: constraint set empty: kappa must change sign")
 
     bump = _meanzero_bump(g, kappa)
     pin = mu * bump
@@ -686,11 +685,12 @@ def solve_zero_c(p, opts=None, op=None):
     with np.errstate(over="ignore"):
         denom = integral(g, kappa * u * np.exp(u))
     if denom == 0:
-        raise MultiplierSignError("multiplier denominator vanished (false convergence)")
+        raise MultiplierSignError(
+            "variational-zero-c: multiplier denominator vanished (false convergence)")
     multiplier = 2.0 * theta / denom
     if multiplier <= 0:
         raise MultiplierSignError(
-            f"Euler-Lagrange multiplier {multiplier:.3e} <= 0 (false convergence)"
+            f"variational-zero-c: multiplier {multiplier:.3e} <= 0 (false convergence)"
         )
     shifted = u + math.log(multiplier)
 
@@ -812,12 +812,13 @@ def _continuation_solution(p, opts, op):
     its target once more from its last solution: a tangent step can fail
     where a start that close succeeds, and bisection never probes the
     target again."""
-    start = _stable_start(op, p.kappa, p.c / 2.0, opts)
-    if start is None:
+    # overshoot c by a relative margin, and by twice tol since the walk accepts
+    # residuals up to tol, so the final slack is strictly positive
+    target = min(p.c * (1.0 + 1e-6), p.c - 2.0 * opts.tol)
+    walk = _stable_walk(op, p.kappa, p.c / 2.0, target, opts, abs(p.c) * 1e-9, [], math.inf)
+    if walk is None:
         return None
-    # overshoot c by a relative margin so the final slack is strictly positive
-    target = p.c * (1.0 + 1e-6)
-    c_end, u, _ = _stable_walk(op, p.kappa, start, target, opts, abs(p.c) * 1e-9, [], math.inf)
+    c_end, u, _ = walk
     if c_end <= p.c:
         return u
     point = _stable_point(op, p.kappa, target, u, opts)
@@ -837,38 +838,32 @@ def _stable_point(op, kappa, c, u0, opts):
     return None if chol_solve is None else (u, chol_solve(-op.graph.mu))
 
 
-def _stable_start(op, kappa, c, opts):
-    """Where the stable walk toward c < 0 starts: the first (c_k, u, du/dc)
-    with c_k = c / 2^k, k = 0, ..., 15, that Newton solves stably from the
-    constant log(c_k / kbar), the limit of the stable branch as c -> 0-.
-    None when kbar >= 0 or every start fails; the halving stops where c_k
-    underflows to zero, which has no start."""
+def _stable_walk(op, kappa, c0, target, opts, tol, probes, cap):
+    """Continuation in c along the stable branch from near c0 < 0 down to
+    target, each run from the tangent predictor. It starts at the first
+    c = c0 / 2^k, k < 16, that Newton solves stably from the constant
+    log(c / kbar), the limit of the branch as c -> 0-, and returns None where
+    there is none (kbar >= 0, c underflowed to zero, or 16 failures). The
+    first step goes to 2c and doubles after each success; after the first
+    failure the walk bisects between the last solution and the last failure.
+    It stops at the target, once those are at most tol apart or adjacent
+    doubles, or once ``probes``, given (c, True) for the start and then
+    (c', solved) for every run, holds ``cap`` entries. Returns the last
+    solved c, its u and the last failed c (None before any failure)."""
     kbar = mean(op.graph, kappa)
     if kbar >= 0:
         return None
     for k in range(16):
-        ck = c / 2.0**k
-        if ck == 0:
+        c = c0 / 2.0**k
+        if c == 0:
             return None
-        point = _stable_point(op, kappa, ck, np.full(op.graph.n, math.log(ck / kbar)), opts)
+        point = _stable_point(op, kappa, c, np.full(op.graph.n, math.log(c / kbar)), opts)
         if point is not None:
-            return (ck, *point)
-    return None
-
-
-def _stable_walk(op, kappa, start, target, opts, tol, probes, cap):
-    """Continuation in c along the stable branch from ``start`` = (c, u,
-    du/dc) down to target < c, each run from the tangent predictor.
-
-    The first step goes to 2c and the step doubles after each success;
-    after the first failure the walk bisects between the last solution and
-    the last failure. It stops at the
-    target, once those are at most tol apart or adjacent doubles, or once
-    ``probes``, which gets (c', solved) for every run, holds ``cap`` entries.
-    Returns the last solved (c, u) and the last failed c, or None.
-    """
-    c, u, tangent = start
-    step, failed = c, None
+            break
+    else:
+        return None
+    (u, tangent), step, failed = point, c, None
+    probes.append((c, True))
     while c > target and len(probes) < cap:
         if failed is None:
             nxt = max(c + step, target)
@@ -921,11 +916,11 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
     slack = _residual(op, kappa, c, u_plus)
     if not np.all(np.isfinite(slack)):
         # an overflowed e^u would also overflow the shift built at u_plus
-        raise NotAnUpperSolution("upper-solution slack is not finite everywhere")
+        raise NotAnUpperSolution("monotone-iteration: upper-solution slack is not finite")
     slack_scale = 1.0 + float(np.max(np.abs(op.op_matrix @ u_plus))) + abs(c)
     if float(np.min(slack)) < -1e-10 * slack_scale:
         raise NotAnUpperSolution(
-            f"upper-solution slack dips to {float(np.min(slack)):.3e}"
+            f"monotone-iteration: upper-solution slack dips to {float(np.min(slack)):.3e}"
         )
 
     kappa_neg = np.maximum(0.0, -kappa)
@@ -950,11 +945,12 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
         u_next = chol_solve(rhs)
         if float(np.max(u_next - u)) > tol_mono:
             raise MonotonicityViolation(
-                f"iterate increased by {float(np.max(u_next - u)):.3e} at sweep {it}"
+                f"monotone-iteration: iterate increased by {float(np.max(u_next - u)):.3e} "
+                f"at sweep {it}"
             )
         if float(np.min(u_next)) < lower - tol_mono:
             raise MonotonicityViolation(
-                f"iterate dropped below the lower solution at sweep {it}"
+                f"monotone-iteration: iterate dropped below the lower solution at sweep {it}"
             )
         step = float(np.max(np.abs(u_next - u)))
         u = u_next
@@ -969,7 +965,7 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
         if float(np.max(level - u)) > math.log(2.0):
             level = u
             phi, chol_solve = factor_at(level)
-    raise NotSolved("monotone iteration cap reached", trace=["monotone-iteration"])
+    raise NotSolved("monotone-iteration: iteration cap reached")
 
 
 def _lower_level(kappa, c, u_plus):
@@ -987,16 +983,16 @@ def solve(p, opts=None, op=None):
     """Solve the equation by the one route, _route, for every sign of c.
 
     Screening runs first; a certificate of unsolvability raises
-    CertificateUnsolvable unless ``opts.override_screen`` is set. The route
-    runs the paper's method for the sign of c, then damped Newton, unless the
-    method names one of them alone. It returns through _verified, and the
-    report is re-checked by it once more here, so every returned residual is
-    within tol; a NotSolved carries the trace of the attempts that failed.
+    CertificateUnsolvable. The route runs the paper's method for the sign of
+    c, then damped Newton, unless the method names one of them alone. It
+    returns through _verified, and the report is re-checked by it once more
+    here, so every returned residual is within tol. Only here is a NotSolved's
+    trace set: one message per failed attempt, in order, its own last.
     """
     opts = opts or SolveOptions()
     check_tol(opts.tol)
     verdict = screen(p)
-    if verdict.status == UNSOLVABLE and not opts.override_screen:
+    if verdict.status == UNSOLVABLE:
         raise CertificateUnsolvable("; ".join(verdict.reasons), verdict=verdict)
     op = _ensure_operator(p.graph, p.s, op)
 
@@ -1012,19 +1008,19 @@ def solve(p, opts=None, op=None):
             "monotone route is unavailable for s > 1 (no order preservation)"
         )
 
-    trace = []
+    failed = []
     try:
-        report = _route(p, opts, op, trace)
+        report = _route(p, opts, op, failed)
         report = _verified(p, op, report.solution, report.method, report.iterations, opts,
                            report.energy)
     except NotSolved as exc:
-        exc.trace = trace + exc.trace
+        exc.trace = tuple(str(attempt) for attempt in (*failed, exc))
         raise
     report.verdict = verdict
     return report
 
 
-def _route(p, opts, op, trace):
+def _route(p, opts, op, failed):
     """The one solve route, for every sign of c and every method.
 
     1. Unless the method is "newton", the paper's method: minimization for
@@ -1038,7 +1034,7 @@ def _route(p, opts, op, trace):
        earlier.
 
     Step 1's last error is raised under a method that stops after it, and
-    InfeasibleStart, a certificate, always; any other goes to ``trace``.
+    InfeasibleStart, a certificate, always; any other goes to ``failed``.
     """
     affine = _affine_upper_solution(p, op) if p.c < 0 else None
     if opts.method == "monotone":
@@ -1049,7 +1045,7 @@ def _route(p, opts, op, trace):
     failure = None
     for upper in firsts:
         if failure is not None:
-            trace.append(str(failure))
+            failed.append(failure)
         try:
             if p.c < 0:
                 return solve_negative_c_monotone(p, upper, opts, op)
@@ -1057,9 +1053,9 @@ def _route(p, opts, op, trace):
         except (NotSolved, NotAnUpperSolution, MonotonicityViolation) as exc:
             failure = exc
     if opts.method in ("variational", "monotone") or isinstance(failure, InfeasibleStart):
-        raise failure or NotSolved("no upper solution found", trace=["monotone-iteration"])
+        raise failure or NotSolved("monotone-iteration: no upper solution found")
     if failure is not None:
-        trace.append(str(failure))
+        failed.append(failure)
     uppers = _upper_solutions(p, opts, op, affine) if p.c < 0 else ()
     starts = itertools.chain([np.zeros(p.graph.n)], uppers)
     u, iterations = _newton_attempts(op, p.kappa, p.c, starts, opts)
@@ -1105,12 +1101,12 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
         raise ThresholdIsMinusInfinity("; ".join(verdict.reasons) + "; threshold is -infinity")
 
     op = _ensure_operator(g, s, op)
-    start = _stable_start(op, kappa, kint / g.volume / float(np.max(np.abs(kappa))) / 16.0,
-                          opts)
-    if start is None:
-        raise NotSolved("no solvable c found near zero", trace=["threshold"])
-    probes = [(start[0], True)]
-    c_hi, u, c_lo = _stable_walk(op, kappa, start, -math.inf, opts, tol, probes, cap)
+    probes = []
+    walk = _stable_walk(op, kappa, kint / g.volume / float(np.max(np.abs(kappa))) / 16.0,
+                        -math.inf, opts, tol, probes, cap)
+    if walk is None:
+        raise NotSolved("threshold: no solvable c found near zero")
+    c_hi, u, c_lo = walk
     c_low = 2.0 * c_hi if c_lo is None else c_lo
     return ThresholdEstimate(
         c_low=float(c_low),

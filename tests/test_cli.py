@@ -371,7 +371,7 @@ class TestKwCmd:
         assert code == 3
         assert out == ""
         assert re.search(NEWTON_FAILED + "$", err)
-        assert re.search(r"smallest residual [^,]+, a drift: \S+ of the equation's scale\)\n$",
+        assert re.search(r"smallest residual \S+, a drift: \S+ of the equation's scale \S+\)\n$",
                          err)
 
     def test_zero_c_positive_integral_exit_3(self, random_connected, tmp_path, capsys):
@@ -432,6 +432,18 @@ class TestKwCmd:
             math.log(2.0), abs=1e-7
         )
 
+    def test_monotone_from_the_continuation_point_at_loose_tol(self, p2_file, tmp_path,
+                                                               capsys):
+        # kappa > 0 somewhere: "monotone" starts from the continuation point,
+        # whose slack must be nonnegative at this tol too (it dipped to
+        # -8.9e-9, a usage error)
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        code, out, err = run_cli(
+            capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "-1e-5", "--tol", "1e-4",
+                     "--kappa", kap, "--method", "monotone"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["method"] == "monotone-iteration"
+
 
 class TestThresholdCmd:
     def test_bracket(self, p2_file, tmp_path, capsys, p2_threshold):
@@ -456,7 +468,7 @@ class TestThresholdCmd:
         code, out, err = run_cli(
             capsys, ["threshold", "--graph", p2_file, "--s", "0.5", "--kappa", kap])
         assert (code, out) == (3, "")
-        assert err == "error: search failure: no solvable c found near zero\n"
+        assert err == "error: search failure: threshold: no solvable c found near zero\n"
 
     def test_bracket_width_is_not_the_residual_tolerance(self, p2_file, tmp_path, capsys):
         # a wide bracket still verifies c_high to the default 1e-8 residual
@@ -770,7 +782,7 @@ class TestProcessInvocation:
          "search failure: newton-continuation: all starts failed"),
         (["kw", "--graph", "{path5}", "--s", "0.5", "--c", "-1", "--kappa", "{k5}",
           "--method", "monotone", "--max-iter", "1"], 3,
-         "search failure: monotone iteration cap reached"),
+         "search failure: monotone-iteration: iteration cap reached"),
     ], ids=["missing-file", "apply-negative-s", "kernel-s-above-one",
             "kw-search-failure", "kernel-quadrature-failure", "kw-overflowing-positive-c",
             "kw-overflowing-positive-c-s2.5", "kw-overflowing-negative-c", "kw-monotone-cap"])

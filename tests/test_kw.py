@@ -143,29 +143,29 @@ class TestSolveDispatcher:
         with pytest.raises(CertificateUnsolvable):
             kw.solve(problem(p2, 1.0, [-1.0, -2.0]), op=op_p2)
 
-    def test_override_attempts_and_fails(self, p2, op_p2):
-        opts = kw.SolveOptions(override_screen=True)
+    def test_route_past_the_certificate_fails(self, p2, op_p2):
+        # a certified-unsolvable problem has no solution for the route to find
         with pytest.raises(NotSolved):
-            kw.solve(problem(p2, 1.0, [-1.0, -2.0]), opts, op=op_p2)
+            kw._route(problem(p2, 1.0, [-1.0, -2.0]), kw.SolveOptions(), op_p2, [])
 
     @pytest.mark.parametrize("c, kappa, first, trace, match", [
         # the paper's method stalls, then Newton from zero stalls
         (1.0, [2.0, -1.0], "variational-positive-c", [
-            "variational-positive-c stopped at residual", "newton-continuation",
+            "variational-positive-c stopped at residual", "newton-continuation: all starts",
         ], r"^newton-continuation: all starts failed \(1 start; smallest residual "
-           r"\d\.\de-1[67]\)$"),
+           r"\d\.\d{3}e-1[67] > tol 1\.000e-300\)$"),
         # Newton from zero, its one start, drifts to u = (-32, -32), at a
         # residual of about 1e-13, which is above this tol as well
         (0.0, [2.0, -3.0], "variational-zero-c", [
-            "variational-zero-c stopped at residual", "newton-continuation",
+            "variational-zero-c stopped at residual", "newton-continuation: all starts",
         ], r"^newton-continuation: all starts failed \(1 start; smallest residual "
-           r"\d\.\de-1[34]\)$"),
+           r"\d\.\d{3}e-1[34] > tol 1\.000e-300\)$"),
         # kappa > 0 somewhere: no affine upper solution, so Newton runs
         # first; the stable walk accepts no point either, so the continuation
         # point adds no start
-        (-0.05, [1.0, -3.0], "newton-continuation", ["newton-continuation"],
+        (-0.05, [1.0, -3.0], "newton-continuation", ["newton-continuation: all starts"],
          r"^newton-continuation: all starts failed \(1 start; smallest residual "
-         r"\d\.\de-1[67]\)$"),
+         r"\d\.\d{3}e-1[67] > tol 1\.000e-300\)$"),
     ])
     def test_stalled_route_names_route_and_residual(self, p2, op_p2, c, kappa, first,
                                                     trace, match):
@@ -175,6 +175,34 @@ class TestSolveDispatcher:
         assert exc.value.trace[0].startswith(first)
         assert len(exc.value.trace) == len(trace)
         assert all(got.startswith(want) for got, want in zip(exc.value.trace, trace))
+        assert exc.value.trace[-1] == str(exc.value)
+
+    def test_each_paper_attempt_is_traced(self, p2, op_p2):
+        # "monotone" runs from the affine upper solution and then from the
+        # continuation point; one sweep leaves each at the cap
+        p = problem(p2, -0.01, [-0.1, -4.0])
+        opts = kw.SolveOptions(method="monotone", max_iter_monotone=1)
+        with pytest.raises(NotSolved) as exc:
+            kw.solve(p, opts, op=op_p2)
+        assert exc.value.trace == ("monotone-iteration: iteration cap reached",) * 2
+
+    @pytest.mark.parametrize("c, kappa, s, settings", [
+        (1.0, [2.0, -1.0], 0.5, {"tol": 1e-300}),
+        (0.0, [2.0, -3.0], 0.5, {"tol": 1e-300}),
+        (0.0, [1.0, -1.0], 2.0, {}),  # both routes drift
+        (-0.01, [-0.1, -4.0], 0.5, {"tol": 1e-300}),
+        (-0.01, [-0.1, -4.0], 0.5, {"method": "monotone", "max_iter_monotone": 1}),
+        (-5.0, [1.0, -3.0], 0.5, {}),  # far past the threshold
+        (-5.0, [1.0, -3.0], 0.5, {"method": "monotone"}),
+    ])
+    def test_every_trace_entry_begins_with_a_route_tag(self, p2, c, kappa, s, settings):
+        tags = ("variational-positive-c", "variational-zero-c", "monotone-iteration",
+                "newton-continuation")
+        op = build_operator(decompose(p2), s)
+        with pytest.raises(NotSolved) as exc:
+            kw.solve(problem(p2, c, kappa, s=s), kw.SolveOptions(**settings), op=op)
+        assert exc.value.trace
+        assert all(entry.split(" ")[0].rstrip(":") in tags for entry in exc.value.trace)
 
     def test_kappa_identically_zero(self, p2, op_p2):
         rep = kw.solve(problem(p2, 0.0, [0.0, 0.0]), op=op_p2)
@@ -302,7 +330,10 @@ class TestSolveDispatcher:
         # halving stops there, and the route ends in NotSolved, not in a
         # math domain error
         kappa = np.array([1.0, -3.0])
-        assert kw._stable_start(op_p2, kappa, -5e-324 / 2.0, kw.SolveOptions()) is None
+        probes = []
+        assert kw._stable_walk(op_p2, kappa, -5e-324 / 2.0, -math.inf, kw.SolveOptions(),
+                               1e-3, probes, math.inf) is None
+        assert probes == []
         with pytest.raises(NotSolved, match="^newton-continuation: all starts failed"):
             kw.solve(problem(p2, -5e-324, kappa), op=op_p2)
 
@@ -420,7 +451,7 @@ class TestSolvePositiveC:
         # c |V| overflows to inf, and so does the shift of the candidate; the
         # route must fail as a search, so that Newton gets its turn
         p = problem(p2, c, [1.0, -3.0])
-        with pytest.raises(NotSolved, match="^positive-c candidate is not finite"):
+        with pytest.raises(NotSolved, match="^variational-positive-c: candidate is not finite"):
             kw.solve_positive_c(p, op=op_p2)
         with pytest.raises(NotSolved, match="^newton-continuation: all starts failed"):
             kw.solve(p, op=op_p2)
@@ -461,7 +492,7 @@ class TestSolvePositiveC:
         with pytest.raises(NotSolved, match="^variational-positive-c did not end at a "
                                             "minimizer") as exc:
             kw.solve_positive_c(problem(p2, 1.0, [2.0, -1.0]), op=op_p2)
-        assert exc.value.trace == ["variational-positive-c"]
+        assert exc.value.trace == ()  # only solve fills the trace
         assert calls == [1]
 
 
@@ -571,8 +602,8 @@ class TestSolveZeroC:
         u, its = kw._damped_newton(op, p.kappa, 0.0, np.zeros(2), kw.SolveOptions())
         accepted, residual, _ = kw._accepted(op, p.kappa, 0.0, u, 1e-8)
         assert residual <= 1e-8 and not accepted and np.all(u < -17.0)
-        with pytest.raises(NotSolved, match="^newton-continuation drifted: residual .* is not "
-                                            "small against the scale .* of the equation's"):
+        with pytest.raises(NotSolved, match=r"^newton-continuation stopped at residual \S+, a "
+                                            r"drift: \S+ of the equation's scale \S+$"):
             kw._verified(p, op, u, "newton-continuation", its, kw.SolveOptions())
 
     def test_positive_integral_is_not_solved(self, random_connected):
@@ -896,9 +927,9 @@ class TestNewtonLinearAlgebra:
             pytest.fail("a Newton step is a Cholesky or an LU solve")
 
         monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-        opts = kw.SolveOptions(override_screen=True, method="newton")
+        opts = kw.SolveOptions(method="newton")  # the screen certifies this unsolvable
         with pytest.raises(NotSolved, match="all starts failed"):
-            kw.solve(problem(p2, 1.0, [0.0, 0.0]), opts, op=op_p2)
+            kw._route(problem(p2, 1.0, [0.0, 0.0]), opts, op_p2, [])
 
     @pytest.mark.parametrize("u0", [[800.0, 0.0], [math.nan, 0.0]], ids=["overflow", "nan"])
     def test_nonfinite_start_is_not_converged(self, p2, op_p2, capfd, u0):
@@ -1011,6 +1042,25 @@ class TestUpperSolutions:
         assert up is not None
         assert kw.check_solution(p, up, op).slack_min >= 0.0
         assert kw._shifted_cholesky(p.graph, op, -p.kappa * np.exp(up)) is not None  # stable
+
+    @pytest.mark.parametrize("c", [-0.01, -1e-3, -1e-5])
+    @pytest.mark.parametrize("on_p2", [True, False], ids=["p2", "random30"])
+    def test_continuation_slack_is_nonnegative_at_loose_tol(self, p2, random_connected,
+                                                            on_p2, c):
+        # the walk accepts residuals up to tol, so its target lies 2 tol past
+        # c; a margin of |c| 1e-6 alone left the slack at -8.9e-9 on P2 at
+        # c = -1e-5, and at -1.1e-8 to -4.2e-8 on the random graph
+        if on_p2:
+            g, kappa = p2, np.array([1.0, -3.0])
+        else:
+            rng = np.random.default_rng((0, 7))
+            g = random_connected(rng, 30)
+            kappa = rng.normal(size=g.n) - 0.5
+        p = problem(g, c, kappa)
+        op = build_operator(decompose(g), 0.5)
+        up = kw.construct_upper_solution(p, kw.SolveOptions(tol=1e-4), op=op)
+        assert up is not None
+        assert kw.check_solution(p, up, op).slack_min >= 0.0
 
     def test_continuation_below_threshold_absent(self, p2, op_p2):
         # threshold for this kappa sits near -0.104; far below nothing exists
@@ -1230,17 +1280,16 @@ class TestThreshold:
         # scripted outcomes: two doublings solve, then failures and successes
         # alternate; after the first failure every probe lies strictly
         # between the last solution and the last failure
-        outcomes = iter([True, True, False, True, False])
+        outcomes = iter([True, True, True, False, True, False])  # the start first
 
         def scripted(op, kappa, c, u0, opts):
             return (u0, np.zeros(2)) if next(outcomes, True) else None
 
         monkeypatch.setattr(kw, "_stable_point", scripted)
         probes = []
-        start = (-0.01, np.zeros(2), np.zeros(2))
-        c, _, failed = kw._stable_walk(op_p2, np.array([1.0, -3.0]), start, -math.inf,
+        c, _, failed = kw._stable_walk(op_p2, np.array([1.0, -3.0]), -0.01, -math.inf,
                                        kw.SolveOptions(), 1e-3, probes, math.inf)
-        assert [p for p, _ in probes[:5]] == [-0.02, -0.04, -0.08, -0.06, -0.07]
+        assert [p for p, _ in probes[:6]] == [-0.01, -0.02, -0.04, -0.08, -0.06, -0.07]
         for i, (c_probe, _) in enumerate(probes):
             assert all(c_probe > c_failed for c_failed, ok in probes[:i] if not ok)
         assert (failed, dict(probes)[failed], dict(probes)[c]) == (-0.07, False, True)
@@ -1400,7 +1449,7 @@ class TestScreenSolveConsistency:
 class TestSettingsAndOperatorChecks:
     def test_solve_options_holds_only_caller_settings(self):
         assert [f.name for f in dataclasses.fields(kw.SolveOptions)] == [
-            "tol", "max_iter_monotone", "method", "override_screen",
+            "tol", "max_iter_monotone", "method",
         ]
 
     def test_solve_rejects_operator_for_another_exponent(self, er20, op_er20):
