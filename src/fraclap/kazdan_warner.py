@@ -807,21 +807,27 @@ def _affine_upper_solution(p, op):
 
 
 def _continuation_solution(p, opts, op):
-    """The stable walk from near c/2 down to (slightly past) c: the last
-    solution at or below c, or None. A walk that stops short runs Newton at
-    its target once more from its last solution: a tangent step can fail
-    where a start that close succeeds, and bisection never probes the
-    target again."""
-    # overshoot c by a relative margin, and by twice tol since the walk accepts
-    # residuals up to tol, so the final slack is strictly positive
-    target = min(p.c * (1.0 + 1e-6), p.c - 2.0 * opts.tol)
+    """An upper solution at c from the stable walk, or None. The walk goes
+    from near c/2 down to c (1 + 1e-6), slightly past c. A walk that stops
+    short runs Newton at its target once more from its last solution: a
+    tangent step can fail where a start that close succeeds, and bisection
+    never probes the target again. The walk accepts residuals up to tol,
+    which can outweigh that margin, so a solution whose slack at c is
+    negative runs Newton once more, 2 tol past c, where a residual within
+    tol leaves a slack of at least tol at c."""
+    target = p.c * (1.0 + 1e-6)
     walk = _stable_walk(op, p.kappa, p.c / 2.0, target, opts, abs(p.c) * 1e-9, [], math.inf)
     if walk is None:
         return None
     c_end, u, _ = walk
-    if c_end <= p.c:
+    if c_end > p.c:
+        point = _stable_point(op, p.kappa, target, u, opts)
+        if point is None:
+            return None
+        u = point[0]
+    if float(np.min(_residual(op, p.kappa, p.c, u))) >= 0:
         return u
-    point = _stable_point(op, p.kappa, target, u, opts)
+    point = _stable_point(op, p.kappa, p.c - 2.0 * opts.tol, u, opts)
     return None if point is None else point[0]
 
 

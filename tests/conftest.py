@@ -6,18 +6,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import settings
 from scipy.optimize import brentq
 
 import fraclap
 from fraclap.graph import build_graph
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fraclap.__file__)))
-
-# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints the
-# blob that reproduces a failure
-settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_p2():

@@ -1062,6 +1062,27 @@ class TestUpperSolutions:
         assert up is not None
         assert kw.check_solution(p, up, op).slack_min >= 0.0
 
+    @pytest.mark.parametrize("c, found", [(-0.10413, True), (-0.104136, True),
+                                          (-0.1041363, False)])
+    def test_continuation_near_the_fold_at_loose_tol(self, p2, op_p2, p2_threshold, c,
+                                                      found):
+        # c lies 6.4e-6, 3.5e-7 and 4.6e-8 above c* = -0.1041363..., within
+        # 2 tol of the fold: a walk to c - 2 tol stops at the fold, where its
+        # last residual (up to tol) left the slack at c at -2.4e-6 to -3.5e-5;
+        # the point is a solution past c with nonnegative slack, or absent
+        assert 0.0 < c - p2_threshold < 2e-4
+        p = problem(p2, c, [1.0, -3.0])
+        opts = kw.SolveOptions(tol=1e-4)
+        up = kw.construct_upper_solution(p, opts, op=op_p2)
+        assert (up is not None) == found
+        if found:
+            assert kw.check_solution(p, up, op_p2).slack_min >= 0.0
+            rep = kw.solve(p, dataclasses.replace(opts, method="monotone"), op=op_p2)
+            assert rep.method == "monotone-iteration"
+        else:
+            with pytest.raises(NotSolved, match="^monotone-iteration: no upper solution"):
+                kw.solve(p, dataclasses.replace(opts, method="monotone"), op=op_p2)
+
     def test_continuation_below_threshold_absent(self, p2, op_p2):
         # threshold for this kappa sits near -0.104; far below nothing exists
         opts = kw.SolveOptions()
