@@ -61,7 +61,9 @@ class CertificateUnsolvable(FraclapError):
 
 
 class InfeasibleStart(NotSolved):
-    """No starting point satisfying the constraint sign condition was found."""
+    """A variational route, called directly, found its constraint set empty:
+    kappa's signs leave no start. Screening certifies every such input
+    unsolvable, so ``solve`` raises CertificateUnsolvable instead."""
 
 
 class MultiplierSignError(NotSolved):

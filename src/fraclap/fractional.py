@@ -225,7 +225,7 @@ def build_operator(sd, s):
     """
     sigma, m = split_exponent(s)
     with np.errstate(over="ignore", under="ignore"):
-        powers = sd.lambda_power(s)[sd.lambdas > 0]
+        powers = sd.lambda_power(s)[1:]
     if not np.all(np.isfinite(powers) & (powers > 0)):
         raise InvalidExponent(
             f"exponent s={s:g} is out of range on this graph: lambda^s overflows "
@@ -337,15 +337,14 @@ def kernel_w_quadrature(sd, s, tol=1e-8):
         raise InvalidExponent(f"quadrature kernel needs 0 < s < 1, got {s}")
     check_tol(tol)
     g = sd.graph
-    live = sd.lambdas > 0
-    phis = sd.phis[:, live]
+    phis = sd.phis[:, 1:]
     prefactor = s / gamma(1.0 - s)
     # mu-orthonormality gives sum_i |phi_i(x) phi_i(y)| <= 1/sqrt(mu(x) mu(y)),
     # so errors below epsabs per integral keep every pair's bound below tol / 2
     opts = dict(epsabs=tol / (4.0 * prefactor * float(np.max(g.mu))), epsrel=1e-12, limit=200)
     j = np.empty(phis.shape[1])
     err = np.empty_like(j)
-    for i, lam in enumerate(sd.lambdas[live]):
+    for i, lam in enumerate(sd.lambdas[1:]):
         # (exp(-lam t) - 1) t^{-1-s} on [0, 1], and on [1, inf) after t = 1/tau
         head, e1 = quad(lambda t: math.expm1(-lam * t) / t if t else -lam, 0.0, 1.0,
                         weight="alg", wvar=(-s, 0.0), **opts)

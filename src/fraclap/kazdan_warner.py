@@ -154,9 +154,11 @@ class ThresholdEstimate:
 def screen(p):
     """Classify solvability from the signs of (c, kappa) alone.
 
-    The strong if-and-only-if clauses apply for s <= 1; for s > 1 only the
-    weaker sufficient clauses are cited and everything else is reported
-    unknown.
+    At every s, integrating the equation gives integral(kappa e^u) = c |V|
+    ((-Delta)^s is mu-self-adjoint and annihilates constants), and the sign
+    conditions this needs are certified; the paper's if-and-only-if clauses
+    apply on top for s <= 1, its sufficient clauses for s > 1, and the rest
+    is reported unknown.
     """
     kappa = p.kappa
     c = p.c
@@ -189,6 +191,11 @@ def screen(p):
                 "c = 0 requires kappa to change sign and have negative integral "
                 "(zero-c criterion fails)",
             ))
+        if not changes_sign:
+            return FeasibilityVerdict(UNSOLVABLE, (
+                "c = 0 with kappa one-signed and not identically zero: integral(kappa e^u) "
+                "= 0 is impossible (integrated equation)",
+            ))
         return FeasibilityVerdict(UNKNOWN, (
             "c = 0 for s > 1: the sufficient clause does not apply and no converse is available",
         ))
@@ -210,6 +217,11 @@ def screen(p):
     if kmax < 0:
         return FeasibilityVerdict(SOLVABLE, (
             "c < 0 with kappa negative everywhere (high-order sufficient clause)",
+        ))
+    if kmin >= 0:
+        return FeasibilityVerdict(UNSOLVABLE, (
+            "c < 0 with kappa nowhere negative: integral(kappa e^u) = c |V| < 0 is "
+            "impossible (integrated equation)",
         ))
     return FeasibilityVerdict(UNKNOWN, (
         "c < 0 for s > 1 without everywhere-negative kappa: no clause applies",
@@ -1039,8 +1051,8 @@ def _route(p, opts, op, failed):
        positive somewhere a stable root wins over an unstable one found
        earlier.
 
-    Step 1's last error is raised under a method that stops after it, and
-    InfeasibleStart, a certificate, always; any other goes to ``failed``.
+    Each failed attempt of step 1 goes to ``failed`` as it happens; under a
+    method that stops after step 1, the last is taken back and raised.
     """
     affine = _affine_upper_solution(p, op) if p.c < 0 else None
     if opts.method == "monotone":
@@ -1048,20 +1060,15 @@ def _route(p, opts, op, failed):
     else:
         skip = opts.method == "newton" or (p.c < 0 and (p.s > 1.0 or affine is None))
         firsts = () if skip else [affine]  # one run; affine is None for c >= 0
-    failure = None
     for upper in firsts:
-        if failure is not None:
-            failed.append(failure)
         try:
             if p.c < 0:
                 return solve_negative_c_monotone(p, upper, opts, op)
             return (solve_positive_c if p.c > 0 else solve_zero_c)(p, opts, op)
         except (NotSolved, NotAnUpperSolution, MonotonicityViolation) as exc:
-            failure = exc
-    if opts.method in ("variational", "monotone") or isinstance(failure, InfeasibleStart):
-        raise failure or NotSolved("monotone-iteration: no upper solution found")
-    if failure is not None:
-        failed.append(failure)
+            failed.append(exc)
+    if opts.method in ("variational", "monotone"):
+        raise failed.pop() if failed else NotSolved("monotone-iteration: no upper solution found")
     uppers = _upper_solutions(p, opts, op, affine) if p.c < 0 else ()
     starts = itertools.chain([np.zeros(p.graph.n)], uppers)
     u, iterations = _newton_attempts(op, p.kappa, p.c, starts, opts)
@@ -1085,11 +1092,12 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
     failures before it.
 
     The bracket ``tol`` and the residual tolerance ``opts.tol`` must be
-    finite and positive and ``cap`` at least 1. The walk starts below zero,
-    so integral(kappa) < 0 is required (ValueError otherwise, kappa
-    identically zero included). Where screening certifies c = -1 solvable,
-    its clause covers every c < 0 and ThresholdIsMinusInfinity is raised;
-    every other kappa is bracketed.
+    finite and positive and ``cap`` at least 1. Screening at c = -1 decides
+    every c < 0: its certificate of unsolvability leaves the threshold
+    undefined (ValueError quoting it), and one of solvability raises
+    ThresholdIsMinusInfinity. The walk starts below zero, so it needs
+    integral(kappa) < 0 (a ValueError that claims nothing about
+    solvability); every other kappa is bracketed.
     """
     check_tol(tol)
     if not cap >= 1:
@@ -1097,18 +1105,19 @@ def estimate_threshold(g, s, kappa, tol=1e-4, cap=64, opts=None, op=None):
     opts = opts or SolveOptions()
     check_tol(opts.tol)
     kappa = as_function(g, kappa)
-    kint = integral(g, kappa)
-    if kint >= 0:
-        raise ValueError(
-            "threshold undefined: integral(kappa) >= 0 makes every c < 0 unsolvable"
-        )
     verdict = screen(KWProblem(g, s, -1.0, kappa))
+    if verdict.status == UNSOLVABLE:
+        raise ValueError("threshold undefined: integral(kappa) >= 0 and every c < 0 is "
+                         "certified unsolvable: " + "; ".join(verdict.reasons))
     if verdict.status == SOLVABLE:
         raise ThresholdIsMinusInfinity("; ".join(verdict.reasons) + "; threshold is -infinity")
+    if integral(g, kappa) >= 0:
+        raise ValueError("threshold walk needs integral(kappa) < 0: it starts at "
+                         "c = kbar / max|kappa| / 16 (screening leaves c < 0 open here)")
 
     op = _ensure_operator(g, s, op)
     probes = []
-    walk = _stable_walk(op, kappa, kint / g.volume / float(np.max(np.abs(kappa))) / 16.0,
+    walk = _stable_walk(op, kappa, mean(g, kappa) / float(np.max(np.abs(kappa))) / 16.0,
                         -math.inf, opts, tol, probes, cap)
     if walk is None:
         raise NotSolved("threshold: no solvable c found near zero")

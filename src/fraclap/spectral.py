@@ -24,9 +24,10 @@ ZERO_EIGENVALUE_REL = 1e-10
 class SpectralDecomposition:
     """Eigenpairs (lambda_i, phi_i) of the positive Laplacian, mu-orthonormal.
 
-    lambdas are ascending with lambdas[0] == 0 on a connected graph; column i
-    of ``phis`` is the eigenfunction phi_i. Orthonormality is with respect to
-    the measure-weighted inner product, so ``phis.T @ diag(mu) @ phis == I``.
+    lambdas are ascending, and lambdas[0] == 0 is the one zero mode, as
+    ``decompose`` guarantees; column i of ``phis`` is the eigenfunction
+    phi_i. Orthonormality is with respect to the measure-weighted inner
+    product, so ``phis.T @ diag(mu) @ phis == I``.
     """
 
     graph: Graph
@@ -53,10 +54,12 @@ class SpectralDecomposition:
         return self.phis @ np.asarray(coeffs, dtype=float)
 
     def lambda_power(self, s, zero=0.0):
-        """lambda_i**s per eigenpair, taken as ``zero`` on the zero modes for every s."""
-        lam = self.lambdas
-        live = lam > 0
-        return np.where(live, np.where(live, lam, 1.0) ** float(s), zero)
+        """lambda_i**s per eigenpair, taken as ``zero`` on the zero mode for every s."""
+        lam = self.lambdas.copy()
+        lam[0] = 1.0
+        power = lam ** float(s)
+        power[0] = zero
+        return power
 
     def power_matrix(self, s):
         """Dense matrix of the spectral power: Phi diag(lambda^s) Phi^{-1}.
@@ -85,7 +88,10 @@ def decompose(g):
     the same spectrum as L and orthonormal eigenvectors q_i; the mu-orthonormal
     eigenfunctions are phi_i = U^{-1/2} q_i. Sign convention: the first
     non-negligible entry of each eigenfunction is positive. Degenerate
-    eigenspaces come back as an arbitrary mu-orthonormal basis.
+    eigenspaces come back as an arbitrary mu-orthonormal basis. Exactly one
+    eigenvalue may fall at or below ZERO_EIGENVALUE_REL * lambda_max
+    (NumericalError otherwise); it is set to 0 and, the eigenvalues being
+    ascending, is index 0.
 
     S is written only on the diagonal and the edges, each entry as the mean
     of its two one-sided scalings so that it is exactly symmetric; apart
@@ -104,14 +110,14 @@ def decompose(g):
     del sym  # freed before the sign fix allocates its n x n temporary
 
     tiny = ZERO_EIGENVALUE_REL * float(lam[-1])
-    zero = lam <= tiny
-    if np.count_nonzero(zero) > 1:
+    zeros = np.count_nonzero(lam <= tiny)
+    if zeros != 1:
         raise NumericalError(
-            f"{np.count_nonzero(zero)} eigenvalues fall at or below the zero threshold "
+            f"{zeros} eigenvalues fall at or below the zero threshold "
             f"{tiny:g} (ZERO_EIGENVALUE_REL * lambda_max), but a connected graph has one "
             "zero mode; the decomposition cannot go on"
         )
-    lam = np.where(zero, 0.0, lam)
+    lam[0] = 0.0  # ascending: the one zero mode is index 0
     phis /= root_mu[:, None]
 
     # fix signs: first entry of each column that is clearly nonzero goes positive

@@ -327,6 +327,28 @@ class TestKwCmd:
         assert data["verdict"]["status"] == "unsolvable"
         assert data["verdict"]["reasons"]
 
+    @pytest.mark.parametrize("c, reason", [
+        ("0", "c = 0 with kappa one-signed and not identically zero: integral(kappa e^u) "
+              "= 0 is impossible (integrated equation)"),
+        ("-1", "c < 0 with kappa nowhere negative: integral(kappa e^u) = c |V| < 0 is "
+               "impossible (integrated equation)"),
+    ])
+    def test_integrated_equation_certifies_above_one(self, tmp_path, capsys, c, reason):
+        # at s > 1 no paper clause covers a positive kappa at c <= 0, but
+        # integrating the equation does: these once ended in search failures
+        g = tmp_path / "p3.json"
+        g.write_text(json.dumps({
+            "vertices": [{"id": f"x{i}", "mu": 1.0} for i in range(3)],
+            "edges": [{"src": "x0", "dst": "x1", "w": 1.0}, {"src": "x1", "dst": "x2", "w": 1.0}],
+        }))
+        kap = fn_file(tmp_path, "k.json", {"x0": 1.0, "x1": 2.0, "x2": 0.5})
+        code, out, err = run_cli(
+            capsys, ["kw", "--graph", str(g), "--s", "1.5", "--c", c, "--kappa", kap])
+        assert (code, err) == (2, "")
+        data = json.loads(out)
+        assert data["method"] == "screen"
+        assert data["verdict"] == {"status": "unsolvable", "reasons": [reason]}
+
     def test_search_failure_exit_3(self, p2_file, tmp_path, capsys, null_root_handler):
         # far below the threshold for this kappa: no solution exists
         kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
@@ -499,8 +521,9 @@ class TestThresholdCmd:
             capsys, ["threshold", "--graph", p2_file, "--s", "0.5", "--kappa", kap])
         assert code == 1
         assert out == ""
-        assert err == ("error: threshold undefined: integral(kappa) >= 0 makes "
-                       "every c < 0 unsolvable\n")
+        assert err == ("error: threshold undefined: integral(kappa) >= 0 and every c < 0 "
+                       "is certified unsolvable: c < 0 requires the integral of kappa to be "
+                       "negative (necessary condition fails)\n")
 
 
 class TestCheckCmd:
@@ -927,6 +950,33 @@ class TestUsageErrors:
             "edges": [],
         }))
         assert main(["spectrum", "--graph", str(path)]) == 1
+
+    @pytest.mark.parametrize("command, graph, values, err", [
+        (["spectrum"], {"vertices": [], "edges": []}, None,
+         "graph needs at least one vertex"),
+        (["apply", "--s", "0.5", "--input"], P2_DOC, '{"vals": {"x1": 0, "x2": 1}}',
+         "malformed function document: 'values'"),
+        (["apply", "--s", "0.5", "--input"], P2_DOC, '{"values": {"x1": NaN, "x2": 1}}',
+         "function values must be finite"),
+        (["kw", "--s", "0.5", "--c", "nan", "--kappa"], P2_DOC,
+         '{"values": {"x1": 1, "x2": -3}}', "c must be finite"),
+        (["kw", "--s", "0.5", "--c", "1", "--method", "monotone", "--kappa"], P2_DOC,
+         '{"values": {"x1": 1, "x2": -3}}', "monotone route requires c < 0"),
+        (["kw", "--s", "1.5", "--c", "-1", "--method", "monotone", "--kappa"], P2_DOC,
+         '{"values": {"x1": 1, "x2": -3}}',
+         "monotone route is unavailable for s > 1 (no order preservation)"),
+    ], ids=["no-vertices", "no-values", "nan-value", "nan-c", "monotone-at-positive-c",
+            "monotone-above-1"])
+    def test_input_rejection_is_one_error_line(self, tmp_path, capsys, command, graph,
+                                               values, err):
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(graph))
+        argv = [command[0], "--graph", str(graph_path), *command[1:]]
+        if values is not None:
+            values_path = tmp_path / "f.json"
+            values_path.write_text(values)
+            argv.append(str(values_path))
+        assert run_cli(capsys, argv) == (1, "", f"error: {err}\n")
 
     def test_out_file(self, p2_file, tmp_path, capsys):
         target = tmp_path / "out.json"

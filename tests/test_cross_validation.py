@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import root
 
 from fraclap import kazdan_warner as kw
+from fraclap.errors import CertificateUnsolvable, InfeasibleStart, NotSolved
 from fraclap.fractional import build_operator, frac_inner
 from fraclap.graph import (
     build_graph,
@@ -23,9 +24,9 @@ from fraclap.spectral import decompose
 
 
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, max_n=6):
     """Random small weighted graph: spanning tree plus optional chords."""
-    n = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=max_n))
     positive = st.floats(min_value=0.1, max_value=10.0)
     mu = [draw(positive) for _ in range(n)]
     edges = []
@@ -72,6 +73,57 @@ def test_divergence_identity_on_random_graphs(g, seed):
     u = rng.standard_normal(g.n)
     lhs = divergence(g, gradient_field(g, u))
     assert np.max(np.abs(lhs + laplacian_apply(g, u))) < 1e-9 * (1 + np.max(np.abs(lhs)))
+
+
+@st.composite
+def signed_kappas(draw, n):
+    """kappa of one sign pattern: positive, negative, one-signed with a zero,
+    identically zero, or mixed."""
+    pattern = draw(st.sampled_from(["positive", "negative", "zeros", "zero", "mixed"]))
+    negative = pattern == "negative" or (pattern == "zeros" and draw(st.booleans()))
+    values = np.array([draw(st.floats(min_value=0.1, max_value=2.0)) for _ in range(n)])
+    values *= -1.0 if negative else 1.0
+    some = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    if pattern == "zeros":
+        values[some] = 0.0
+    elif pattern == "zero":
+        values[:] = 0.0
+    elif pattern == "mixed":
+        values[some] *= -1.0
+    return values
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), s=st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]),
+       c=st.sampled_from([-1.0, -0.1, 0.0, 0.1, 1.0]))
+def test_sign_contract_of_the_integrated_equation(data, s, c):
+    # integrating the equation at any s gives integral(kappa e^u) = c |V|:
+    # where signs make that impossible, the screen certifies it, solve stops
+    # there and the route past the screen finds nothing; anywhere else a
+    # report re-checks within tol, and no solve meets InfeasibleStart
+    g = data.draw(connected_graphs(max_n=8))
+    kappa = data.draw(signed_kappas(g.n))
+    p = kw.KWProblem(graph=g, s=s, c=c, kappa=kappa)
+    op = build_operator(decompose(g), s)
+    kmax, kmin = float(np.max(kappa)), float(np.min(kappa))
+    impossible = (kmax <= 0 if c > 0 else kmin >= 0 if c < 0
+                  else bool(np.any(kappa)) and (kmax <= 0 or kmin >= 0))
+    opts = kw.SolveOptions()
+    if impossible:
+        assert kw.screen(p).status == kw.UNSOLVABLE
+        with pytest.raises(CertificateUnsolvable):
+            kw.solve(p, opts, op=op)
+        with pytest.raises(NotSolved):
+            kw._route(p, opts, op, [])
+        return
+    try:
+        rep = kw.solve(p, opts, op=op)
+    except CertificateUnsolvable:
+        assert kw.screen(p).status == kw.UNSOLVABLE
+    except NotSolved as exc:
+        assert not isinstance(exc, InfeasibleStart)
+    else:
+        assert kw.check_solution(p, rep.solution, op).residual_inf <= opts.tol
 
 
 class TestIndependentRootFinder:

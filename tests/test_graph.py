@@ -197,6 +197,34 @@ class TestFunctionIO:
             integral(p2, np.ones(3))
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda g: build_graph([], []), ValidationError, "at least one vertex"),
+    (lambda g: load_function(g, json.dumps({"vals": {"x1": 0.0, "x2": 1.0}})),
+     ParseError, "malformed function document"),
+    (lambda g: load_function(g, '{"values": {"x1": NaN, "x2": 1.0}}'),
+     DimensionMismatch, "must be finite"),
+    (lambda g: PairwiseField(entries=np.zeros((2, 3))), DimensionMismatch, "must be square"),
+    (lambda g: PairwiseField(entries=np.zeros((2, 2)), support="some"),
+     ValidationError, "unknown support class"),
+    (lambda g: divergence(g, PairwiseField(entries=np.zeros((3, 3)))),
+     DimensionMismatch, "does not match n=2"),
+    (lambda g: pointwise_inner(g, np.zeros((2, 2)), np.zeros((1, 1))),
+     DimensionMismatch, "does not match n=2"),
+], ids=["no-vertices", "no-values", "nan-value", "not-square", "unknown-support",
+        "field-shape", "array-shape"])
+def test_public_input_rejections(p2, call, error, match):
+    with pytest.raises(error, match=match):
+        call(p2)
+
+
+def test_load_graph_takes_a_parsed_document():
+    doc = graph_doc([("x1", 1.0), ("x2", 2.0)], [("x1", "x2", 3.0)])
+    parsed, loaded = load_graph(json.loads(doc)), load_graph(doc)
+    assert parsed.ids == loaded.ids
+    assert np.array_equal(parsed.mu, loaded.mu)
+    assert np.array_equal(parsed.laplacian_matrix(), loaded.laplacian_matrix())
+
+
 class TestIntegral:
     def test_constant_times_volume(self, p2):
         assert integral(p2, np.array([1.0, 1.0])) == 2.0

@@ -85,7 +85,60 @@ class TestScreen:
         assert kw.screen(problem(p2, -1.0, [-1.0, -2.0], s=1.5)).status == kw.SOLVABLE
         # nonpositive with a zero is not covered by the strict high-order clause
         assert kw.screen(problem(p2, -1.0, [0.0, -2.0], s=1.5)).status == kw.UNKNOWN
-        assert kw.screen(problem(p2, 0.0, [-1.0, -2.0], s=1.5)).status == kw.UNKNOWN
+        # integral(kappa e^u) = 0 is impossible for one-signed kappa, at every s
+        assert kw.screen(problem(p2, 0.0, [-1.0, -2.0], s=1.5)).status == kw.UNSOLVABLE
+
+    @pytest.mark.parametrize("c, kappa, at_half, at_three_halves", [
+        (1.0, [1.0, -3.0], "positive-c-solvable", "positive-c-solvable"),
+        (1.0, [0.0, -2.0], "positive-c-fails", "positive-c-fails"),
+        (0.0, [0.0, 0.0], "zero-kappa", "zero-kappa"),
+        (0.0, [1.0, -3.0], "zero-c-solvable", "zero-c-solvable"),
+        (0.0, [1.0, -1.0], "zero-c-fails", "zero-c-unknown"),
+        (0.0, [1.0, 2.0], "zero-c-fails", "zero-c-integrated"),
+        (0.0, [0.0, -2.0], "zero-c-fails", "zero-c-integrated"),
+        (-1.0, [2.0, -1.0], "negative-c-fails", "negative-c-unknown"),
+        (-1.0, [0.0, 1.0], "negative-c-fails", "negative-c-integrated"),
+        (-1.0, [0.0, 0.0], "negative-c-fails", "negative-c-integrated"),
+        (-1.0, [-1.0, -2.0], "negative-c-nonpositive", "negative-c-negative"),
+        (-1.0, [0.0, -2.0], "negative-c-nonpositive", "negative-c-unknown"),
+        (-1.0, [1.0, -3.0], "negative-c-regime", "negative-c-unknown"),
+    ])
+    def test_every_clause_keeps_its_verdict(self, p2, c, kappa, at_half, at_three_halves):
+        # status and reason of each clause at s <= 1 and s > 1; only the two
+        # integrated-equation clauses are new, and they decide only at s > 1
+        clauses = {
+            "positive-c-solvable": (kw.SOLVABLE, "c > 0 and kappa is positive somewhere "
+                                    "(if-and-only-if criterion for positive c)"),
+            "positive-c-fails": (kw.UNSOLVABLE, "c > 0 but kappa is nowhere positive "
+                                 "(positive-c criterion fails)"),
+            "zero-kappa": (kw.SOLVABLE, "c = 0 with kappa identically zero: every "
+                           "constant function solves"),
+            "zero-c-solvable": (kw.SOLVABLE, "c = 0 with sign-changing kappa of negative "
+                                "integral (zero-c criterion)"),
+            "zero-c-fails": (kw.UNSOLVABLE, "c = 0 requires kappa to change sign and have "
+                             "negative integral (zero-c criterion fails)"),
+            "zero-c-unknown": (kw.UNKNOWN, "c = 0 for s > 1: the sufficient clause does not "
+                               "apply and no converse is available"),
+            "zero-c-integrated": (kw.UNSOLVABLE, "c = 0 with kappa one-signed and not "
+                                  "identically zero: integral(kappa e^u) = 0 is impossible "
+                                  "(integrated equation)"),
+            "negative-c-fails": (kw.UNSOLVABLE, "c < 0 requires the integral of kappa to be "
+                                 "negative (necessary condition fails)"),
+            "negative-c-nonpositive": (kw.SOLVABLE, "c < 0 with kappa nonpositive everywhere "
+                                       "and negative integral: solvable for every c < 0"),
+            "negative-c-regime": (kw.REGIME_DEPENDENT, "c < 0 with sign-changing kappa: "
+                                  "solvability depends on the threshold constant"),
+            "negative-c-negative": (kw.SOLVABLE, "c < 0 with kappa negative everywhere "
+                                    "(high-order sufficient clause)"),
+            "negative-c-integrated": (kw.UNSOLVABLE, "c < 0 with kappa nowhere negative: "
+                                      "integral(kappa e^u) = c |V| < 0 is impossible "
+                                      "(integrated equation)"),
+            "negative-c-unknown": (kw.UNKNOWN, "c < 0 for s > 1 without everywhere-negative "
+                                   "kappa: no clause applies"),
+        }
+        for s, clause in ((0.5, at_half), (1.5, at_three_halves)):
+            v = kw.screen(problem(p2, c, kappa, s=s))
+            assert (v.status, v.reasons) == (clauses[clause][0], (clauses[clause][1],))
 
     def test_every_reason_is_a_citation(self, p2):
         for c, kap in ((1.0, [1.0, 1.0]), (0.0, [1.0, -2.0]), (-1.0, [-1.0, -1.0])):
@@ -347,12 +400,15 @@ class TestSolveDispatcher:
         with pytest.raises(NotSolved, match="^newton-continuation: all starts failed"):
             kw.solve(problem(p2, c, [1.0, -3.0], s=s), op=op)
 
-    def test_infeasible_start_ends_the_route(self, p2):
-        # s > 1 leaves c = 0 unscreened; kappa > 0 empties the constraint set
+    def test_infeasible_start_guards_only_a_direct_call(self, p2):
+        # kappa > 0 empties the c = 0 constraint set: the screen certifies
+        # that at every s, so only a direct route call meets InfeasibleStart
         p = problem(p2, 0.0, [1.0, 2.0], s=1.5)
-        assert kw.screen(p).status == kw.UNKNOWN
+        op = build_operator(decompose(p2), 1.5)
+        with pytest.raises(CertificateUnsolvable, match="integrated equation"):
+            kw.solve(p, op=op)
         with pytest.raises(InfeasibleStart):
-            kw.solve(p, op=build_operator(decompose(p2), 1.5))
+            kw.solve_zero_c(p, op=op)
 
 
 class TestSolvePositiveC:
@@ -1359,6 +1415,22 @@ class TestThreshold:
         with pytest.raises(ValueError, match=r"integral\(kappa\) >= 0"):
             kw.estimate_threshold(p2, 0.5, np.zeros(2), tol=1e-3)
 
+    def test_walk_need_claims_no_unsolvability(self):
+        # integral(kappa) > 0 at s = 2.5, which screening leaves open: the
+        # walk cannot start, but c = -0.1373 has a solution, so the error
+        # names the walk's need and not a certificate
+        g = build_graph([(f"p{i}", 1.0) for i in range(4)],
+                        [(f"p{i}", f"p{i + 1}", 1.0) for i in range(3)])
+        kappa = np.array([0.226, 1.318, -1.214, 0.036])
+        op = build_operator(decompose(g), 2.5)
+        with pytest.raises(ValueError, match=r"needs integral\(kappa\) < 0") as exc:
+            kw.estimate_threshold(g, 2.5, kappa, op=op)
+        assert "unsolvable" not in str(exc.value)
+        u, _ = kw._damped_newton(op, kappa, -0.1373, np.array([-0.17, 0.49, 2.05, 5.21]),
+                                 kw.SolveOptions())
+        p = problem(g, -0.1373, kappa, s=2.5)
+        assert kw.check_solution(p, u, op).residual_inf <= 1e-8
+
     def test_minus_infinity_only_where_screening_certifies_it(self, p2):
         # at s > 1 the sufficient clause needs kappa < 0 everywhere; a zero
         # entry leaves the screen open, so the driver brackets it
@@ -1465,6 +1537,29 @@ class TestScreenSolveConsistency:
                 except NotSolved:
                     solvable_failures.append((c, kappa))
         assert not solvable_failures
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda p2, op: problem(p2, math.nan, [1.0, -3.0]), "c must be finite"),
+    (lambda p2, op: problem(p2, -math.inf, [1.0, -3.0]), "c must be finite"),
+    (lambda p2, op: kw.solve_positive_c(problem(p2, 0.0, [1.0, -3.0]), op=op),
+     "requires c > 0"),
+    (lambda p2, op: kw.solve_zero_c(problem(p2, 1.0, [1.0, -3.0]), op=op), "requires c == 0"),
+    (lambda p2, op: kw.construct_upper_solution(problem(p2, 0.0, [1.0, -3.0]), op=op),
+     "for c < 0 only"),
+    (lambda p2, op: kw.solve_negative_c_monotone(problem(p2, 0.0, [1.0, -3.0]), [0.0, 0.0],
+                                                 op=op), "requires c < 0"),
+    (lambda p2, op: kw.solve(problem(p2, 1.0, [1.0, -3.0]), kw.SolveOptions(method="fast"),
+                             op=op), "unknown method 'fast'"),
+    (lambda p2, op: kw.solve(problem(p2, 1.0, [1.0, -3.0]),
+                             kw.SolveOptions(method="monotone"), op=op), "requires c < 0"),
+    (lambda p2, op: kw.solve(problem(p2, -1.0, [1.0, -3.0], s=1.5),
+                             kw.SolveOptions(method="monotone")), "unavailable for s > 1"),
+], ids=["nan-c", "infinite-c", "positive-route", "zero-route", "upper-solution",
+        "monotone-route", "unknown-method", "monotone-at-positive-c", "monotone-above-1"])
+def test_public_input_rejections(p2, op_p2, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(p2, op_p2)
 
 
 class TestSettingsAndOperatorChecks:

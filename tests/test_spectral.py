@@ -46,6 +46,14 @@ class TestDecompose:
         with pytest.raises(NumericalError, match="threshold 2e-10 "):
             decompose(g)
 
+    def test_missing_zero_mode_raises(self, k3, monkeypatch):
+        # every later step reads the zero mode at index 0, so a spectrum
+        # with none at or below the threshold is refused, not masked away
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] + 1.0, eigh(a)[1]))
+        with pytest.raises(NumericalError, match="^0 eigenvalues fall"):
+            decompose(k3)
+
     def test_single_vertex_keeps_its_zero_mode(self):
         # lambda_max = 0 makes the threshold 0, which the zero mode meets
         sd = decompose(build_graph([("only", 2.0)], []))
