@@ -223,18 +223,12 @@ def _cmd_poisson(args):
     return EXIT_OK
 
 
-def _flag_at_least(flag, value, low):
-    if value < low:
-        raise ValueError(f"{flag} must be at least {low}, got {value}")
-
-
 def _cmd_kw(args):
-    _flag_at_least("--max-iter", args.max_iter, 1)
     g = _graph(args)
     _warn_integer_order(args.s)
     kappa = load_function(g, _read(args.kappa))
     problem = kw.KWProblem(graph=g, s=args.s, c=args.c, kappa=kappa)
-    opts = kw.SolveOptions(tol=args.tol, max_iter_monotone=args.max_iter, method=args.method)
+    opts = kw.SolveOptions(tol=args.tol, method=args.method)
     try:
         report = kw.solve(problem, opts)
     except CertificateUnsolvable as exc:
@@ -260,7 +254,8 @@ def _cmd_threshold(args):
 
 
 def _cmd_check(args):
-    _flag_at_least("--seed", args.seed, 0)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     g = _graph(args)
     s_list = args.s if args.s else [0.5]
     report = run_suite(g, s_list=s_list, seed=args.seed)
@@ -315,8 +310,6 @@ def build_parser():
     p.add_argument("--method", choices=["auto", "variational", "monotone", "newton"],
                    default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=10_000,
-                   help="monotone sweep cap")
 
     p = add("threshold", _cmd_threshold, "bracket the negative-c solvability threshold")
     p.add_argument("--s", type=float, required=True)

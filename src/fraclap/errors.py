@@ -44,9 +44,11 @@ class MonotonicityViolation(NumericalError):
 class NotSolved(FraclapError):
     """All solution routes failed within their iteration caps.
 
-    The message starts with the tag of the route that raised it. ``trace``,
-    which ``solve`` fills, holds one message per failed attempt, in order,
-    this one last.
+    The message starts with the tag of the route that raised it, and says
+    how the attempt failed: a candidate rejected by the residual check, a
+    sweep cap reached, an empty constraint set (a variational step run past
+    the screen) or a nonpositive multiplier. ``trace``, which ``solve``
+    fills, holds one message per failed attempt, in order, this one last.
     """
 
     trace = ()
@@ -58,16 +60,6 @@ class CertificateUnsolvable(FraclapError):
     def __init__(self, message, verdict=None):
         super().__init__(message)
         self.verdict = verdict
-
-
-class InfeasibleStart(NotSolved):
-    """A variational route, called directly, found its constraint set empty:
-    kappa's signs leave no start. Screening certifies every such input
-    unsolvable, so ``solve`` raises CertificateUnsolvable instead."""
-
-
-class MultiplierSignError(NotSolved):
-    """The Euler-Lagrange multiplier came out nonpositive (false convergence)."""
 
 
 class NotAnUpperSolution(FraclapError):

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidExponent, QuadratureError
-from .graph import (ALL_PAIRS, PairwiseField, as_function, check_tol, gradient_field,
+from .graph import (PairwiseField, as_function, check_tol, gradient_field,
                     iterated_laplacian, mu_inner)
 from .spectral import SpectralDecomposition
 
@@ -280,10 +280,7 @@ def frac_gradient(op, u):
     if op.kernel is None:
         return PairwiseField(entries=cols) if op.m % 2 else cols[:, 0]
     coeff = np.sqrt(op.kernel / (2.0 * op.graph.mu[:, None]))
-    fields = [
-        PairwiseField(entries=coeff * (f[:, None] - f[None, :]), support=ALL_PAIRS)
-        for f in cols.T
-    ]
+    fields = [PairwiseField(entries=coeff * (f[:, None] - f[None, :])) for f in cols.T]
     return fields if op.m % 2 else fields[0]
 
 

@@ -25,9 +25,6 @@ from .errors import (
     ValidationError,
 )
 
-ADJACENCY = "adjacency-only"
-ALL_PAIRS = "all-pairs"
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -284,11 +281,10 @@ class PairwiseField:
 
     The component indexed by the second vertex, f_y(x) := F(x, y), realizes
     vector-valued functions with a fixed global component ordering. Zero
-    diagonal; adjacency-supported fields vanish on non-edges.
+    diagonal.
     """
 
     entries: np.ndarray
-    support: str = ADJACENCY
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -296,13 +292,7 @@ class PairwiseField:
             raise DimensionMismatch(f"field must be square, got {e.shape}")
         if np.max(np.abs(np.diagonal(e))) != 0.0:
             raise ValidationError("pairwise field must have zero diagonal")
-        if self.support not in (ADJACENCY, ALL_PAIRS):
-            raise ValidationError(f"unknown support class {self.support!r}")
         object.__setattr__(self, "entries", e)
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
 
 
 def _field_entries(g, F):
@@ -348,7 +338,7 @@ def gradient_field(g, u):
     u = as_function(g, u)
     coeff = g.sparse_gradient_coeff.toarray()
     entries = coeff * (u[:, None] - u[None, :])
-    return PairwiseField(entries=entries, support=ADJACENCY)
+    return PairwiseField(entries=entries)
 
 
 def pointwise_inner(g, F, G):

@@ -22,9 +22,7 @@ import numpy as np
 
 from .errors import (
     CertificateUnsolvable,
-    InfeasibleStart,
     MonotonicityViolation,
-    MultiplierSignError,
     NotAnUpperSolution,
     NotSolved,
     SingularSystem,
@@ -62,18 +60,17 @@ class KWProblem:
 
 _STEP_TOL = 1e-10  # a monotone step this small triggers a residual check
 _MAX_ITER_NEWTON = 200  # cap on each damped-Newton and trust-region run
+_MAX_ITER_MONOTONE = 10_000  # cap on the sweeps of each monotone iteration
 _DRIFT_REL = 1e-3  # a residual above this times the equation's scale is not a solution
 
 
 @dataclass
 class SolveOptions:
     """The settings a caller chooses: ``tol``, the sup-norm residual every
-    returned solution is verified to (finite, positive); ``max_iter_monotone``,
-    the monotone sweep cap; ``method``, "auto", "variational", "monotone" or
-    "newton"."""
+    returned solution is verified to (finite, positive), and ``method``,
+    "auto", "variational", "monotone" or "newton"."""
 
     tol: float = 1e-8
-    max_iter_monotone: int = 10_000
     method: str = "auto"
 
 
@@ -553,8 +550,9 @@ def auxiliary_phi0(p, op=None):
 # c > 0: constrained minimization via the logarithmic shift
 
 
-def solve_positive_c(p, opts=None, op=None):
-    """Minimize the energy functional over the positive-c constraint set.
+def _solve_positive_c(p, opts, op):
+    """_route's step for c > 0: minimize the energy functional over the
+    positive-c constraint set. solve has checked opts and op.
 
     The constraint integral(kappa e^u) = c |V| is eliminated exactly by the
     shift u = v + log(c |V| / integral(kappa e^v)), leaving an unconstrained
@@ -566,10 +564,6 @@ def solve_positive_c(p, opts=None, op=None):
     energy matrix + mu mu^T - c |V| (diag(w) - w w^T) must have a Cholesky
     factor, or NotSolved is raised.
     """
-    opts = opts or SolveOptions()
-    if p.c <= 0:
-        raise ValueError("positive-c route requires c > 0")
-    op = _ensure_operator(p.graph, p.s, op)
     g = p.graph
     kappa, c, mu, vol = p.kappa, p.c, g.mu, g.volume
     cv = c * vol
@@ -628,7 +622,7 @@ def _positive_start(p):
         return v
     best = int(np.argmax(kappa))
     if kappa[best] <= 0:
-        raise InfeasibleStart("variational-positive-c: kappa is nowhere positive")
+        raise NotSolved("variational-positive-c: kappa is nowhere positive")
     rest = float(np.dot(kappa, mu)) - kappa[best] * mu[best]
     with np.errstate(over="ignore", divide="ignore"):
         ratio = (1.0 + abs(rest)) / (kappa[best] * mu[best])
@@ -642,10 +636,10 @@ def _positive_start(p):
 # c = 0: minimization on the two-constraint manifold
 
 
-def solve_zero_c(p, opts=None, op=None):
-    """Minimize the fractional Dirichlet energy subject to
-    integral(u) = 0 and integral(kappa e^u) = 0, then shift by the
-    Euler-Lagrange multiplier.
+def _solve_zero_c(p, opts, op):
+    """_route's step for c = 0: minimize the fractional Dirichlet energy
+    subject to integral(u) = 0 and integral(kappa e^u) = 0, then shift by
+    the Euler-Lagrange multiplier. solve has checked opts and op.
 
     _trust_region, as for c > 0, minimizes F(v) = z^T S z / 2 with
     z = _restore_constraint(v) = v + beta(v) b on the constraint set, S the
@@ -658,17 +652,13 @@ def solve_zero_c(p, opts=None, op=None):
     answer is u0 + log(multiplier), polished by damped Newton and returned
     through _verified.
     """
-    opts = opts or SolveOptions()
-    if p.c != 0:
-        raise ValueError("zero-c route requires c == 0")
-    op = _ensure_operator(p.graph, p.s, op)
     g = p.graph
     kappa, mu = p.kappa, g.mu
     if not np.any(kappa):
         # every constant solves, and every mean-zero u meets the constraints
         return _verified(p, op, np.zeros(g.n), "variational-zero-c", 0, opts, 0.0)
     if float(np.max(kappa)) <= 0 or float(np.min(kappa)) >= 0:
-        raise InfeasibleStart("variational-zero-c: constraint set empty: kappa must change sign")
+        raise NotSolved("variational-zero-c: constraint set empty: kappa must change sign")
 
     bump = _meanzero_bump(g, kappa)
     pin = mu * bump
@@ -697,13 +687,11 @@ def solve_zero_c(p, opts=None, op=None):
     with np.errstate(over="ignore"):
         denom = integral(g, kappa * u * np.exp(u))
     if denom == 0:
-        raise MultiplierSignError(
-            "variational-zero-c: multiplier denominator vanished (false convergence)")
+        raise NotSolved("variational-zero-c: multiplier denominator vanished (false convergence)")
     multiplier = 2.0 * theta / denom
     if multiplier <= 0:
-        raise MultiplierSignError(
-            f"variational-zero-c: multiplier {multiplier:.3e} <= 0 (false convergence)"
-        )
+        raise NotSolved(
+            f"variational-zero-c: multiplier {multiplier:.3e} <= 0 (false convergence)")
     shifted = u + math.log(multiplier)
 
     polished, extra = _damped_newton(op, kappa, 0.0, shifted, opts)
@@ -921,11 +909,15 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
     oversized shift is what slows the contraction. A sweep with a step of at
     most 1e-10 leaves through _verified once its residual is within tol or
     no lower than that of an earlier such sweep, since round-off then stops
-    the residual from falling. Pass a list as ``trace`` to record iterates.
+    the residual from falling; after _MAX_ITER_MONOTONE sweeps NotSolved is
+    raised. Pass a list as ``trace`` to record iterates. Order preservation
+    needs s <= 1, so s > 1 raises ValueError, as c >= 0 does.
     """
     opts = opts or SolveOptions()
     if p.c >= 0:
         raise ValueError("monotone iteration requires c < 0")
+    if p.s > 1.0:
+        raise ValueError("monotone route is unavailable for s > 1 (no order preservation)")
     op = _ensure_operator(p.graph, p.s, op)
     g = p.graph
     kappa, c = p.kappa, p.c
@@ -958,7 +950,7 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
         trace.append(u.copy())
     tol_mono = 1e-12 * (1.0 + float(np.max(np.abs(u_plus))) + abs(lower))
     floor = math.inf  # the lowest residual of a small step so far
-    for it in range(1, opts.max_iter_monotone + 1):
+    for it in range(1, _MAX_ITER_MONOTONE + 1):
         rhs = g.mu * (phi * u + kappa * np.exp(u) - c)
         u_next = chol_solve(rhs)
         if float(np.max(u_next - u)) > tol_mono:
@@ -1064,7 +1056,7 @@ def _route(p, opts, op, failed):
         try:
             if p.c < 0:
                 return solve_negative_c_monotone(p, upper, opts, op)
-            return (solve_positive_c if p.c > 0 else solve_zero_c)(p, opts, op)
+            return (_solve_positive_c if p.c > 0 else _solve_zero_c)(p, opts, op)
         except (NotSolved, NotAnUpperSolution, MonotonicityViolation) as exc:
             failed.append(exc)
     if opts.method in ("variational", "monotone"):

@@ -353,11 +353,25 @@ class TestKwCmd:
         # far below the threshold for this kappa: no solution exists
         kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
         code, out, err = run_cli(
-            capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "-5.0",
-                     "--kappa", kap, "--max-iter", "500"])
+            capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "-5.0", "--kappa", kap])
         assert code == 3
         assert out == ""
         assert re.fullmatch(NEWTON_FAILED, err)
+
+    def test_monotone_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        # one sweep leaves both monotone attempts at the cap, and the last is
+        # the one error line
+        monkeypatch.setattr(kw, "_MAX_ITER_MONOTONE", 1)
+        path5 = tmp_path / "path5.json"
+        path5.write_text(json.dumps({
+            "vertices": [{"id": f"v{i}", "mu": 1.0} for i in range(5)],
+            "edges": [{"src": f"v{i}", "dst": f"v{i + 1}", "w": 1.0} for i in range(4)]}))
+        kap = fn_file(tmp_path, "k5.json", dict(zip([f"v{i}" for i in range(5)],
+                                                    [-1.0, -2.0, -0.5, -1.0, -1.5])))
+        code, out, err = run_cli(capsys, ["kw", "--graph", str(path5), "--s", "0.5", "--c", "-1",
+                                          "--kappa", kap, "--method", "monotone"])
+        assert (code, out) == (3, "")
+        assert err == "error: search failure: monotone-iteration: iteration cap reached\n"
 
     def test_subnormal_negative_c_exit_3(self, p2_file, tmp_path, capsys):
         # c / 2 underflows to -0.0, where the stable walk has no start
@@ -803,27 +817,18 @@ class TestProcessInvocation:
          "search failure: newton-continuation: all starts failed"),
         (["kw", "--graph", "{heavy}", "--s", "0.5", "--c", "-1e300", "--kappa", "{kneg}"], 3,
          "search failure: newton-continuation: all starts failed"),
-        (["kw", "--graph", "{path5}", "--s", "0.5", "--c", "-1", "--kappa", "{k5}",
-          "--method", "monotone", "--max-iter", "1"], 3,
-         "search failure: monotone-iteration: iteration cap reached"),
     ], ids=["missing-file", "apply-negative-s", "kernel-s-above-one",
             "kw-search-failure", "kernel-quadrature-failure", "kw-overflowing-positive-c",
-            "kw-overflowing-positive-c-s2.5", "kw-overflowing-negative-c", "kw-monotone-cap"])
+            "kw-overflowing-positive-c-s2.5", "kw-overflowing-negative-c"])
     def test_usage_error_printed_once(
             self, p2_file, tmp_path, isolated_cli, argv, exit_code, message):
         heavy = tmp_path / "heavy.json"
         heavy.write_text(json.dumps({**P2_DOC, "vertices": [{"id": "x1", "mu": 1e9},
                                                             {"id": "x2", "mu": 1.0}]}))
-        path5 = tmp_path / "path5.json"
-        path5.write_text(json.dumps({
-            "vertices": [{"id": f"v{i}", "mu": 1.0} for i in range(5)],
-            "edges": [{"src": f"v{i}", "dst": f"v{i + 1}", "w": 1.0} for i in range(4)]}))
-        k5 = dict(zip([f"v{i}" for i in range(5)], [-1.0, -2.0, -0.5, -1.0, -1.5]))
         paths = {"p2": p2_file, "u": fn_file(tmp_path, "u.json", {"x1": 1.0, "x2": -1.0}),
                  "k": fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0}),
                  "kneg": fn_file(tmp_path, "kneg.json", {"x1": -1.0, "x2": -2.0}),
-                 "heavy": str(heavy), "path5": str(path5), "k5": fn_file(tmp_path, "k5.json", k5),
-                 "tmp": str(tmp_path)}
+                 "heavy": str(heavy), "tmp": str(tmp_path)}
         code, out, err = isolated_cli([a.format(**paths) for a in argv])
         assert code == exit_code
         assert out == ""
@@ -870,13 +875,15 @@ class TestInvalidNumericFlags:
                      "--kappa", kap, "--cap", cap],
             "cap must be at least 1")
 
-    @pytest.mark.parametrize("max_iter", ["0", "-1"])
-    def test_kw_max_iter_at_least_one(self, p2_file, tmp_path, capsys, max_iter):
+    def test_kw_takes_no_max_iter(self, p2_file, tmp_path, capsys):
+        # the monotone sweep cap is fixed, like the Newton and trust-region caps
         kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
         self.assert_usage_error(
             capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "-1.0",
-                     "--kappa", kap, "--method", "monotone", "--max-iter", max_iter],
-            "--max-iter must be at least 1")
+                     "--kappa", kap, "--method", "monotone", "--max-iter", "5"],
+            "unrecognized arguments: --max-iter 5")
+        with pytest.raises(TypeError, match="max_iter_monotone"):
+            kw.SolveOptions(max_iter_monotone=5)
 
     @pytest.mark.parametrize("command", ["kw", "check"])
     def test_seed_nonnegative(self, p2_file, tmp_path, capsys, command):

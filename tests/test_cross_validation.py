@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import root
 
 from fraclap import kazdan_warner as kw
-from fraclap.errors import CertificateUnsolvable, InfeasibleStart, NotSolved
+from fraclap.errors import CertificateUnsolvable, NotSolved
 from fraclap.fractional import build_operator, frac_inner
 from fraclap.graph import (
     build_graph,
@@ -100,7 +100,7 @@ def test_sign_contract_of_the_integrated_equation(data, s, c):
     # integrating the equation at any s gives integral(kappa e^u) = c |V|:
     # where signs make that impossible, the screen certifies it, solve stops
     # there and the route past the screen finds nothing; anywhere else a
-    # report re-checks within tol, and no solve meets InfeasibleStart
+    # report re-checks within tol, and no solve meets a variational sign guard
     g = data.draw(connected_graphs(max_n=8))
     kappa = data.draw(signed_kappas(g.n))
     p = kw.KWProblem(graph=g, s=s, c=c, kappa=kappa)
@@ -121,7 +121,9 @@ def test_sign_contract_of_the_integrated_equation(data, s, c):
     except CertificateUnsolvable:
         assert kw.screen(p).status == kw.UNSOLVABLE
     except NotSolved as exc:
-        assert not isinstance(exc, InfeasibleStart)
+        guards = ("variational-zero-c: constraint set empty: kappa must change sign",
+                  "variational-positive-c: kappa is nowhere positive")
+        assert not any(entry.startswith(guards) for entry in exc.trace)
     else:
         assert kw.check_solution(p, rep.solution, op).residual_inf <= opts.tol
 
@@ -173,7 +175,7 @@ class TestConstrainedMinimumQuality:
         op = build_operator(decompose(k3), 0.5)
         c, k0 = 1.5, 2.0
         p = kw.KWProblem(graph=k3, s=0.5, c=c, kappa=np.full(3, k0))
-        rep = kw.solve_positive_c(p, op=op)
+        rep = kw.solve(p, kw.SolveOptions(method="variational"), op=op)
         expected_energy = c * k3.volume * math.log(c / k0)
         assert rep.energy == pytest.approx(expected_energy, abs=1e-9)
 
@@ -184,5 +186,5 @@ class TestConstrainedMinimumQuality:
         kappa -= integral(path10, kappa) / path10.volume + 0.4
         p = kw.KWProblem(graph=path10, s=0.5, c=0.0, kappa=kappa)
         if kw.screen(p).status == kw.SOLVABLE:
-            rep = kw.solve_zero_c(p, op=op)
+            rep = kw.solve(p, kw.SolveOptions(method="variational"), op=op)
             assert rep.energy > 0.0

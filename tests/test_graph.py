@@ -204,14 +204,12 @@ class TestFunctionIO:
     (lambda g: load_function(g, '{"values": {"x1": NaN, "x2": 1.0}}'),
      DimensionMismatch, "must be finite"),
     (lambda g: PairwiseField(entries=np.zeros((2, 3))), DimensionMismatch, "must be square"),
-    (lambda g: PairwiseField(entries=np.zeros((2, 2)), support="some"),
-     ValidationError, "unknown support class"),
     (lambda g: divergence(g, PairwiseField(entries=np.zeros((3, 3)))),
      DimensionMismatch, "does not match n=2"),
     (lambda g: pointwise_inner(g, np.zeros((2, 2)), np.zeros((1, 1))),
      DimensionMismatch, "does not match n=2"),
-], ids=["no-vertices", "no-values", "nan-value", "not-square", "unknown-support",
-        "field-shape", "array-shape"])
+], ids=["no-vertices", "no-values", "nan-value", "not-square", "field-shape",
+        "array-shape"])
 def test_public_input_rejections(p2, call, error, match):
     with pytest.raises(error, match=match):
         call(p2)
@@ -303,7 +301,6 @@ class TestGradientField:
         f = gradient_field(p2, np.array([1.0, -1.0]))
         assert f.entries[0, 1] == pytest.approx(SQRT2, abs=1e-12)
         assert f.entries[1, 0] == pytest.approx(-SQRT2, abs=1e-12)
-        assert f.support == "adjacency-only"
 
     def test_constant_zero_everywhere(self, er20):
         f = gradient_field(er20, np.full(er20.n, 4.2))
@@ -373,7 +370,7 @@ class TestDivergence:
         rng = np.random.default_rng(4)
         entries = rng.standard_normal((er20.n, er20.n))
         np.fill_diagonal(entries, 0.0)
-        f = PairwiseField(entries=entries, support="all-pairs")
+        f = PairwiseField(entries=entries)
         for _ in range(10):
             phi = rng.standard_normal(er20.n)
             lhs = integral(er20, divergence(er20, f) * phi)

@@ -10,7 +10,6 @@ from fraclap import kazdan_warner as kw
 from fraclap.errors import (
     CertificateUnsolvable,
     FraclapError,
-    InfeasibleStart,
     InvalidExponent,
     NotAnUpperSolution,
     NotSolved,
@@ -36,6 +35,11 @@ def op_er20(er20):
 
 def problem(g, c, kappa, s=0.5):
     return kw.KWProblem(graph=g, s=s, c=c, kappa=np.asarray(kappa, dtype=float))
+
+
+def minimize(p, op):
+    """The variational route alone: the minimization, screened and re-checked."""
+    return kw.solve(p, kw.SolveOptions(method="variational"), op=op)
 
 
 def assert_probes_below_earlier_successes(est):
@@ -230,13 +234,13 @@ class TestSolveDispatcher:
         assert all(got.startswith(want) for got, want in zip(exc.value.trace, trace))
         assert exc.value.trace[-1] == str(exc.value)
 
-    def test_each_paper_attempt_is_traced(self, p2, op_p2):
+    def test_each_paper_attempt_is_traced(self, p2, op_p2, monkeypatch):
         # "monotone" runs from the affine upper solution and then from the
         # continuation point; one sweep leaves each at the cap
+        monkeypatch.setattr(kw, "_MAX_ITER_MONOTONE", 1)
         p = problem(p2, -0.01, [-0.1, -4.0])
-        opts = kw.SolveOptions(method="monotone", max_iter_monotone=1)
         with pytest.raises(NotSolved) as exc:
-            kw.solve(p, opts, op=op_p2)
+            kw.solve(p, kw.SolveOptions(method="monotone"), op=op_p2)
         assert exc.value.trace == ("monotone-iteration: iteration cap reached",) * 2
 
     @pytest.mark.parametrize("c, kappa, s, settings", [
@@ -244,13 +248,17 @@ class TestSolveDispatcher:
         (0.0, [2.0, -3.0], 0.5, {"tol": 1e-300}),
         (0.0, [1.0, -1.0], 2.0, {}),  # both routes drift
         (-0.01, [-0.1, -4.0], 0.5, {"tol": 1e-300}),
-        (-0.01, [-0.1, -4.0], 0.5, {"method": "monotone", "max_iter_monotone": 1}),
+        (-0.01, [-0.1, -4.0], 0.5, {"method": "monotone", "sweeps": 1}),
         (-5.0, [1.0, -3.0], 0.5, {}),  # far past the threshold
         (-5.0, [1.0, -3.0], 0.5, {"method": "monotone"}),
     ])
-    def test_every_trace_entry_begins_with_a_route_tag(self, p2, c, kappa, s, settings):
+    def test_every_trace_entry_begins_with_a_route_tag(self, p2, monkeypatch, c, kappa, s,
+                                                       settings):
         tags = ("variational-positive-c", "variational-zero-c", "monotone-iteration",
                 "newton-continuation")
+        settings = dict(settings)
+        if "sweeps" in settings:  # the monotone sweep cap
+            monkeypatch.setattr(kw, "_MAX_ITER_MONOTONE", settings.pop("sweeps"))
         op = build_operator(decompose(p2), s)
         with pytest.raises(NotSolved) as exc:
             kw.solve(problem(p2, c, kappa, s=s), kw.SolveOptions(**settings), op=op)
@@ -400,15 +408,24 @@ class TestSolveDispatcher:
         with pytest.raises(NotSolved, match="^newton-continuation: all starts failed"):
             kw.solve(problem(p2, c, [1.0, -3.0], s=s), op=op)
 
-    def test_infeasible_start_guards_only_a_direct_call(self, p2):
-        # kappa > 0 empties the c = 0 constraint set: the screen certifies
-        # that at every s, so only a direct route call meets InfeasibleStart
-        p = problem(p2, 0.0, [1.0, 2.0], s=1.5)
-        op = build_operator(decompose(p2), 1.5)
-        with pytest.raises(CertificateUnsolvable, match="integrated equation"):
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    @pytest.mark.parametrize("c, kappa, guard", [
+        (0.0, [1.0, 2.0, 0.5], "variational-zero-c: constraint set empty: kappa must change sign"),
+        (1.0, [-1.0, -2.0, -0.5], "variational-positive-c: kappa is nowhere positive"),
+    ], ids=["zero-c", "positive-c"])
+    def test_route_past_the_screen_meets_the_sign_guard(self, c, kappa, guard, s):
+        # these signs leave the variational step no start: the screen
+        # certifies that at every s, and the route past it records the
+        # step's guard, then Newton from zero fails as well
+        g = build_graph([(f"p{i}", 1.0) for i in range(3)],
+                        [("p0", "p1", 1.0), ("p1", "p2", 1.0)])
+        p, op = problem(g, c, kappa, s=s), build_operator(decompose(g), s)
+        with pytest.raises(CertificateUnsolvable):
             kw.solve(p, op=op)
-        with pytest.raises(InfeasibleStart):
-            kw.solve_zero_c(p, op=op)
+        failed = []
+        with pytest.raises(NotSolved, match="^newton-continuation: all starts failed"):
+            kw._route(p, kw.SolveOptions(), op, failed)
+        assert type(failed[0]) is NotSolved and str(failed[0]) == guard
 
 
 class TestSolvePositiveC:
@@ -435,18 +452,18 @@ class TestSolvePositiveC:
         assert kw.check_solution(p, rep.solution, op).residual_inf <= 1e-8
 
     def test_trivial_constant(self, p2, op_p2):
-        rep = kw.solve_positive_c(problem(p2, 1.0, [1.0, 1.0]), op=op_p2)
+        rep = minimize(problem(p2, 1.0, [1.0, 1.0]), op_p2)
         assert np.allclose(rep.solution, 0.0, atol=1e-12)
         assert rep.energy == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_ansatz(self, p2, op_p2):
-        rep = kw.solve_positive_c(problem(p2, 1.0, [2.0, 2.0]), op=op_p2)
+        rep = minimize(problem(p2, 1.0, [2.0, 2.0]), op_p2)
         assert np.allclose(rep.solution, -math.log(2.0), atol=1e-9)
         assert rep.residual_inf <= 1e-9
 
     def test_sign_changing_kappa(self, p2, op_p2):
         p = problem(p2, 1.0, [2.0, -1.0])
-        rep = kw.solve_positive_c(p, op=op_p2)
+        rep = minimize(p, op_p2)
         assert rep.residual_inf <= 1e-8
         mass = integral(p2, p.kappa * np.exp(rep.solution))
         assert mass == pytest.approx(1.0 * p2.volume, abs=1e-8)
@@ -458,7 +475,7 @@ class TestSolvePositiveC:
             kappa[int(rng.integers(er20.n))] = abs(rng.standard_normal()) + 0.5
             c = float(rng.uniform(0.2, 2.0))
             p = problem(er20, c, kappa)
-            rep = kw.solve_positive_c(p, op=op_er20)
+            rep = minimize(p, op_er20)
             assert rep.residual_inf <= 1e-8
             mass = integral(er20, p.kappa * np.exp(rep.solution))
             assert mass == pytest.approx(c * er20.volume, rel=1e-7)
@@ -508,7 +525,7 @@ class TestSolvePositiveC:
         # route must fail as a search, so that Newton gets its turn
         p = problem(p2, c, [1.0, -3.0])
         with pytest.raises(NotSolved, match="^variational-positive-c: candidate is not finite"):
-            kw.solve_positive_c(p, op=op_p2)
+            minimize(p, op_p2)
         with pytest.raises(NotSolved, match="^newton-continuation: all starts failed"):
             kw.solve(p, op=op_p2)
 
@@ -535,7 +552,7 @@ class TestSolvePositiveC:
         p = problem(g, float(rng.uniform(0.5, 2.0)), rng.normal(size=g.n))
         chol = counting(monkeypatch, scipy.linalg, "cho_factor")
         lu = counting(monkeypatch, np.linalg, "solve")
-        rep = kw.solve_positive_c(p, op=op)
+        rep = minimize(p, op)
         assert rep.residual_inf <= 1e-8
         assert len(chol) == 1 and lu == []
         assert reduced_hessian_is_definite(p, op, rep.solution)
@@ -547,28 +564,28 @@ class TestSolvePositiveC:
                             lambda *args, **kwargs: calls.append(1) or fail_cholesky())
         with pytest.raises(NotSolved, match="^variational-positive-c did not end at a "
                                             "minimizer") as exc:
-            kw.solve_positive_c(problem(p2, 1.0, [2.0, -1.0]), op=op_p2)
-        assert exc.value.trace == ()  # only solve fills the trace
+            minimize(problem(p2, 1.0, [2.0, -1.0]), op_p2)
+        assert exc.value.trace == (str(exc.value),)  # the route's one attempt
         assert calls == [1]
 
 
 class TestSolveZeroC:
     def test_manufactured(self, p2, op_p2):
         kappa = [SQRT2 * math.exp(-1.0), -SQRT2 * math.e]
-        rep = kw.solve_zero_c(problem(p2, 0.0, kappa), op=op_p2)
+        rep = minimize(problem(p2, 0.0, kappa), op_p2)
         assert rep.residual_inf <= 1e-8
         assert abs(integral(p2, np.asarray(kappa) * np.exp(rep.solution))) <= 1e-8
 
     def test_p2_instance(self, p2, op_p2):
         p = problem(p2, 0.0, [1.0, -2.0])
-        rep = kw.solve_zero_c(p, op=op_p2)
+        rep = minimize(p, op_p2)
         assert rep.residual_inf <= 1e-8
         assert abs(integral(p2, p.kappa * np.exp(rep.solution))) <= 1e-8
 
     def test_kappa_identically_zero(self, p2, op_p2):
         # every constant solves and every mean-zero u meets the constraints
         p = problem(p2, 0.0, [0.0, 0.0])
-        rep = kw.solve_zero_c(p, op=op_p2)
+        rep = minimize(p, op_p2)
         assert np.array_equal(rep.solution, np.zeros(2))
         assert rep.residual_inf == 0.0
         assert kw.check_solution(p, rep.solution, op_p2).residual_inf == 0.0
@@ -583,7 +600,7 @@ class TestSolveZeroC:
         kappa = np.exp(-u_star) * (op_er20.op_matrix @ u_star)
         p = problem(er20, 0.0, kappa)
         assert kw.screen(p).status == kw.SOLVABLE
-        rep = kw.solve_zero_c(p, op=op_er20)
+        rep = minimize(p, op_er20)
         assert rep.residual_inf <= 1e-8
         assert rep.iterations <= 60
 
@@ -689,7 +706,7 @@ class TestTrustRegion:
         real = kw._trust_region
         monkeypatch.setattr(kw, "_trust_region",
                             lambda fun, *args: funs.append(fun) or real(fun, *args))
-        (kw.solve_zero_c if c == 0 else kw.solve_positive_c)(problem(g, c, kappa), op=op)
+        minimize(problem(g, c, kappa), op)
         objective, h = funs[0], 1e-6
         for _ in range(3):
             f, d = math.inf, rng.normal(size=g.n)
@@ -1542,21 +1559,23 @@ class TestScreenSolveConsistency:
 @pytest.mark.parametrize("call, match", [
     (lambda p2, op: problem(p2, math.nan, [1.0, -3.0]), "c must be finite"),
     (lambda p2, op: problem(p2, -math.inf, [1.0, -3.0]), "c must be finite"),
-    (lambda p2, op: kw.solve_positive_c(problem(p2, 0.0, [1.0, -3.0]), op=op),
-     "requires c > 0"),
-    (lambda p2, op: kw.solve_zero_c(problem(p2, 1.0, [1.0, -3.0]), op=op), "requires c == 0"),
     (lambda p2, op: kw.construct_upper_solution(problem(p2, 0.0, [1.0, -3.0]), op=op),
      "for c < 0 only"),
     (lambda p2, op: kw.solve_negative_c_monotone(problem(p2, 0.0, [1.0, -3.0]), [0.0, 0.0],
                                                  op=op), "requires c < 0"),
+    (lambda p2, op: kw.solve_negative_c_monotone(problem(p2, -1.0, [1.0, -3.0], s=1.5),
+                                                 [0.0, 0.0]), "unavailable for s > 1"),
     (lambda p2, op: kw.solve(problem(p2, 1.0, [1.0, -3.0]), kw.SolveOptions(method="fast"),
                              op=op), "unknown method 'fast'"),
+    (lambda p2, op: kw.solve(problem(p2, -1.0, [1.0, -3.0]),
+                             kw.SolveOptions(method="variational"), op=op), "covers c >= 0 only"),
     (lambda p2, op: kw.solve(problem(p2, 1.0, [1.0, -3.0]),
                              kw.SolveOptions(method="monotone"), op=op), "requires c < 0"),
     (lambda p2, op: kw.solve(problem(p2, -1.0, [1.0, -3.0], s=1.5),
                              kw.SolveOptions(method="monotone")), "unavailable for s > 1"),
-], ids=["nan-c", "infinite-c", "positive-route", "zero-route", "upper-solution",
-        "monotone-route", "unknown-method", "monotone-at-positive-c", "monotone-above-1"])
+], ids=["nan-c", "infinite-c", "upper-solution", "monotone-route", "monotone-route-above-1",
+        "unknown-method", "variational-at-negative-c", "monotone-at-positive-c",
+        "monotone-above-1"])
 def test_public_input_rejections(p2, op_p2, call, match):
     with pytest.raises(ValueError, match=match):
         call(p2, op_p2)
@@ -1565,7 +1584,7 @@ def test_public_input_rejections(p2, op_p2, call, match):
 class TestSettingsAndOperatorChecks:
     def test_solve_options_holds_only_caller_settings(self):
         assert [f.name for f in dataclasses.fields(kw.SolveOptions)] == [
-            "tol", "max_iter_monotone", "method",
+            "tol", "method",
         ]
 
     def test_solve_rejects_operator_for_another_exponent(self, er20, op_er20):
