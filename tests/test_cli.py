@@ -875,6 +875,15 @@ class TestInvalidNumericFlags:
                      "--kappa", kap, "--cap", cap],
             "cap must be at least 1")
 
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_kw_max_iter_at_least_one(self, p2_file, tmp_path, capsys, max_iter):
+        # a cap below 1 still ends in exit 1: kw takes no --max-iter at all
+        kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
+        self.assert_usage_error(
+            capsys, ["kw", "--graph", p2_file, "--s", "0.5", "--c", "-1.0",
+                     "--kappa", kap, "--method", "monotone", "--max-iter", max_iter],
+            f"unrecognized arguments: --max-iter {max_iter}")
+
     def test_kw_takes_no_max_iter(self, p2_file, tmp_path, capsys):
         # the monotone sweep cap is fixed, like the Newton and trust-region caps
         kap = fn_file(tmp_path, "k.json", {"x1": 1.0, "x2": -3.0})
