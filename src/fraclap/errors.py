@@ -37,18 +37,16 @@ class SingularSystem(NumericalError):
     """A linear system that should be definite turned out singular."""
 
 
-class MonotonicityViolation(NumericalError):
-    """Monotone iteration produced a non-monotone step (numerics bug guard)."""
-
-
 class NotSolved(FraclapError):
     """All solution routes failed within their iteration caps.
 
     The message starts with the tag of the route that raised it, and says
     how the attempt failed: a candidate rejected by the residual check, a
-    sweep cap reached, an empty constraint set (a variational step run past
-    the screen) or a nonpositive multiplier. ``trace``, which ``solve``
-    fills, holds one message per failed attempt, in order, this one last.
+    sweep cap reached, a monotone sweep that rose or left its lower bound,
+    an empty constraint set (a variational step run past the screen), a
+    nonpositive multiplier or an end point that is not a minimizer.
+    ``trace``, which ``solve`` fills, holds one message per failed attempt,
+    in order, this one last.
     """
 
     trace = ()

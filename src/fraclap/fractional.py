@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidExponent, QuadratureError
 from .graph import (PairwiseField, as_function, check_tol, gradient_field,
                     iterated_laplacian, mu_inner)
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, gram
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,9 @@ class FractionalOperator:
     def power_matrix(self):
         if self.kernel is None:  # integer s
             return self.op_matrix
-        power = self.sd.power_matrix(self.s)
+        # (Phi diag(lambda^s) Phi^T) diag(mu), the first factor by one symmetric product
+        power = gram(self.sd.phis, self.sd.lambda_power(self.s))
+        power *= self.graph.mu[None, :]
         power.setflags(write=False)
         return power
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     CertificateUnsolvable,
-    MonotonicityViolation,
     NotAnUpperSolution,
     NotSolved,
     SingularSystem,
@@ -255,8 +254,8 @@ def _accepted(op, kappa, c, u, tol):
     the equation's terms (A = op_matrix, applied once). Accepted where
     R <= tol and R <= _DRIFT_REL T: a drift toward a constant -infinity, or a
     kappa so small that every term is round-off, meets any absolute tol."""
-    au = op.op_matrix @ u
     with np.errstate(over="ignore", invalid="ignore"):
+        au = op.op_matrix @ u
         ke = kappa * np.exp(u)
         residual = float(np.max(np.abs(au - ke + c)))
         scale = float(np.max(np.abs(au)) + np.max(np.abs(ke))) + abs(c)
@@ -567,6 +566,8 @@ def _solve_positive_c(p, opts, op):
     g = p.graph
     kappa, c, mu, vol = p.kappa, p.c, g.mu, g.volume
     cv = c * vol
+    if not cv > 0:  # the shift takes log(c |V|)
+        raise NotSolved("variational-positive-c: c |V| underflowed to zero")
     ua = op.energy_matrix
 
     def log_mass(v):
@@ -605,8 +606,9 @@ def _solve_positive_c(p, opts, op):
         u = polished if _accepted(op, kappa, c, polished, opts.tol)[0] else u
     energy = 0.5 * dirichlet_energy(op, u) + c * integral(g, u)
     report = _verified(p, op, u, "variational-positive-c", iterations, opts, float(energy))
-    w = log_mass(u)[1]
-    if _shifted_cholesky(g, op, -cv * w / mu, ((cv, w), (1.0, mu))) is None:
+    lm = log_mass(u)  # None at a point of no mass, which is no minimizer
+    if lm is None or _shifted_cholesky(g, op, -cv * lm[1] / mu,
+                                       ((cv, lm[1]), (1.0, mu))) is None:
         raise NotSolved("variational-positive-c did not end at a minimizer: its reduced "
                         "Hessian has no Cholesky factor")
     return report
@@ -618,7 +620,7 @@ def _positive_start(p):
     g = p.graph
     kappa, mu = p.kappa, g.mu
     v = np.zeros(g.n)
-    if float(np.dot(kappa, mu)) > 0:
+    if float(np.sum(kappa * mu)) > 0:  # summed as log_mass sums it at v = 0
         return v
     best = int(np.argmax(kappa))
     if kappa[best] <= 0:
@@ -669,6 +671,8 @@ def _solve_zero_c(p, opts, op):
         sz = ua @ z
         q = kappa * mu * np.exp(z - np.max(z))
         qb = float(q @ bump)
+        if not qb < 0:  # the bumped mass underflowed: off the domain
+            return math.inf, np.zeros_like(v), None
         gamma = float(bump @ sz) / qb
         iv, ib = float(mu @ v), float(pin @ v)
 
@@ -697,8 +701,9 @@ def _solve_zero_c(p, opts, op):
     polished, extra = _damped_newton(op, kappa, 0.0, shifted, opts)
     iterations += extra
     candidate = polished if _accepted(op, kappa, 0.0, polished, opts.tol)[0] else shifted
-    energy = 0.5 * dirichlet_energy(op, candidate)
-    return _verified(p, op, candidate, "variational-zero-c", iterations, opts, energy)
+    report = _verified(p, op, candidate, "variational-zero-c", iterations, opts)
+    report.energy = 0.5 * dirichlet_energy(op, candidate)
+    return report
 
 
 def _meanzero_bump(g, kappa):
@@ -721,7 +726,10 @@ def _restore_constraint(g, kappa, u, bump):
     safeguarded Newton then pins (a step leaving the bracket bisects it).
     The root is sought on the mass relative to e^{max}, which has the same
     sign and never overflows. The bump touches two vertices, so the mass of
-    the rest is summed once, and each evaluation costs O(1).
+    the rest is summed once, and each evaluation costs O(1). Each doubling
+    loop ends within 1,024 doublings, where the bracket end overflows; after
+    64 Newton steps, which crawl where |u| >= 1e13 leaves the mass flat
+    between doubles, the search only bisects, in at most about 1,100 steps.
     """
     (a_i, b_i, u_i), (a_j, b_j, u_j) = (
         (float(kappa[k] * g.mu[k]), float(bump[k]), float(u[k])) for k in np.flatnonzero(bump))
@@ -743,16 +751,16 @@ def _restore_constraint(g, kappa, u, bump):
         hi *= 2.0
     while h(lo)[0] < 0:
         lo *= 2.0
-    beta, step = 0.5 * (lo + hi), math.inf
+    beta, step, steps = 0.5 * (lo + hi), math.inf, 0
     # xtol 1e-14 plus four machine epsilons of beta, below which steps are round-off
     while min(abs(step), hi - lo) > 1e-14 + 8.9e-16 * abs(beta):
         mass, slope = h(beta)
         if mass == 0:
             break
         lo, hi = (beta, hi) if mass > 0 else (lo, beta)
-        nxt = beta - mass / slope if slope < 0 else math.nan  # a NaN step bisects
+        nxt = beta - mass / slope if slope < 0 and steps < 64 else math.nan  # NaN bisects
         nxt = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        beta, step = nxt, nxt - beta
+        beta, step, steps = nxt, nxt - beta, steps + 1
     out = u + beta * bump
     # mean removal is free: scaling e^u by a constant preserves a zero mass
     return out - mean(g, out)
@@ -797,6 +805,8 @@ def _affine_upper_solution(p, op):
     v = poisson_meanzero_solve(op, kappa)
     # kappa <= 0 and e^(a v + b) >= a e give slack >= -a kbar + c = -c > 0
     a = 2.0 * c / kbar
+    if not a > 0:  # 2 c / kbar underflowed
+        return None
     b = math.log(a) - a * float(np.min(v)) + 1.0
     candidate = a * v + b
     slack = _residual(op, kappa, c, candidate)
@@ -849,7 +859,7 @@ def _stable_walk(op, kappa, c0, target, opts, tol, probes, cap):
     target, each run from the tangent predictor. It starts at the first
     c = c0 / 2^k, k < 16, that Newton solves stably from the constant
     log(c / kbar), the limit of the branch as c -> 0-, and returns None where
-    there is none (kbar >= 0, c underflowed to zero, or 16 failures). The
+    there is none (kbar >= 0, c / kbar underflowed to zero, or 16 failures). The
     first step goes to 2c and doubles after each success; after the first
     failure the walk bisects between the last solution and the last failure.
     It stops at the target, once those are at most tol apart or adjacent
@@ -861,7 +871,7 @@ def _stable_walk(op, kappa, c0, target, opts, tol, probes, cap):
         return None
     for k in range(16):
         c = c0 / 2.0**k
-        if c == 0:
+        if c / kbar == 0:  # the start's log would be -infinity
             return None
         point = _stable_point(op, kappa, c, np.full(op.graph.n, math.log(c / kbar)), opts)
         if point is not None:
@@ -898,8 +908,8 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
     diag(mu) ((-Delta)^s + phi) is an irreducible nonsingular M-matrix
     (phi > 0 wherever kappa < 0, and an upper solution needs some
     kappa < 0), so each sweep preserves order. The sequence is provably
-    nonincreasing and bounded below by a constant lower solution; both
-    facts are asserted at every step.
+    nonincreasing and bounded below by a constant lower solution; a sweep
+    that breaks either raises NotSolved.
 
     Every iterate is itself an upper solution (the one-step slack identity
     r(u_next) = phi (u - u_next) + kappa (e^u - e^{u_next}) >= 0), so any
@@ -954,14 +964,11 @@ def solve_negative_c_monotone(p, u_plus, opts=None, op=None, trace=None):
         rhs = g.mu * (phi * u + kappa * np.exp(u) - c)
         u_next = chol_solve(rhs)
         if float(np.max(u_next - u)) > tol_mono:
-            raise MonotonicityViolation(
-                f"monotone-iteration: iterate increased by {float(np.max(u_next - u)):.3e} "
-                f"at sweep {it}"
-            )
+            raise NotSolved(f"monotone-iteration: iterate increased by "
+                            f"{float(np.max(u_next - u)):.3e} at sweep {it}")
         if float(np.min(u_next)) < lower - tol_mono:
-            raise MonotonicityViolation(
-                f"monotone-iteration: iterate dropped below the lower solution at sweep {it}"
-            )
+            raise NotSolved(
+                f"monotone-iteration: iterate dropped below the lower solution at sweep {it}")
         step = float(np.max(np.abs(u_next - u)))
         u = u_next
         if trace is not None:
@@ -1057,7 +1064,7 @@ def _route(p, opts, op, failed):
             if p.c < 0:
                 return solve_negative_c_monotone(p, upper, opts, op)
             return (_solve_positive_c if p.c > 0 else _solve_zero_c)(p, opts, op)
-        except (NotSolved, NotAnUpperSolution, MonotonicityViolation) as exc:
+        except NotSolved as exc:
             failed.append(exc)
     if opts.method in ("variational", "monotone"):
         raise failed.pop() if failed else NotSolved("monotone-iteration: no upper solution found")

@@ -61,17 +61,6 @@ class SpectralDecomposition:
         power[0] = zero
         return power
 
-    def power_matrix(self, s):
-        """Dense matrix of the spectral power: Phi diag(lambda^s) Phi^{-1}.
-
-        ``lambda**s`` is taken as 0 at lambda == 0 for every s > 0. Assembled
-        as (Phi diag(lambda^s) Phi^T) diag(mu), the first factor by one
-        symmetric product.
-        """
-        power = gram(self.phis, self.lambda_power(s))
-        power *= self.graph.mu[None, :]
-        return power
-
 
 def gram(factor, weights):
     """factor diag(weights) factor^T for nonnegative weights, as B B^T with

@@ -138,6 +138,18 @@ def star():
 
 
 @pytest.fixture(scope="session")
+def heavy_draw():
+    """make_random_connected(default_rng(5), 60) with every edge weight
+    multiplied by 1e100, built as a loaded document is. At c = 0 and s = 0.5
+    its constraint restoration once crawled by unit Newton steps over a
+    bracket of 1.4e14."""
+    g = make_random_connected(np.random.default_rng(5), 60)
+    rows, cols, w, _ = g.edge_pattern
+    return build_graph(list(zip(g.ids, g.mu.tolist())), [
+        (g.ids[a], g.ids[b], float(x) * 1e100) for a, b, x in zip(rows, cols, w) if a < b])
+
+
+@pytest.fixture(scope="session")
 def p2_threshold():
     """Solvability threshold c* of P2 at s = 1/2 with kappa = (1, -3).
 

@@ -226,6 +226,14 @@ class TestSuiteSolveFailures:
         assert math.isfinite(recovery.measured)
         assert "NotSolved" in recovery.witness
 
+    def test_heavy_weight_solve_failures_are_entries(self, heavy_draw):
+        # the c = 0 solve of manufactured-recovery once crawled in the
+        # constraint restoration, and the suite ran for more than 10 minutes
+        entries = {e.name: e for e in run_suite(heavy_draw, [0.5, 1.5], seed=7).entries}
+        for name in ("manufactured-recovery", "comparison-inequality"):
+            assert not entries[name].passed
+            assert "NotSolved" in entries[name].witness
+
 
 class TestOperatorSharing:
     def test_one_build_per_exponent(self, random_connected, monkeypatch):

@@ -438,6 +438,20 @@ class TestKwCmd:
         assert data["method"] == "variational-zero-c"
         assert data["residual_inf"] <= 1e-8
 
+    @pytest.mark.parametrize("mu, c, kappa", [
+        (1.0, "-1e-30", {"x1": 1e300, "x2": -3e300}),  # c / kbar underflows at the walk's start
+        (0.25, "5e-324", {"x1": 1.0, "x2": -3.0}),  # c |V| underflows
+    ], ids=["walk-start", "positive-c-mass"])
+    def test_underflowed_log_argument_exit_3(self, tmp_path, capsys, mu, c, kappa):
+        # each once ended in "error: math domain error", exit 1
+        graph = tmp_path / "p2.json"
+        graph.write_text(json.dumps({**P2_DOC, "vertices": [{"id": "x1", "mu": mu},
+                                                            {"id": "x2", "mu": mu}]}))
+        code, out, err = run_cli(capsys, ["kw", "--graph", str(graph), "--s", "0.5", "--c", c,
+                                          "--kappa", fn_file(tmp_path, "k.json", kappa)])
+        assert (code, out) == (3, "")
+        assert re.fullmatch(NEWTON_FAILED, err)
+
     @pytest.mark.parametrize("c", ["1e308", "1.7e308"])
     def test_overflowing_constraint_mass_exit_3(self, p2_file, tmp_path, capsys, c):
         # c |V| overflows; every input is valid, so this is no usage error

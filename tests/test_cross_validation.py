@@ -97,12 +97,24 @@ def signed_kappas(draw, n):
 @given(data=st.data(), s=st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]),
        c=st.sampled_from([-1.0, -0.1, 0.0, 0.1, 1.0]))
 def test_sign_contract_of_the_integrated_equation(data, s, c):
+    g = data.draw(connected_graphs(max_n=8))
+    assert_sign_contract(g, s, c, data.draw(signed_kappas(g.n)))
+
+
+def test_sign_contract_at_a_vanishing_kappa_integral():
+    # a draw of the test above: np.dot reads integral(kappa) as 3.5e-17 and
+    # the elementwise sum as 0, so the positive-c descent once started where
+    # integral(kappa e^v) = 0 and ended in a raw TypeError
+    mu = (0.5063805542233385, 1.8125)
+    g = build_graph([("v0", mu[0]), ("v1", mu[1])], [("v0", "v1", 1.0)])
+    assert_sign_contract(g, 0.5, 0.1, np.array([-mu[1], mu[0]]))
+
+
+def assert_sign_contract(g, s, c, kappa):
     # integrating the equation at any s gives integral(kappa e^u) = c |V|:
     # where signs make that impossible, the screen certifies it, solve stops
     # there and the route past the screen finds nothing; anywhere else a
     # report re-checks within tol, and no solve meets a variational sign guard
-    g = data.draw(connected_graphs(max_n=8))
-    kappa = data.draw(signed_kappas(g.n))
     p = kw.KWProblem(graph=g, s=s, c=c, kappa=kappa)
     op = build_operator(decompose(g), s)
     kmax, kmin = float(np.max(kappa)), float(np.min(kappa))

@@ -428,6 +428,58 @@ class TestSolveDispatcher:
         assert type(failed[0]) is NotSolved and str(failed[0]) == guard
 
 
+def two_vertices(mu, w):
+    return build_graph([("x1", mu[0]), ("x2", mu[1])], [("x1", "x2", w)])
+
+
+class TestExtremeInputs:
+    """Valid inputs at the ends of the double range. Each solve ends in a
+    verified report or a NotSolved, with no raw exception, no usage error
+    and no hang; pyproject makes a raw RuntimeWarning from fraclap an error."""
+
+    @pytest.mark.parametrize("make, first", [
+        # the restoration crawled; after it, the bumped mass underflowed
+        (lambda heavy: problem(heavy, 0.0, np.random.default_rng(0).normal(size=60) - 0.5),
+         "variational-zero-c stopped at residual"),
+        (lambda _: problem(build_graph([(f"p{i}", 0.25) for i in range(3)], [
+            ("p0", "p1", 1e100), ("p1", "p2", 2e100)]), 0.0, [1.0, -3.0, 0.5]),
+         "variational-zero-c stopped at residual"),
+        # c / kbar underflows at the walk's start
+        (lambda _: problem(two_vertices((1.0, 1.0), 1.0), -1e-30, [1e300, -3e300]),
+         "newton-continuation: all starts failed (1 start;"),
+        # c |V| underflows in the positive-c objective
+        (lambda _: problem(two_vertices((0.25, 0.25), 1.0), 5e-324, [1.0, -3.0]),
+         "variational-positive-c: c |V| underflowed to zero"),
+        (lambda _: problem(two_vertices((0.25, 0.25), 1.0), 5e-324, [1.0, -3.0], s=1.5),
+         "variational-positive-c: c |V| underflowed to zero"),
+        # 2 c / kbar underflows in the affine upper solution
+        (lambda _: problem(two_vertices((1.0, 1.0), 1.0), -1e-30, [-1e300, -2e300]),
+         "newton-continuation: all starts failed (1 start;"),
+        # the zero-c candidate is not finite: it is verified before its energy
+        (lambda _: problem(two_vertices((0.25, 0.25), 1e100), 0.0, [1e-300, -3e-300]),
+         "variational-zero-c stopped at residual nan"),
+    ], ids=["restoration-crawl", "path-heavy-weights", "walk-start-underflow",
+            "positive-c-mass-underflow", "positive-c-mass-underflow-s1.5",
+            "affine-underflow", "zero-c-candidate-not-finite"])
+    def test_failed_search_is_not_solved(self, heavy_draw, make, first):
+        p = make(heavy_draw)
+        with pytest.raises(NotSolved) as exc:
+            kw.solve(p, op=build_operator(decompose(p.graph), p.s))
+        assert type(exc.value) is NotSolved
+        assert exc.value.trace[0].startswith(first)
+
+    def test_certificate_without_mass_hands_over_to_newton(self):
+        # the descent ends at a point whose mass kappa mu e^u sums to zero:
+        # it is no minimizer, and Newton from zero solves
+        p = problem(two_vertices((1.0, 1.0), 1e-100), 1.0, [1e-300, -3e-300], s=1.5)
+        op = build_operator(decompose(p.graph), 1.5)
+        with pytest.raises(NotSolved, match="^variational-positive-c did not end at a minimizer"):
+            minimize(p, op)
+        rep = kw.solve(p, op=op)
+        assert rep.method == "newton-continuation"
+        assert kw.check_solution(p, rep.solution, op).residual_inf <= 1e-8
+
+
 class TestSolvePositiveC:
     @pytest.mark.parametrize("c, tol", [(1e-5, 1e-12), (1e-7, 1e-10)])
     def test_small_c_reaches_tight_tol(self, p2, op_p2, c, tol):
@@ -568,6 +620,21 @@ class TestSolvePositiveC:
         assert exc.value.trace == (str(exc.value),)  # the route's one attempt
         assert calls == [1]
 
+    def test_descent_from_a_saddle_hands_over_to_newton(self, k3):
+        # constant kappa makes zero a critical point, where the descent takes
+        # no step; its reduced Hessian has eigenvalues -0.147, -0.147 and 3.0,
+        # so the certificate fails, and Newton from zero finds log(c / kappa).
+        # This is why "auto" keeps Newton after a failed descent at c >= 0
+        kappa, c = 1.354255038264542, 2.3046318133441677
+        p = problem(k3, c, np.full(3, kappa), s=0.7)
+        op = build_operator(decompose(k3), 0.7)
+        assert not reduced_hessian_is_definite(p, op, np.zeros(3))
+        with pytest.raises(NotSolved, match="^variational-positive-c did not end at a minimizer"):
+            minimize(p, op)
+        rep = kw.solve(p, op=op)
+        assert rep.method == "newton-continuation"
+        assert np.max(np.abs(rep.solution - math.log(c / kappa))) <= 1e-9
+
 
 class TestSolveZeroC:
     def test_manufactured(self, p2, op_p2):
@@ -628,6 +695,33 @@ class TestSolveZeroC:
             assert np.all(np.isfinite(w))
             assert integral(p2, w) == pytest.approx(0.0, abs=1e-9)
             assert w[0] - w[1] == pytest.approx(math.log(2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("top", [2e13, 2e29])
+    def test_restoration_ends_in_bounded_evaluations(self, monkeypatch, top):
+        # at these |u| the mass is flat in beta between doubles, and each
+        # uncapped Newton step moved beta by 1: 2e13 ran for more than 10 s.
+        # After 64 Newton steps only bisection runs. h takes three exps, and
+        # the count fails the test at the bound instead of letting it hang
+        g = build_graph([(f"p{i}", 1.0) for i in range(3)],
+                        [("p0", "p1", 1.0), ("p1", "p2", 1.0)])
+        kappa = np.array([-1.0, 1.0, 0.5])
+        bound = 64 + 2 * 1100  # Newton steps, doublings and bisections
+
+        class CountingMath:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def exp(self, x):
+                CountingMath.calls += 1
+                assert CountingMath.calls <= 3 * bound, "restoration past its bound"
+                return math.exp(x)
+
+        monkeypatch.setattr(kw, "math", CountingMath())
+        w = kw._restore_constraint(g, kappa, np.array([0.0, top, 0.0]),
+                                   kw._meanzero_bump(g, kappa))
+        assert np.all(np.isfinite(w))
 
     def test_restored_mass_vanishes_at_scale(self, random_connected):
         # the root found on the two moving vertices and the rest's mass summed
@@ -1188,6 +1282,18 @@ class TestMonotoneIteration:
             warnings.simplefilter("error")
             with pytest.raises(NotAnUpperSolution):
                 kw.solve_negative_c_monotone(p, np.array([800.0, 0.0]), op=op_p2)
+
+    @pytest.mark.parametrize("level, guard", [
+        (1e3, r"increased by \S+"), (-1e3, "dropped below the lower solution")])
+    def test_sweep_out_of_order_is_not_solved(self, p2, op_p2, monkeypatch, level, guard):
+        # order preservation is proven at s <= 1, so no sound sweep breaks
+        # these guards; a sweep forced above its iterate or below the lower
+        # solution ends the attempt in NotSolved
+        p = problem(p2, -0.01, [-0.1, -4.0])
+        upper = kw._affine_upper_solution(p, op_p2)
+        monkeypatch.setattr(kw, "_shifted_cholesky", lambda *args: lambda b: np.full(2, level))
+        with pytest.raises(NotSolved, match=f"^monotone-iteration: iterate {guard} at sweep 1$"):
+            kw.solve_negative_c_monotone(p, upper, op=op_p2)
 
     def test_iterate_ordering(self, er20, op_er20):
         rng = np.random.default_rng(27)
